@@ -29,6 +29,8 @@ from .tensor import (
     CoefficientTensor,
     Trajectory,
     _apply_arr,
+    apply_batch,
+    cesaro,
     jacobian,
     run,
     run_collect,
@@ -502,6 +504,45 @@ class OmegaSet:
     diagnostics: dict
 
 
+def _greedy_linkage(points: np.ndarray, tol: float) -> list[list[float]]:
+    """Representatives of greedy sup-norm linkage at ``tol``, sorted.
+
+    Each point joins the first representative within ``tol``, whose running
+    mean it updates, or starts a new one.  Running means can drift two
+    representatives together, so afterwards the first pair (a, b) within
+    ``tol`` in the order a < b is merged into a, weighted by counts, and the
+    scan restarts from a = 0 until no pair is within ``tol``.
+    """
+    reps = np.empty_like(points)
+    counts: list[int] = []
+    for row in points:
+        k = len(counts)
+        hits = np.flatnonzero(np.max(np.abs(reps[:k] - row), axis=1) <= tol)
+        if hits.size:
+            i = hits[0]
+            counts[i] += 1
+            # running mean keeps the representative centered
+            reps[i] = reps[i] + (row - reps[i]) / counts[i]
+        else:
+            reps[k] = row
+            counts.append(1)
+    a = 0
+    while a < len(counts) - 1:
+        k = len(counts)
+        hits = np.flatnonzero(np.max(np.abs(reps[a] - reps[a + 1:k]), axis=1) <= tol)
+        if not hits.size:
+            a += 1
+            continue
+        b = a + 1 + hits[0]
+        total = counts[a] + counts[b]
+        reps[a] = (counts[a] * reps[a] + counts[b] * reps[b]) / total
+        counts[a] = total
+        reps[b:k - 1] = reps[b + 1:k]
+        del counts[b]
+        a = 0
+    return sorted(reps[:len(counts)].tolist())
+
+
 def omega_estimate(t: CoefficientTensor, x0: SimplexPoint, burn_in: int,
                    window: int, cluster_tol: float = DEFAULT_CLUSTER_TOL,
                    s_max: int | None = None,
@@ -515,42 +556,14 @@ def omega_estimate(t: CoefficientTensor, x0: SimplexPoint, burn_in: int,
         raise DimensionMismatch("burn_in and window must be >= 1")
     x = run(t, x0.array, burn_in)
     tail = run_collect(t, x, window - 1) if window > 1 else x[None, :]
-    reps: list[np.ndarray] = []
-    counts: list[int] = []
-    for row in tail:
-        for idx, rep in enumerate(reps):
-            if np.max(np.abs(rep - row)) <= cluster_tol:
-                # running mean keeps the representative centered
-                counts[idx] += 1
-                reps[idx] = rep + (row - rep) / counts[idx]
-                break
-        else:
-            reps.append(row.copy())
-            counts.append(1)
-    # running means can drift two representatives together; merge until the
-    # pairwise separation invariant holds
-    merged = True
-    while merged and len(reps) > 1:
-        merged = False
-        for a in range(len(reps)):
-            for b in range(a + 1, len(reps)):
-                if np.max(np.abs(reps[a] - reps[b])) <= cluster_tol:
-                    total = counts[a] + counts[b]
-                    reps[a] = (counts[a] * reps[a] + counts[b] * reps[b]) / total
-                    counts[a] = total
-                    del reps[b], counts[b]
-                    merged = True
-                    break
-            if merged:
-                break
-    reps.sort(key=lambda r: tuple(r.tolist()))
+    reps = _greedy_linkage(tail, cluster_tol)
     smax = s_max if s_max is not None else max(1, window // 2)
     try:
         period = detect_period_tail(tail, smax, period_tol)
     except InsufficientTail:
         period = None
     return OmegaSet(
-        cluster_points=tuple(SimplexPoint(tuple(r.tolist())) for r in reps),
+        cluster_points=tuple(SimplexPoint(tuple(r)) for r in reps),
         detected_period=period,
         diagnostics={
             "burn_in": burn_in,
@@ -780,29 +793,15 @@ def ergodicity_probe(t: CoefficientTensor, x0: SimplexPoint, checkpoints) -> Erg
     if not cps or cps[0] < 1 or any(b <= a for a, b in zip(cps, cps[1:])) \
             or cps[-1] > 10_000_000:
         raise DimensionMismatch("checkpoints must be positive, increasing, <= 1e7")
-    x = x0.array.copy()
-    acc = np.zeros(t.m)
-    flat = t._flat
-    means = []
-    min_coords = []
-    steps = 0
-    for target in cps:
-        while steps < target:
-            acc += x
-            y = np.outer(x, x).ravel() @ flat
-            x = y / y.sum()
-            steps += 1
-        mean = acc / target
-        means.append(mean / mean.sum())  # running sum accumulates round-off
-        min_coords.append(float(np.min(x)))
+    means, states = cesaro(t, x0.array, cps)
     fluct = 0.0
     for a in range(len(means)):
         for b in range(a + 1, len(means)):
             fluct = max(fluct, float(np.max(np.abs(means[a] - means[b]))))
     return ErgodicityReport(
         checkpoints=tuple(cps),
-        cesaro=tuple(SimplexPoint(tuple(mu.tolist())) for mu in means),
-        min_coordinate=tuple(min_coords),
+        cesaro=tuple(SimplexPoint(tuple(mu)) for mu in means.tolist()),
+        min_coordinate=tuple(states.min(axis=1).tolist()),
         fluctuation=fluct,
         boundary_start=bool(np.min(x0.array) <= 1e-9),
     )
@@ -873,8 +872,7 @@ def max_norm_check(samples: int, seed: int, exclusion_radius: float = 1e-9) -> M
     fixed = np.vstack([np.eye(4), np.full((1, 4), 0.25)])
     dist = np.min(np.max(np.abs(xs[:, None, :] - fixed[None, :, :]), axis=2), axis=1)
     keep = dist > exclusion_radius
-    ys = np.einsum("ni,nj,ijk->nk", xs[keep], xs[keep], t.p, optimize=True)
-    ys /= ys.sum(axis=1, keepdims=True)
+    ys = apply_batch(t, xs[keep])
     margins = np.max(xs[keep], axis=1) - np.max(ys, axis=1)
     return MaxNormReport(
         samples=samples,

@@ -164,13 +164,6 @@ class Permutation:
     def __call__(self, k: int) -> int:
         return apply_permutation(self, k)
 
-    def power(self, j: int) -> "Permutation":
-        """p composed with itself j >= 0 times."""
-        images = list(range(1, self.n + 1))
-        for _ in range(j % self.order if self.order else 0):
-            images = [self.images[i - 1] for i in images]
-        return Permutation.from_images(images)
-
     def cycle_text(self) -> str:
         nontrivial = [c for c in self.cycles if len(c) > 1]
         if not nontrivial:

@@ -12,9 +12,14 @@ exchange format; the underlying numpy array is 0-based.
 
 from __future__ import annotations
 
-import io
+import ctypes
+import functools
 import math
+import numbers
+import os
+import tempfile
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -157,10 +162,15 @@ def convex_combine(t1: CoefficientTensor, t2: CoefficientTensor, w: float,
 # --- application, derivatives, iteration ------------------------------------
 
 
+def _step(flat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The numpy reference step: one renormalized application on a raw array."""
+    y = np.outer(x, x).ravel() @ flat
+    return y / y.sum()
+
+
 def _apply_arr(t: CoefficientTensor, x: np.ndarray) -> np.ndarray:
     """One renormalized application on a raw coordinate array."""
-    y = np.outer(x, x).ravel() @ t._flat
-    return y / y.sum()
+    return _step(t._flat, x)
 
 
 def apply_raw(t: CoefficientTensor, x) -> np.ndarray:
@@ -182,9 +192,13 @@ def apply(t: CoefficientTensor, x: SimplexPoint) -> SimplexPoint:
     return SimplexPoint(tuple(_apply_arr(t, x.array).tolist()))
 
 
-def apply_batch(t: CoefficientTensor, xs: np.ndarray) -> np.ndarray:
-    """Renormalized application to each row of an (n, m) array."""
-    ys = np.einsum("ni,nj,ijk->nk", xs, xs, t.p, optimize=True)
+def apply_batch(t: CoefficientTensor, xs: np.ndarray, optimize=True) -> np.ndarray:
+    """Renormalized application to each row of an (n, m) array.
+
+    ``optimize`` goes to ``np.einsum``: True searches for a contraction
+    path, a path from ``np.einsum_path`` is used as given.
+    """
+    ys = np.einsum("ni,nj,ijk->nk", xs, xs, t.p, optimize=optimize)
     return ys / ys.sum(axis=1, keepdims=True)
 
 
@@ -200,35 +214,73 @@ def jacobian(t: CoefficientTensor, x) -> np.ndarray:
     return 2.0 * np.einsum("ijk,i->kj", t.p, arr)
 
 
+def _check_steps(n_steps) -> None:
+    if not isinstance(n_steps, numbers.Integral) or n_steps < 0:
+        raise DimensionMismatch(f"n_steps must be an integer >= 0, got {n_steps!r}")
+
+
+def _orbit(t: CoefficientTensor, x0, n_steps):
+    """Checked inputs of a single-orbit loop.
+
+    Returns a fresh float copy of ``x0``, the flattened coefficients and the
+    compiled kernel when it can run them (else None, and the numpy loop
+    runs).  Bad input raises before the kernel is loaded or called.
+    """
+    _check_steps(n_steps)
+    x = np.array(x0, dtype=float)
+    if x.shape != (t.m,):
+        raise DimensionMismatch(f"point has shape {x.shape}, tensor has m={t.m}")
+    flat = t._flat
+    fits = t.m <= _KERNEL_MAX_M and flat.dtype == np.float64 and flat.flags.c_contiguous
+    return x, flat, _kernel() if fits else None
+
+
 def run(t: CoefficientTensor, x0: np.ndarray, n_steps: int) -> np.ndarray:
     """Final raw coordinate array after ``n_steps`` renormalized steps."""
-    x = np.asarray(x0, dtype=float).copy()
-    flat = t._flat
+    x, flat, kernel = _orbit(t, x0, n_steps)
+    if kernel is not None:
+        kernel.run(flat, x, n_steps)
+        return x
     for _ in range(n_steps):
-        y = np.outer(x, x).ravel() @ flat
-        x = y / y.sum()
+        x = _step(flat, x)
     return x
+
+
+def _collect(t: CoefficientTensor, x0, n_steps: int, stride: int) -> np.ndarray:
+    """Rows x^(0), then x^(n) for each n <= n_steps that is a multiple of
+    ``stride`` or is ``n_steps`` itself."""
+    x, flat, kernel = _orbit(t, x0, n_steps)
+    out = np.empty((1 + n_steps // stride + (n_steps % stride > 0), t.m))
+    if kernel is not None:
+        kernel.collect(flat, x, n_steps, stride, out)
+        return out
+    out[0] = x
+    row = 0
+    for n in range(1, n_steps + 1):
+        x = _step(flat, x)
+        if n % stride == 0 or n == n_steps:
+            row += 1
+            out[row] = x
+    return out
 
 
 def run_collect(t: CoefficientTensor, x0: np.ndarray, n_steps: int) -> np.ndarray:
     """All iterates x^(0..n_steps) as an (n_steps + 1, m) array."""
-    out = np.empty((n_steps + 1, t.m))
-    out[0] = np.asarray(x0, dtype=float)
-    x = out[0].copy()
-    flat = t._flat
-    for n in range(1, n_steps + 1):
-        y = np.outer(x, x).ravel() @ flat
-        x = y / y.sum()
-        out[n] = x
-    return out
+    return _collect(t, x0, n_steps, 1)
 
 
 def run_batch(t: CoefficientTensor, xs: np.ndarray, n_steps: int) -> np.ndarray:
     """Advance every row of an (n, m) array by ``n_steps`` steps."""
     x = np.asarray(xs, dtype=float).copy()
+    # the contraction path depends only on the shapes: search it once
+    path, _ = np.einsum_path("ni,nj,ijk->nk", x, x, t.p, optimize=True)
     for _ in range(n_steps):
-        x = apply_batch(t, x)
+        x = apply_batch(t, x, path)
     return x
+
+
+# Rows that iterate collects per kernel call.
+_ITERATE_BLOCK_ROWS = 4096
 
 
 def iterate(t: CoefficientTensor, x0: SimplexPoint, n_steps: int, stride: int = 1) -> Trajectory:
@@ -239,42 +291,171 @@ def iterate(t: CoefficientTensor, x0: SimplexPoint, n_steps: int, stride: int = 
     """
     if x0.m != t.m:
         raise DimensionMismatch(f"point has {x0.m} coordinates, tensor has m={t.m}")
-    if n_steps < 0 or stride < 1:
-        raise DimensionMismatch("need n_steps >= 0 and stride >= 1")
+    if not isinstance(stride, numbers.Integral) or stride < 1:
+        raise DimensionMismatch(f"stride must be an integer >= 1, got {stride!r}")
+    _check_steps(n_steps)
+    # collected in blocks, so that the raw rows stay small next to the points
     points = [(0, x0)]
-    x = x0.array
-    flat = t._flat
-    for n in range(1, n_steps + 1):
-        y = np.outer(x, x).ravel() @ flat
-        x = y / y.sum()
-        if n % stride == 0 or n == n_steps:
-            points.append((n, SimplexPoint(tuple(x.tolist()))))
+    x, done = x0.array, 0
+    while done < n_steps:
+        n = min(_ITERATE_BLOCK_ROWS * stride, n_steps - done)
+        rows = _collect(t, x, n, stride)
+        # row i is step i * stride, or the block's end after a partial stride
+        points += [(done + min(i * stride, n), SimplexPoint(tuple(rows[i].tolist())))
+                   for i in range(1, len(rows))]
+        x, done = rows[-1], done + n
     return Trajectory(operator=t.name or "tensor", stride=stride, points=tuple(points))
 
 
-def cesaro_means(t: CoefficientTensor, x0: SimplexPoint, checkpoints) -> list[SimplexPoint]:
-    """Running averages (1/n) sum_{k<n} x^(k) at each checkpoint.
+def cesaro(t: CoefficientTensor, x0: np.ndarray, checkpoints) -> tuple[np.ndarray, np.ndarray]:
+    """Cesaro means and iterates at each checkpoint n, as (checkpoints, m) arrays.
 
-    Single pass with an O(m) running sum, so checkpoints up to 10^7 are fine.
+    Row c of the first array is the running average (1/n) sum_{k<n} x^(k),
+    renormalized; row c of the second is x^(n).  Single pass with an O(m)
+    running sum, so checkpoints up to 10^7 are fine.
     """
     cps = [int(n) for n in checkpoints]
     if any(b <= a for a, b in zip(cps, cps[1:])) or (cps and cps[0] < 1):
         raise DimensionMismatch("checkpoints must be strictly increasing positive integers")
-    out = []
-    x = x0.array
-    acc = np.zeros(t.m)
-    flat = t._flat
-    steps = 0
-    for n_target in cps:
-        while steps < n_target:
-            acc += x
-            y = np.outer(x, x).ravel() @ flat
-            x = y / y.sum()
-            steps += 1
-        mean = acc / n_target
+    x, flat, kernel = _orbit(t, x0, cps[-1] if cps else 0)
+    sums = np.empty((len(cps), t.m))
+    states = np.empty_like(sums)
+    if kernel is not None:
+        kernel.cesaro(flat, x, np.array(cps, dtype=np.int64), sums, states)
+    else:
+        acc = np.zeros(t.m)
+        steps = 0
+        for c, n_target in enumerate(cps):
+            while steps < n_target:
+                acc += x
+                x = _step(flat, x)
+                steps += 1
+            sums[c] = acc
+            states[c] = x
+    means = np.empty_like(sums)
+    for c, n_target in enumerate(cps):
+        mean = sums[c] / n_target
         # the running sum accumulates round-off linearly in n; renormalize
-        out.append(SimplexPoint(tuple((mean / mean.sum()).tolist())))
-    return out
+        means[c] = mean / mean.sum()
+    return means, states
+
+
+def cesaro_means(t: CoefficientTensor, x0: SimplexPoint, checkpoints) -> list[SimplexPoint]:
+    """Running averages (1/n) sum_{k<n} x^(k) at each checkpoint."""
+    means, _ = cesaro(t, x0.array, checkpoints)
+    return [SimplexPoint(tuple(mu)) for mu in means.tolist()]
+
+
+# --- compiled single-orbit kernel ---------------------------------------------
+
+# The C loops keep the m*m outer product on the stack.
+_KERNEL_MAX_M = 64
+_KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
+_KERNEL_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# numpy's cblas_dgemv with 64-bit integers, as exported by scipy-openblas64
+_NUMPY_DGEMV = "scipy_cblas_dgemv64_"
+
+
+class _Kernel:
+    """The loops of ``_kernel.c``, bound to numpy's own BLAS dgemv.
+
+    Callers pass C-contiguous float64 arrays of matching sizes, m <= 64 and
+    n_steps >= 0; ``_orbit`` checks all of it.  ``x`` is advanced in place.
+    """
+
+    def __init__(self, lib: ctypes.CDLL, dgemv: int):
+        ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+        lib.run.argtypes = [ptr, ptr, i64, ptr, i64]
+        lib.collect.argtypes = [ptr, ptr, i64, ptr, i64, i64, ptr]
+        lib.cesaro.argtypes = [ptr, ptr, i64, ptr, ptr, i64, ptr, ptr]
+        for fn in (lib.run, lib.collect, lib.cesaro):
+            fn.restype = None
+        self._lib = lib
+        self._dgemv = dgemv
+
+    def run(self, flat, x, n_steps):
+        self._lib.run(self._dgemv, flat.ctypes.data, len(x), x.ctypes.data, n_steps)
+
+    def collect(self, flat, x, n_steps, stride, out):
+        self._lib.collect(self._dgemv, flat.ctypes.data, len(x), x.ctypes.data,
+                          n_steps, stride, out.ctypes.data)
+
+    def cesaro(self, flat, x, checkpoints, sums, states):
+        self._lib.cesaro(self._dgemv, flat.ctypes.data, len(x), x.ctypes.data,
+                         checkpoints.ctypes.data, len(checkpoints),
+                         sums.ctypes.data, states.ctypes.data)
+
+
+def _build_kernel() -> Path:
+    """Compile ``_kernel.c`` into ``__pycache__`` unless already built.
+
+    The library is keyed by a hash of the source and flags and renamed into
+    place atomically, so concurrent builds cannot load a partial file.
+    """
+    # imported here so that only the first kernel use pays for them
+    import hashlib
+    import subprocess
+
+    source = _KERNEL_SOURCE.read_bytes()
+    key = hashlib.sha256(source + " ".join(_KERNEL_CFLAGS).encode()).hexdigest()[:16]
+    cache = _KERNEL_SOURCE.parent / "__pycache__"
+    lib = cache / f"_kernel-{key}.so"
+    if not lib.exists():
+        cache.mkdir(exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix="_kernel-", suffix=".tmp", dir=cache)
+        os.close(fd)
+        try:
+            cc = subprocess.run(["cc", *_KERNEL_CFLAGS, "-o", tmp, str(_KERNEL_SOURCE)],
+                                capture_output=True, text=True)
+            if cc.returncode:
+                raise OSError(f"cc exited {cc.returncode}: {cc.stderr.strip()}")
+            os.replace(tmp, lib)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    return lib
+
+
+def _numpy_dgemv() -> int:
+    """Address of the BLAS dgemv that numpy's matmul calls."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    # looked up through numpy's extension, which links the BLAS library
+    return ctypes.cast(getattr(ctypes.CDLL(umath.__file__), _NUMPY_DGEMV), ctypes.c_void_p).value
+
+
+def _kernel_agrees(kernel: _Kernel) -> bool:
+    """Bitwise comparison of a few compiled steps with the numpy step, for
+    an m below and an m above numpy's 8-term pairwise-sum block."""
+    rng = np.random.default_rng(0)
+    for m in (3, 9):
+        flat = random_tensor(rng, m)._flat
+        x0 = rng.exponential(size=m)
+        x0 /= x0.sum()
+        want = x0
+        for _ in range(5):
+            want = _step(flat, want)
+        got = x0.copy()
+        kernel.run(flat, got, 5)
+        if not np.array_equal(got, want):
+            return False
+    return True
+
+
+@functools.cache
+def _kernel() -> _Kernel | None:
+    """The compiled loops, built and self-tested on first use.
+
+    None when there is no C compiler, numpy's BLAS does not export the
+    dgemv symbol, or the self-test disagrees: the numpy loops then run.
+    """
+    try:
+        kernel = _Kernel(ctypes.CDLL(str(_build_kernel())), _numpy_dgemv())
+    except (OSError, AttributeError):
+        return None
+    return kernel if _kernel_agrees(kernel) else None
 
 
 # --- text exchange format ----------------------------------------------------
@@ -307,8 +488,6 @@ def load_tensor(f, name: str = "") -> CoefficientTensor:
     if isinstance(f, (str, bytes)):
         with open(f) as fh:
             return load_tensor(fh, name)
-    if isinstance(f, str):  # pragma: no cover
-        f = io.StringIO(f)
     m = None
     rows = []
     for lineno, line in enumerate(f, start=1):

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import analysis
 from .analysis import (
     ATTRACTING,
     NON_HYPERBOLIC,
@@ -46,7 +45,7 @@ from .scalarmaps import (
     scalar_fixed_point,
 )
 from .simplex import SimplexPoint, center, parse_cycles, validate_point, vertex
-from .tensor import apply_raw, jacobian, random_tensor, run_batch, run_collect
+from .tensor import apply_raw, jacobian, random_tensor, run, run_batch, run_collect
 
 # Divergence threshold for the Zakharevich time-average probe, frozen from
 # the committed run of scripts/calibrate_nonergodicity.py (see
@@ -235,7 +234,7 @@ def _orbit_cycle_structure(t, perm, omega) -> tuple[bool, bool]:
     perm_ok = True
     succ = []
     for x in pts:
-        y = analysis._apply_arr(t, x)
+        y = run(t, x, 1)
         dists = [float(np.max(np.abs(y - z))) for z in pts]
         j = int(np.argmin(dists))
         if dists[j] > 1e-8:

@@ -1,0 +1,273 @@
+"""The compiled single-orbit kernel against the numpy reference loops.
+
+Every comparison is exact (``np.array_equal``): the kernel makes the numpy
+step's own BLAS call and sums in numpy's order, so any difference is a bug.
+The numpy loops are selected by replacing the loader ``tensor._kernel``.
+"""
+
+import os
+import shutil
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qsodyn import errors, tensor
+from qsodyn.analysis import _greedy_linkage, ergodicity_probe, max_norm_check, omega_estimate
+from qsodyn.families import REGISTRY, make
+from qsodyn.simplex import parse_cycles, validate_point
+from qsodyn.tensor import (
+    apply_batch,
+    cesaro_means,
+    iterate,
+    random_tensor,
+    run,
+    run_batch,
+    run_collect,
+)
+
+
+def numpy_loops():
+    return mock.patch.object(tensor, "_kernel", lambda: None)
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    k = tensor._kernel()
+    if k is None:
+        pytest.skip("compiled kernel unavailable (no C compiler or BLAS symbol)")
+    return k
+
+
+def both(fn, *args):
+    """``fn(*args)`` through the kernel and through the numpy loops."""
+    fast = fn(*args)
+    with numpy_loops():
+        ref = fn(*args)
+    return fast, ref
+
+
+@st.composite
+def orbit_cases(draw):
+    m = draw(st.integers(2, 12))
+    t = random_tensor(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), m)
+    x = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=m, max_size=m)))
+    if draw(st.booleans()):
+        # boundary start: zero out a proper subset of the coordinates
+        zeros = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m - 1))
+        x[zeros] = 0.0
+    x = validate_point(x / x.sum())
+    return t, x, draw(st.integers(0, 2000))
+
+
+@settings(max_examples=40, deadline=None)
+@given(orbit_cases(), st.integers(1, 50))
+def test_kernel_matches_numpy_loops(kernel, case, stride):
+    t, x0, n = case
+    fast, ref = both(run, t, x0.array, n)
+    assert np.array_equal(fast, ref)
+    fast, ref = both(run_collect, t, x0.array, n)
+    assert np.array_equal(fast, ref)
+    fast, ref = both(iterate, t, x0, n, stride)
+    assert fast == ref
+    if n >= 1:
+        cps = sorted({max(1, n // 7), max(1, n // 2), n})
+        fast, ref = both(ergodicity_probe, t, x0, cps)
+        assert fast == ref
+
+
+@pytest.mark.parametrize("family", sorted(REGISTRY))
+def test_kernel_matches_numpy_on_catalog(kernel, family):
+    info = REGISTRY[family]
+    m = info.m_fixed or 6
+    t = make(family, m,
+             parse_cycles("(1 2)(3 4 5)", m - 1) if info.needs_permutation else None,
+             0.3 if info.parameter else None)
+    x0 = np.linspace(1.0, 2.0, m) / np.linspace(1.0, 2.0, m).sum()
+    fast, ref = both(run_collect, t, x0, 10_000)
+    assert np.array_equal(fast, ref)
+    assert np.array_equal(run(t, x0, 10_000), ref[-1])
+
+
+def test_strided_iterate_records_only_strided_rows(kernel):
+    t = make("REGULAR", 5)
+    x0 = validate_point([0.4, 0.3, 0.2, 0.05, 0.05])
+    shapes = []
+    collect = tensor._collect
+
+    def recording(*args):
+        out = collect(*args)
+        shapes.append(out.shape)
+        return out
+
+    with mock.patch.object(tensor, "_collect", recording):
+        traj = iterate(t, x0, 1001, stride=100)
+    assert shapes == [(12, 5)]
+    assert traj.steps() == [0, 100, 200, 300, 400, 500, 600, 700, 800, 900, 1000, 1001]
+    assert traj.points[0][1] is x0
+    full = run_collect(t, x0.array, 1001)
+    for n, pt in traj.points:
+        assert pt.coords == tuple(full[n].tolist())
+
+
+@pytest.mark.parametrize("n_steps,stride", [(0, 1), (9, 1), (100, 1), (100, 3), (101, 7), (80, 8)])
+def test_iterate_across_collection_blocks(monkeypatch, n_steps, stride):
+    monkeypatch.setattr(tensor, "_ITERATE_BLOCK_ROWS", 4)
+    t = make("KHUKR")
+    x0 = validate_point([0.4, 0.36, 0.24])
+    traj = iterate(t, x0, n_steps, stride)
+    full = run_collect(t, x0.array, n_steps)
+    assert traj.steps() == sorted({*range(0, n_steps + 1, stride), n_steps})
+    for n, pt in traj.points:
+        assert pt.coords == tuple(full[n].tolist())
+
+
+def test_cesaro_means_match_numpy_loop(kernel):
+    t = make("ZAKHAREVICH")
+    x0 = validate_point([0.3, 0.3, 0.4])
+    fast, ref = both(cesaro_means, t, x0, [1, 10, 1000, 20_000])
+    assert fast == ref
+
+
+@pytest.mark.parametrize("bad", [-3, -1, 2.5, 3.0, "4", None])
+@pytest.mark.parametrize("fn", [run, run_collect])
+def test_bad_n_steps_rejected_before_the_kernel(fn, bad):
+    t = make("REGULAR", 3)
+    x0 = np.full(3, 1 / 3)
+    with mock.patch.object(tensor, "_kernel") as loader:
+        with pytest.raises(errors.DimensionMismatch, match="n_steps"):
+            fn(t, x0, bad)
+    loader.assert_not_called()
+
+
+def test_point_of_wrong_size_rejected():
+    with pytest.raises(errors.DimensionMismatch):
+        run(make("REGULAR", 4), np.full(3, 1 / 3), 5)
+
+
+def test_large_m_falls_back_to_numpy(kernel):
+    t = random_tensor(np.random.default_rng(3), tensor._KERNEL_MAX_M + 1)
+    _, _, chosen = tensor._orbit(t, np.full(t.m, 1 / t.m), 2)
+    assert chosen is None
+    assert run(t, np.full(t.m, 1 / t.m), 2).shape == (t.m,)
+
+
+def test_loader_falls_back_without_compiler(tmp_path, monkeypatch):
+    src = tmp_path / "_kernel.c"
+    src.write_bytes(tensor._KERNEL_SOURCE.read_bytes())
+    monkeypatch.setattr(tensor, "_KERNEL_SOURCE", src)
+    monkeypatch.setenv("PATH", str(tmp_path))
+    assert tensor._kernel.__wrapped__() is None
+    assert list(tmp_path.glob("__pycache__/*")) == []
+
+
+def test_loader_rejects_a_disagreeing_kernel(monkeypatch):
+    monkeypatch.setattr(tensor, "_kernel_agrees", lambda k: False)
+    assert tensor._kernel.__wrapped__() is None
+
+
+def test_loader_builds_into_pycache(tmp_path, monkeypatch, kernel):
+    src = tmp_path / "_kernel.c"
+    src.write_bytes(tensor._KERNEL_SOURCE.read_bytes())
+    monkeypatch.setattr(tensor, "_KERNEL_SOURCE", src)
+    built = tensor._kernel.__wrapped__()
+    assert built is not None
+    (lib,) = (tmp_path / "__pycache__").iterdir()
+    assert lib.name.startswith("_kernel-") and lib.suffix == ".so"
+    # a second load reuses the file
+    mtime = os.stat(lib).st_mtime_ns
+    assert tensor._kernel.__wrapped__() is not None
+    assert os.stat(lib).st_mtime_ns == mtime
+
+
+def test_kernel_loads_where_it_can():
+    # a compiler and numpy's BLAS symbol are there: a kernel that fails its
+    # self-test must not pass unnoticed as a silent fallback
+    try:
+        tensor._numpy_dgemv()
+    except (OSError, AttributeError):
+        pytest.skip("numpy's BLAS does not export the dgemv symbol")
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    assert tensor._kernel() is not None
+
+
+# --- batched step ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rows", [1, 50, 10_000])
+def test_run_batch_path_reuse_is_bit_identical(rows):
+    t = make("ALPHA_COMBINATION", 5, parse_cycles("(1 2 3)", 4), 0.4)
+    xs = np.random.default_rng(rows).exponential(size=(rows, 5))
+    xs /= xs.sum(axis=1, keepdims=True)
+    ref = xs
+    for _ in range(20):
+        ref = apply_batch(t, ref)  # searches its path on every call
+    assert np.array_equal(run_batch(t, xs, 20), ref)
+
+
+def test_max_norm_check_uses_the_batched_step():
+    with mock.patch("qsodyn.analysis.apply_batch", wraps=apply_batch) as spy:
+        rep = max_norm_check(500, 7)
+    assert spy.call_count == 1
+    assert rep.violations == 0 and rep.checked + rep.excluded == 500
+
+
+# --- limit-set clustering ----------------------------------------------------------
+
+
+def reference_linkage(tail, tol):
+    """The per-pair Python greedy linkage that omega_estimate used before
+    clustering was vectorized, kept as the oracle."""
+    reps = []
+    counts = []
+    for row in tail:
+        for idx, rep in enumerate(reps):
+            if np.max(np.abs(rep - row)) <= tol:
+                counts[idx] += 1
+                reps[idx] = rep + (row - rep) / counts[idx]
+                break
+        else:
+            reps.append(row.copy())
+            counts.append(1)
+    merged = True
+    while merged and len(reps) > 1:
+        merged = False
+        for a in range(len(reps)):
+            for b in range(a + 1, len(reps)):
+                if np.max(np.abs(reps[a] - reps[b])) <= tol:
+                    total = counts[a] + counts[b]
+                    reps[a] = (counts[a] * reps[a] + counts[b] * reps[b]) / total
+                    counts[a] = total
+                    del reps[b], counts[b]
+                    merged = True
+                    break
+            if merged:
+                break
+    reps.sort(key=lambda r: tuple(r.tolist()))
+    return [tuple(r.tolist()) for r in reps]
+
+
+@pytest.mark.parametrize("family,parameter,x0,burn_in,window", [
+    ("GANIKHODJAEV_LAMBDA", 0.1, [0.2, 0.3, 0.5], 2000, 400),
+    ("GANIKHODJAEV_LAMBDA", 0.1, [0.6, 0.1, 0.3], 500, 300),
+    ("KHUKR", None, [0.4, 0.36, 0.24], 1000, 40),
+    ("KHUKR", None, [0.1, 0.5, 0.4], 50, 200),
+])
+@pytest.mark.parametrize("tol", [1e-6, 1e-4, 1e-2])
+def test_linkage_matches_reference(family, parameter, x0, burn_in, window, tol):
+    t = make(family, parameter=parameter)
+    start = validate_point(x0)
+    tail = run_collect(t, run(t, start.array, burn_in), window - 1)
+    got = omega_estimate(t, start, burn_in, window, cluster_tol=tol)
+    assert [p.coords for p in got.cluster_points] == reference_linkage(tail, tol)
+
+
+def test_linkage_merge_pass_matches_reference():
+    # points whose running means drift within tol of each other
+    rng = np.random.default_rng(5)
+    pts = 0.5 + rng.normal(scale=0.004, size=(300, 3))
+    for tol in (0.003, 0.005, 0.01):
+        assert [tuple(r) for r in _greedy_linkage(pts, tol)] == reference_linkage(pts, tol)
