@@ -1,14 +1,22 @@
-/* Compiled single-orbit loops of the renormalized quadratic step.
+/* Compiled loops of the renormalized quadratic step.
 
-   One step is the numpy step of tensor.py, `y = np.outer(x, x).ravel() @ flat`
-   then `x = y / y.sum()`, done the way numpy does it: the exact products
-   x_i x_j, the product by numpy's own BLAS dgemv (passed in as a function
-   pointer and called with the arguments numpy's matmul uses), numpy's
-   pairwise summation order, and one division per coordinate.  No result
-   depends on an order chosen here, so the loops reproduce the numpy loops
-   bit for bit.  Build with -O2 -ffp-contract=off and without -ffast-math or
-   -march, so that nothing is fused or reordered.  The caller checks that
-   m <= MAX_M, that the arrays are C-contiguous doubles and that
+   The single-orbit loops (run, collect, cesaro) make the numpy step of
+   tensor.py, `y = np.outer(x, x).ravel() @ flat` then `x = y / y.sum()`,
+   the way numpy does it: the exact products x_i x_j, the product by numpy's
+   own BLAS dgemv (passed in as a function pointer and called with the
+   arguments numpy's matmul uses), numpy's pairwise summation order, and one
+   division per coordinate.
+
+   The batched loop (batch) makes the step of tensor.apply_batch when
+   einsum runs it as one three-operand contraction,
+   `c_einsum('ijk,nj,ni->nk', p, x, x)` then `ys / ys.sum(axis=1)`: each
+   y_k starts at 0.0 and adds (p[i,j,k] * x_j) * x_i with i as the outer
+   and j as the inner index, then comes the same pairwise sum and division.
+
+   No result depends on an order chosen here, so every loop reproduces its
+   numpy loop bit for bit.  Build with -O2 -ffp-contract=off and without
+   -ffast-math or -march, so that nothing is fused or reordered.  The caller
+   checks that m <= MAX_M, that the arrays are C-contiguous doubles and that
    n_steps >= 0. */
 
 #include <stdint.h>
@@ -102,5 +110,40 @@ void cesaro(dgemv_fn gemv, const double *flat, int64_t m, double *x,
         }
         memcpy(sums + c * m, acc, m * sizeof *acc);
         memcpy(states + c * m, x, m * sizeof *x);
+    }
+}
+
+/* y[k .. k + w - 1], each summed over (i, j) in einsum's order.  w is a
+   constant at every call, so the w sums stay in registers. */
+static inline void contract(const double *p, int64_t m, const double *x,
+                            int64_t k, int w, double *y)
+{
+    double acc[4] = {0.0, 0.0, 0.0, 0.0};
+    const double *q = p + k;
+    for (int64_t i = 0; i < m; i++)
+        for (int64_t j = 0; j < m; j++, q += m)
+            for (int b = 0; b < w; b++)
+                acc[b] += (q[b] * x[j]) * x[i];
+    for (int b = 0; b < w; b++)
+        y[k + b] = acc[b];
+}
+
+/* Each of the rows of the (rows, m) array xs <- its x^(n_steps), one row
+   at a time so that its state stays in L1.  p is the (m, m, m) tensor. */
+void batch(const double *p, int64_t m, double *xs, int64_t rows, int64_t n_steps)
+{
+    double y[MAX_M], s;
+    for (int64_t r = 0; r < rows; r++) {
+        double *x = xs + r * m;
+        for (int64_t n = 0; n < n_steps; n++) {
+            int64_t k = 0;
+            for (; k + 4 <= m; k += 4)
+                contract(p, m, x, k, 4, y);
+            for (; k < m; k++)
+                contract(p, m, x, k, 1, y);
+            s = 0.0 + pairwise_sum(y, m);
+            for (k = 0; k < m; k++)
+                x[k] = y[k] / s;
+        }
     }
 }

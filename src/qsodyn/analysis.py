@@ -29,10 +29,10 @@ from .tensor import (
     CoefficientTensor,
     Trajectory,
     _apply_arr,
-    apply_batch,
     cesaro,
     jacobian,
     run,
+    run_batch,
     run_collect,
 )
 
@@ -872,7 +872,7 @@ def max_norm_check(samples: int, seed: int, exclusion_radius: float = 1e-9) -> M
     fixed = np.vstack([np.eye(4), np.full((1, 4), 0.25)])
     dist = np.min(np.max(np.abs(xs[:, None, :] - fixed[None, :, :]), axis=2), axis=1)
     keep = dist > exclusion_radius
-    ys = apply_batch(t, xs[keep])
+    ys = run_batch(t, xs[keep], 1)
     margins = np.max(xs[keep], axis=1) - np.max(ys, axis=1)
     return MaxNormReport(
         samples=samples,

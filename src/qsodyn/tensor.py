@@ -231,8 +231,15 @@ def _orbit(t: CoefficientTensor, x0, n_steps):
     if x.shape != (t.m,):
         raise DimensionMismatch(f"point has shape {x.shape}, tensor has m={t.m}")
     flat = t._flat
-    fits = t.m <= _KERNEL_MAX_M and flat.dtype == np.float64 and flat.flags.c_contiguous
-    return x, flat, _kernel() if fits else None
+    return x, flat, _kernel_for(flat)
+
+
+def _kernel_for(coeffs: np.ndarray):
+    """The compiled kernel if it can take ``coeffs`` (the flat or the full
+    coefficient array) as it is, else None."""
+    fits = (coeffs.shape[-1] <= _KERNEL_MAX_M and coeffs.dtype == np.float64
+            and coeffs.flags.c_contiguous)
+    return _kernel() if fits else None
 
 
 def run(t: CoefficientTensor, x0: np.ndarray, n_steps: int) -> np.ndarray:
@@ -270,10 +277,23 @@ def run_collect(t: CoefficientTensor, x0: np.ndarray, n_steps: int) -> np.ndarra
 
 
 def run_batch(t: CoefficientTensor, xs: np.ndarray, n_steps: int) -> np.ndarray:
-    """Advance every row of an (n, m) array by ``n_steps`` steps."""
-    x = np.asarray(xs, dtype=float).copy()
+    """Advance every row of an (n, m) array by ``n_steps`` steps.
+
+    Each step is ``apply_batch``'s.  When einsum makes it one three-operand
+    contraction, the compiled kernel runs all the steps in one call, bit for
+    bit; otherwise (one row, or up to about m rows) the numpy loop runs.
+    """
+    _check_steps(n_steps)
+    x = np.array(xs, dtype=float, order="C")
+    if x.ndim != 2 or x.shape[1] != t.m:
+        raise DimensionMismatch(f"points have shape {x.shape}, expected (n, {t.m})")
     # the contraction path depends only on the shapes: search it once
     path, _ = np.einsum_path("ni,nj,ijk->nk", x, x, t.p, optimize=True)
+    # the kernel's batch loop sums like einsum's one three-operand contraction
+    kernel = _kernel_for(t.p) if path == ["einsum_path", (0, 1, 2)] else None
+    if kernel is not None:
+        kernel.batch(t.p, x, n_steps)
+        return x
     for _ in range(n_steps):
         x = apply_batch(t, x, path)
     return x
@@ -346,7 +366,7 @@ def cesaro_means(t: CoefficientTensor, x0: SimplexPoint, checkpoints) -> list[Si
     return [SimplexPoint(tuple(mu)) for mu in means.tolist()]
 
 
-# --- compiled single-orbit kernel ---------------------------------------------
+# --- compiled kernel -----------------------------------------------------------
 
 # The C loops keep the m*m outer product on the stack.
 _KERNEL_MAX_M = 64
@@ -357,10 +377,12 @@ _NUMPY_DGEMV = "scipy_cblas_dgemv64_"
 
 
 class _Kernel:
-    """The loops of ``_kernel.c``, bound to numpy's own BLAS dgemv.
+    """The loops of ``_kernel.c``, the single-orbit ones bound to numpy's
+    own BLAS dgemv.
 
     Callers pass C-contiguous float64 arrays of matching sizes, m <= 64 and
-    n_steps >= 0; ``_orbit`` checks all of it.  ``x`` is advanced in place.
+    n_steps >= 0; ``_orbit`` and ``run_batch`` check all of it.  ``x`` and
+    ``xs`` are advanced in place.
     """
 
     def __init__(self, lib: ctypes.CDLL, dgemv: int):
@@ -368,7 +390,8 @@ class _Kernel:
         lib.run.argtypes = [ptr, ptr, i64, ptr, i64]
         lib.collect.argtypes = [ptr, ptr, i64, ptr, i64, i64, ptr]
         lib.cesaro.argtypes = [ptr, ptr, i64, ptr, ptr, i64, ptr, ptr]
-        for fn in (lib.run, lib.collect, lib.cesaro):
+        lib.batch.argtypes = [ptr, i64, ptr, i64, i64]
+        for fn in (lib.run, lib.collect, lib.cesaro, lib.batch):
             fn.restype = None
         self._lib = lib
         self._dgemv = dgemv
@@ -384,6 +407,10 @@ class _Kernel:
         self._lib.cesaro(self._dgemv, flat.ctypes.data, len(x), x.ctypes.data,
                          checkpoints.ctypes.data, len(checkpoints),
                          sums.ctypes.data, states.ctypes.data)
+
+    def batch(self, p, xs, n_steps):
+        rows, m = xs.shape
+        self._lib.batch(p.ctypes.data, m, xs.ctypes.data, rows, n_steps)
 
 
 def _build_kernel() -> Path:
@@ -427,19 +454,23 @@ def _numpy_dgemv() -> int:
 
 
 def _kernel_agrees(kernel: _Kernel) -> bool:
-    """Bitwise comparison of a few compiled steps with the numpy step, for
-    an m below and an m above numpy's 8-term pairwise-sum block."""
+    """Bitwise comparison of a few compiled steps with the numpy steps, for
+    an m below and an m above numpy's 8-term pairwise-sum block: one orbit
+    against ``_step``, and 50 rows (enough for einsum's three-operand
+    contraction) against ``apply_batch``."""
     rng = np.random.default_rng(0)
     for m in (3, 9):
-        flat = random_tensor(rng, m)._flat
-        x0 = rng.exponential(size=m)
-        x0 /= x0.sum()
-        want = x0
+        t = random_tensor(rng, m)
+        xs = rng.exponential(size=(50, m))
+        xs /= xs.sum(axis=1, keepdims=True)
+        want, want_rows = xs[0], xs
         for _ in range(5):
-            want = _step(flat, want)
-        got = x0.copy()
-        kernel.run(flat, got, 5)
-        if not np.array_equal(got, want):
+            want = _step(t._flat, want)
+            want_rows = apply_batch(t, want_rows)
+        got, got_rows = xs[0].copy(), xs.copy()
+        kernel.run(t._flat, got, 5)
+        kernel.batch(t.p, got_rows, 5)
+        if not (np.array_equal(got, want) and np.array_equal(got_rows, want_rows)):
             return False
     return True
 

@@ -1,8 +1,10 @@
-"""The compiled single-orbit kernel against the numpy reference loops.
+"""The compiled kernel against the numpy reference loops.
 
-Every comparison is exact (``np.array_equal``): the kernel makes the numpy
-step's own BLAS call and sums in numpy's order, so any difference is a bug.
-The numpy loops are selected by replacing the loader ``tensor._kernel``.
+Every comparison is exact (``np.array_equal``): the single-orbit loops make
+the numpy step's own BLAS call, the batched loop sums in the order of
+einsum's three-operand contraction, and both sum in numpy's pairwise order,
+so any difference is a bug.  The numpy loops are selected by replacing the
+loader ``tensor._kernel``.
 """
 
 import os
@@ -78,13 +80,18 @@ def test_kernel_matches_numpy_loops(kernel, case, stride):
         assert fast == ref
 
 
-@pytest.mark.parametrize("family", sorted(REGISTRY))
-def test_kernel_matches_numpy_on_catalog(kernel, family):
+def catalog_tensor(family):
     info = REGISTRY[family]
     m = info.m_fixed or 6
-    t = make(family, m,
-             parse_cycles("(1 2)(3 4 5)", m - 1) if info.needs_permutation else None,
-             0.3 if info.parameter else None)
+    return make(family, m,
+                parse_cycles("(1 2)(3 4 5)", m - 1) if info.needs_permutation else None,
+                0.3 if info.parameter else None)
+
+
+@pytest.mark.parametrize("family", sorted(REGISTRY))
+def test_kernel_matches_numpy_on_catalog(kernel, family):
+    t = catalog_tensor(family)
+    m = t.m
     x0 = np.linspace(1.0, 2.0, m) / np.linspace(1.0, 2.0, m).sum()
     fast, ref = both(run_collect, t, x0, 10_000)
     assert np.array_equal(fast, ref)
@@ -168,6 +175,14 @@ def test_loader_rejects_a_disagreeing_kernel(monkeypatch):
     assert tensor._kernel.__wrapped__() is None
 
 
+def test_self_test_checks_the_batched_loop(kernel):
+    assert tensor._kernel_agrees(kernel)
+    short = mock.Mock(wraps=kernel)
+    # one step short of what was asked
+    short.batch = lambda p, xs, n_steps: kernel.batch(p, xs, n_steps - 1)
+    assert not tensor._kernel_agrees(short)
+
+
 def test_loader_builds_into_pycache(tmp_path, monkeypatch, kernel):
     src = tmp_path / "_kernel.c"
     src.write_bytes(tensor._KERNEL_SOURCE.read_bytes())
@@ -197,6 +212,83 @@ def test_kernel_loads_where_it_can():
 # --- batched step ----------------------------------------------------------------
 
 
+@st.composite
+def batch_cases(draw):
+    m = draw(st.integers(2, 16))
+    rows = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = random_tensor(rng, m)
+    xs = rng.exponential(size=(rows, m))
+    for r in draw(st.lists(st.integers(0, rows - 1), max_size=rows, unique=True)):
+        # boundary start: a vertex, or a face with some coordinates zero
+        if draw(st.booleans()):
+            xs[r] = np.eye(m)[draw(st.integers(0, m - 1))]
+        else:
+            xs[r, draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m - 1))] = 0.0
+    return t, xs / xs.sum(axis=1, keepdims=True), draw(st.integers(0, 300))
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch_cases())
+def test_batch_kernel_matches_numpy_loop(kernel, case):
+    fast, ref = both(run_batch, *case)
+    assert np.array_equal(fast, ref)
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+@pytest.mark.parametrize("rows", [50, 100])
+def test_batch_kernel_matches_numpy_on_verify_shapes(kernel, m, rows):
+    t = random_tensor(np.random.default_rng(m), m)
+    xs = np.random.default_rng(rows).exponential(size=(rows, m))
+    fast, ref = both(run_batch, t, xs / xs.sum(axis=1, keepdims=True), 300)
+    assert np.array_equal(fast, ref)
+
+
+@pytest.mark.parametrize("family", sorted(REGISTRY))
+def test_batch_kernel_matches_numpy_on_catalog(kernel, family):
+    t = catalog_tensor(family)
+    xs = np.random.default_rng(t.m).exponential(size=(10_000, t.m))
+    fast, ref = both(run_batch, t, xs / xs.sum(axis=1, keepdims=True), 20)
+    assert np.array_equal(fast, ref)
+
+
+@pytest.mark.parametrize("m", [3, 8])
+def test_batch_kernel_runs_only_for_one_contraction(kernel, m):
+    t = random_tensor(np.random.default_rng(m), m)
+    spy = mock.Mock(wraps=kernel)
+    used = set()
+    with mock.patch.object(tensor, "_kernel", lambda: spy):
+        for rows in range(1, 2 * m + 2):
+            xs = np.full((rows, m), 1.0 / m)
+            path, _ = np.einsum_path("ni,nj,ijk->nk", xs, xs, t.p, optimize=True)
+            spy.batch.reset_mock()
+            with mock.patch.object(tensor, "apply_batch", wraps=apply_batch) as numpy_step:
+                run_batch(t, xs, 3)
+            one_contraction = path == ["einsum_path", (0, 1, 2)]
+            assert spy.batch.called == one_contraction
+            assert numpy_step.call_count == (0 if one_contraction else 3)
+            used.add(one_contraction)
+    assert used == {True, False}
+
+
+@pytest.mark.parametrize("bad", [-4, -1, 2.5, 3.0, "4", None])
+def test_run_batch_rejects_bad_n_steps_before_the_kernel(bad):
+    t = make("REGULAR", 3)
+    with mock.patch.object(tensor, "_kernel") as loader:
+        with pytest.raises(errors.DimensionMismatch, match="n_steps"):
+            run_batch(t, np.full((20, 3), 1 / 3), bad)
+    loader.assert_not_called()
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (20, 4), (20, 2), (2, 20, 3)])
+def test_run_batch_rejects_points_of_the_wrong_shape(shape):
+    t = make("REGULAR", 3)
+    with mock.patch.object(tensor, "_kernel") as loader:
+        with pytest.raises(errors.DimensionMismatch, match="shape"):
+            run_batch(t, np.full(shape, 1 / 3), 5)
+    loader.assert_not_called()
+
+
 @pytest.mark.parametrize("rows", [1, 50, 10_000])
 def test_run_batch_path_reuse_is_bit_identical(rows):
     t = make("ALPHA_COMBINATION", 5, parse_cycles("(1 2 3)", 4), 0.4)
@@ -209,9 +301,9 @@ def test_run_batch_path_reuse_is_bit_identical(rows):
 
 
 def test_max_norm_check_uses_the_batched_step():
-    with mock.patch("qsodyn.analysis.apply_batch", wraps=apply_batch) as spy:
+    with mock.patch("qsodyn.analysis.run_batch", wraps=run_batch) as spy:
         rep = max_norm_check(500, 7)
-    assert spy.call_count == 1
+    assert spy.call_count == 1 and spy.call_args.args[2] == 1
     assert rep.violations == 0 and rep.checked + rep.excluded == 500
 
 
