@@ -11,6 +11,7 @@ classification.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -23,12 +24,14 @@ from .errors import (
     InsufficientTail,
     NeverEntersRegion,
     NotAFixedPoint,
+    QsoError,
 )
 from .simplex import Permutation, SimplexPoint
 from .tensor import (
     CoefficientTensor,
     Trajectory,
     _apply_arr,
+    _kernel_for,
     cesaro,
     jacobian,
     run,
@@ -99,9 +102,23 @@ class FixedPointReport:
         return [abs(v) for v in self.tangent_eigenvalues]
 
 
+def _check_count(name: str, value, least: int) -> None:
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise QsoError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_tolerance(name: str, value, positive: bool = False) -> None:
+    """A finite real ``value`` >= 0, or > 0 if ``positive``."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)
+            and (value > 0.0 if positive else value >= 0.0)):
+        bound = ">" if positive else ">="
+        raise QsoError(f"{name} must be a finite number {bound} 0, got {value!r}")
+
+
 def classify_fixed_point(t: CoefficientTensor, x: SimplexPoint,
                          band: float = DEFAULT_BAND) -> FixedPointReport:
     """Spectral classification of a fixed point on the tangent space."""
+    _check_tolerance("band", band)
     residual = float(np.max(np.abs(_apply_arr(t, x.array) - x.array)))
     if residual >= FIXED_POINT_RESIDUAL:
         raise NotAFixedPoint(f"residual {residual!r} >= {FIXED_POINT_RESIDUAL}")
@@ -130,16 +147,17 @@ def classify_fixed_point(t: CoefficientTensor, x: SimplexPoint,
 
 
 def _compose(t: CoefficientTensor, x: np.ndarray, n: int) -> np.ndarray:
-    return run(t, x, n)
+    for _ in range(n):
+        x = _apply_arr(t, x)
+    return x
 
 
 def _compose_jacobian(t: CoefficientTensor, x: np.ndarray, n: int) -> np.ndarray:
     """Chain-rule Jacobian of the n-fold map along the orbit of x."""
-    j = np.eye(t.m)
-    y = x.copy()
-    for _ in range(n):
-        j = jacobian(t, y) @ j
-        y = _apply_arr(t, y)
+    j = jacobian(t, x)
+    for _ in range(n - 1):
+        x = _apply_arr(t, x)
+        j = jacobian(t, x) @ j
     return j
 
 
@@ -153,72 +171,107 @@ def _project(x: np.ndarray) -> np.ndarray:
     return y / s
 
 
-def _newton_periodic(t: CoefficientTensor, x0: np.ndarray, n_compose: int,
-                     tol: float, max_iter: int = 80):
-    """Newton for V^n(x) = x on the affine hull, projected to the simplex.
+def _solve_or_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return _lstsq(a, b)
 
-    The unit-sum constraint eliminates one unknown: steps are solved in the
-    first m-1 coordinates with dx_m = -sum(dy).  Singular systems fall back
-    to least squares, and persistent non-convergence to a damped picard
-    sweep.  Returns ``(x, residual, converged)``.
+
+def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.linalg.lstsq(a, b, rcond=None)[0]
+
+
+def _newton_step(t: CoefficientTensor, x: np.ndarray, r: np.ndarray, n_compose: int,
+                 solve=np.linalg.solve) -> np.ndarray | None:
+    """Increment of the first m-1 coordinates of a Newton step for
+    V^n(x) = x from x, whose residual is r; None if it is not finite.
+
+    The unit-sum constraint eliminates the last coordinate, whose increment
+    is minus the sum of the others.  ``solve(a, b)`` solves the reduced
+    system; ``np.linalg.solve`` raises LinAlgError if it is singular.
     """
     m = t.m
+    jn = _compose_jacobian(t, x, n_compose)
+    mred = jn[: m - 1, : m - 1] - np.eye(m - 1) - jn[: m - 1, m - 1:m]
+    dy = solve(mred, -r[: m - 1])
+    return dy if np.all(np.isfinite(dy)) else None
+
+
+# Phases of a Newton start.  The compiled kernel runs a start until numpy
+# would call lstsq and hands it back in that phase, or ends it (_DONE).
+_SEARCH, _CORRECT, _DONE = 0, 1, 2
+
+
+def _newton_periodic(t: CoefficientTensor, x0: np.ndarray, n_compose: int,
+                     tol: float, max_iter: int = 80, kernel=None):
+    """Newton for V^n(x) = x on the affine hull, projected to the simplex.
+
+    Steps are solved in the first m-1 coordinates (see ``_newton_step``).
+    Singular systems fall back to least squares, and persistent
+    non-convergence to a damped picard sweep.  Returns
+    ``(x, residual, converged)``.
+
+    With the compiled ``kernel`` (n_compose == 1 only), the start runs in C,
+    bit for bit as below, except where numpy calls lstsq.  At a search
+    iteration whose system is singular the kernel hands x back; the loop
+    below makes that iteration and resumes the kernel at the next one.  At
+    the least-squares correction after the damped sweeps, the loops below
+    finish the start.
+    """
     x = _project(np.asarray(x0, dtype=float).copy())
+    if x.shape != (t.m,):  # the kernel takes m from the tensor
+        raise DimensionMismatch(f"start has shape {x.shape}, tensor has m={t.m}")
 
     def resid(pt: np.ndarray) -> np.ndarray:
         return _compose(t, pt, n_compose) - pt
 
-    for _ in range(max_iter):
-        r = resid(x)
-        rmax = float(np.max(np.abs(r)))
-        if rmax < tol:
+    phase, it = _SEARCH, 0
+    while True:
+        if kernel is not None:
+            phase, it, rmax = kernel.newton(t.p, x, tol, it, max_iter)
+            if phase != _SEARCH:
+                break
+        elif it >= max_iter:
+            # damped picard fallback reaches attracting solutions Newton missed
+            for _ in range(500):
+                x = _project(0.5 * x + 0.5 * _compose(t, x, n_compose))
+            phase = _CORRECT
             break
-        jn = _compose_jacobian(t, x, n_compose)
-        # reduced system: rows/cols 0..m-2, last coordinate eliminated
-        mred = jn[: m - 1, : m - 1] - np.eye(m - 1) - jn[: m - 1, m - 1:m]
-        rhs = -r[: m - 1]
-        try:
-            dy = np.linalg.solve(mred, rhs)
-        except np.linalg.LinAlgError:
-            dy = np.linalg.lstsq(mred, rhs, rcond=None)[0]
-        if not np.all(np.isfinite(dy)):
+        r = resid(x)
+        if float(np.max(np.abs(r))) < tol:
+            break
+        dy = _newton_step(t, x, r, n_compose, _solve_or_lstsq)
+        if dy is None:
             break
         step = np.max(np.abs(dy))
         if step > 0.5:  # trust region: quadratic maps can throw Newton far out
             dy *= 0.5 / step
-        dx = np.append(dy, -dy.sum())
-        x = _project(x + dx)
-    else:
-        # damped picard fallback reaches attracting solutions Newton missed
-        for _ in range(500):
-            x = _project(0.5 * x + 0.5 * _compose(t, x, n_compose))
+        x = _project(x + np.append(dy, -dy.sum()))
+        it += 1
+    if phase == _CORRECT:
         for _ in range(6):
             r = resid(x)
             if np.max(np.abs(r)) < tol:
                 break
-            jn = _compose_jacobian(t, x, n_compose)
-            mred = jn[: m - 1, : m - 1] - np.eye(m - 1) - jn[: m - 1, m - 1:m]
-            dy = np.linalg.lstsq(mred, -r[: m - 1], rcond=None)[0]
-            if not np.all(np.isfinite(dy)):
+            dy = _newton_step(t, x, r, n_compose, _lstsq)
+            if dy is None:
                 break
             x = _project(x + np.append(dy, -dy.sum()))
-
-    # polish with two plain Newton steps from the converged point
-    for _ in range(2):
-        r = resid(x)
-        if np.max(np.abs(r)) == 0.0:
-            break
-        jn = _compose_jacobian(t, x, n_compose)
-        mred = jn[: m - 1, : m - 1] - np.eye(m - 1) - jn[: m - 1, m - 1:m]
-        try:
-            dy = np.linalg.solve(mred, -r[: m - 1])
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(dy)) or np.max(np.abs(dy)) > 1e-3:
-            break
-        x = _project(x + np.append(dy, -dy.sum()))
-
-    rmax = float(np.max(np.abs(resid(x))))
+    if phase != _DONE:
+        # polish with two plain Newton steps from the converged point
+        for _ in range(2):
+            r = resid(x)
+            if np.max(np.abs(r)) == 0.0:
+                break
+            try:
+                dy = _newton_step(t, x, r, n_compose)
+            except np.linalg.LinAlgError:
+                break
+            if dy is None or np.max(np.abs(dy)) > 1e-3:
+                break
+            x = _project(x + np.append(dy, -dy.sum()))
+        rmax = float(np.max(np.abs(resid(x))))
     return x, rmax, rmax < max(tol * 100.0, 1e-10)
 
 
@@ -245,22 +298,28 @@ def find_fixed_points(t: CoefficientTensor, starts: int = 24, tol: float = 1e-12
     each other collapse to the representative with the smallest residual.
     Non-converged starts are dropped silently (never fatal).
     """
-    found: list[tuple[np.ndarray, float]] = []
-    for x0 in _default_starts(t, starts, seed):
-        x, resid, ok = _newton_periodic(t, x0, 1, tol)
+    _check_count("starts", starts, 0)
+    _check_tolerance("tol", tol, positive=True)
+    _check_tolerance("band", band)
+    x0s = _default_starts(t, starts, seed)
+    found = np.empty((len(x0s), t.m))  # the first len(resids) rows
+    resids: list[float] = []
+    kernel = _kernel_for(t.p)
+    for x0 in x0s:
+        x, resid, ok = _newton_periodic(t, x0, 1, tol, kernel=kernel)
         if not ok:
             continue
-        for idx, (y, r) in enumerate(found):
-            if np.max(np.abs(y - x)) < DEDUP_RADIUS:
-                if resid < r:
-                    found[idx] = (x, resid)
-                break
-        else:
-            found.append((x, resid))
-    found.sort(key=lambda pair: tuple(pair[0].tolist()))
+        n = len(resids)
+        near = np.flatnonzero(np.max(np.abs(found[:n] - x), axis=1) < DEDUP_RADIUS)
+        if near.size == 0:
+            found[n] = x
+            resids.append(resid)
+        elif resid < resids[near[0]]:
+            found[near[0]] = x
+            resids[near[0]] = resid
     return [
-        classify_fixed_point(t, SimplexPoint(tuple(_project(x).tolist())), band)
-        for x, _ in found
+        classify_fixed_point(t, SimplexPoint(tuple(_project(np.array(x)).tolist())), band)
+        for x in sorted(map(tuple, found[:len(resids)].tolist()))
     ]
 
 
@@ -444,6 +503,8 @@ def check_lyapunov(t: CoefficientTensor, fn: LyapunovFn, samples: int,
         raise InapplicableFunction(
             f"{fn.id} applies to {fn.families}, tensor is {t.name!r}"
         )
+    _check_count("samples", samples, 1)
+    _check_tolerance("slack", slack)
     if fn.n0 >= horizon:
         raise InapplicableFunction(
             f"horizon {horizon} must exceed the burn-in n0={fn.n0}"

@@ -372,29 +372,35 @@ def cesaro_means(t: CoefficientTensor, x0: SimplexPoint, checkpoints) -> list[Si
 _KERNEL_MAX_M = 64
 _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
 _KERNEL_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-# numpy's cblas_dgemv with 64-bit integers, as exported by scipy-openblas64
+# numpy's cblas_dgemv and LAPACK dgesv with 64-bit integers, as exported by
+# scipy-openblas64
 _NUMPY_DGEMV = "scipy_cblas_dgemv64_"
+_NUMPY_DGESV = "scipy_dgesv_64_"
 
 
 class _Kernel:
     """The loops of ``_kernel.c``, the single-orbit ones bound to numpy's
-    own BLAS dgemv.
+    own BLAS dgemv and the Newton loop also to its LAPACK dgesv.
 
     Callers pass C-contiguous float64 arrays of matching sizes, m <= 64 and
-    n_steps >= 0; ``_orbit`` and ``run_batch`` check all of it.  ``x`` and
-    ``xs`` are advanced in place.
+    n_steps >= 0; ``_orbit``, ``run_batch`` and ``analysis._newton_periodic``
+    check all of it.  ``x`` and ``xs`` are advanced in place.
     """
 
-    def __init__(self, lib: ctypes.CDLL, dgemv: int):
-        ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    def __init__(self, lib: ctypes.CDLL, dgemv: int, dgesv: int):
+        ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
         lib.run.argtypes = [ptr, ptr, i64, ptr, i64]
         lib.collect.argtypes = [ptr, ptr, i64, ptr, i64, i64, ptr]
         lib.cesaro.argtypes = [ptr, ptr, i64, ptr, ptr, i64, ptr, ptr]
         lib.batch.argtypes = [ptr, i64, ptr, i64, i64]
+        lib.newton.argtypes = [ptr, ptr, ptr, i64, ptr, f64, i64, i64,
+                               ctypes.POINTER(i64), ctypes.POINTER(f64)]
         for fn in (lib.run, lib.collect, lib.cesaro, lib.batch):
             fn.restype = None
+        lib.newton.restype = ctypes.c_int
         self._lib = lib
         self._dgemv = dgemv
+        self._dgesv = dgesv
 
     def run(self, flat, x, n_steps):
         self._lib.run(self._dgemv, flat.ctypes.data, len(x), x.ctypes.data, n_steps)
@@ -411,6 +417,20 @@ class _Kernel:
     def batch(self, p, xs, n_steps):
         rows, m = xs.shape
         self._lib.batch(p.ctypes.data, m, xs.ctypes.data, rows, n_steps)
+
+    def newton(self, p, x, tol, first, max_iter):
+        """A Newton start of ``analysis._newton_periodic`` for the map
+        itself, from the projected start ``x`` at search iteration ``first``.
+
+        Returns ``(phase, iteration, rmax)``: the phase in which numpy goes
+        on, with the search iteration whose system is singular, or the
+        final residual.
+        """
+        at, rmax = ctypes.c_int64(first), ctypes.c_double(0.0)
+        phase = self._lib.newton(self._dgemv, self._dgesv, p.ctypes.data, len(p),
+                                 x.ctypes.data, tol, first, max_iter,
+                                 ctypes.byref(at), ctypes.byref(rmax))
+        return phase, at.value, rmax.value
 
 
 def _build_kernel() -> Path:
@@ -443,22 +463,38 @@ def _build_kernel() -> Path:
     return lib
 
 
+def _numpy_symbol(extension, name: str) -> int:
+    """Address of the BLAS or LAPACK function ``name`` that numpy calls,
+    looked up through numpy's ``extension`` module, which links the library."""
+    return ctypes.cast(getattr(ctypes.CDLL(extension.__file__), name), ctypes.c_void_p).value
+
+
 def _numpy_dgemv() -> int:
     """Address of the BLAS dgemv that numpy's matmul calls."""
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:  # numpy < 2
         from numpy.core import _multiarray_umath as umath
-    # looked up through numpy's extension, which links the BLAS library
-    return ctypes.cast(getattr(ctypes.CDLL(umath.__file__), _NUMPY_DGEMV), ctypes.c_void_p).value
+    return _numpy_symbol(umath, _NUMPY_DGEMV)
+
+
+def _numpy_dgesv() -> int:
+    """Address of the LAPACK dgesv that ``np.linalg.solve`` calls."""
+    from numpy.linalg import _umath_linalg
+
+    return _numpy_symbol(_umath_linalg, _NUMPY_DGESV)
 
 
 def _kernel_agrees(kernel: _Kernel) -> bool:
-    """Bitwise comparison of a few compiled steps with the numpy steps, for
-    an m below and an m above numpy's 8-term pairwise-sum block: one orbit
-    against ``_step``, and 50 rows (enough for einsum's three-operand
-    contraction) against ``apply_batch``."""
+    """Bitwise comparison of the compiled loops with the numpy ones, for an
+    m below and an m above numpy's 8-term pairwise-sum block: five steps of
+    one orbit against ``_step``, of 50 rows (enough for einsum's
+    three-operand contraction) against ``apply_batch``, and Newton starts
+    against ``analysis._newton_periodic``."""
+    from .analysis import _newton_periodic  # analysis imports this module
+
     rng = np.random.default_rng(0)
+    newton_starts = []
     for m in (3, 9):
         t = random_tensor(rng, m)
         xs = rng.exponential(size=(50, m))
@@ -472,6 +508,23 @@ def _kernel_agrees(kernel: _Kernel) -> bool:
         kernel.batch(t.p, got_rows, 5)
         if not (np.array_equal(got, want) and np.array_equal(got_rows, want_rows)):
             return False
+        newton_starts += [(t, np.eye(m)[0], 1e-12, 80), (t, xs[1], 1e-12, 80)]
+    # These run to convergence.  One more makes one Newton iteration, the
+    # damped sweeps and a rejected polish step on the m=3 tensor blended into
+    # the identity map, whose sweeps are too slow to converge: one iteration
+    # more or less changes the result.
+    t = newton_starts[0][0]
+    idx = np.arange(3)
+    ident = np.zeros((3, 3, 3))
+    ident[idx, :, idx] += 0.5
+    ident[:, idx, idx] += 0.5
+    slow = CoefficientTensor(3, 3e-3 * t.p + (1.0 - 3e-3) * ident)
+    newton_starts.append((slow, np.eye(3)[0], 1e-3, 1))
+    for u, x0, tol, max_iter in newton_starts:
+        got = _newton_periodic(u, x0, 1, tol, max_iter, kernel)
+        want = _newton_periodic(u, x0, 1, tol, max_iter)
+        if not (np.array_equal(got[0], want[0]) and got[1:] == want[1:]):
+            return False
     return True
 
 
@@ -479,11 +532,12 @@ def _kernel_agrees(kernel: _Kernel) -> bool:
 def _kernel() -> _Kernel | None:
     """The compiled loops, built and self-tested on first use.
 
-    None when there is no C compiler, numpy's BLAS does not export the
-    dgemv symbol, or the self-test disagrees: the numpy loops then run.
+    None when there is no C compiler, numpy's BLAS or LAPACK does not export
+    the dgemv or dgesv symbol, or the self-test disagrees: the numpy loops
+    then run.
     """
     try:
-        kernel = _Kernel(ctypes.CDLL(str(_build_kernel())), _numpy_dgemv())
+        kernel = _Kernel(ctypes.CDLL(str(_build_kernel())), _numpy_dgemv(), _numpy_dgesv())
     except (OSError, AttributeError):
         return None
     return kernel if _kernel_agrees(kernel) else None

@@ -451,3 +451,16 @@ def test_periodic_absence_m4_after_s():
     rep = periodic_absence_search(4, perm, 4, starts=30, seed=20)
     assert rep.counterexamples == ()
     assert all(cat == "fixed_point" for _, _, cat in rep.solutions)
+
+
+@pytest.mark.parametrize("kwargs", [{"starts": 2.5}, {"starts": "3"}, {"starts": None},
+                                    {"tol": float("nan")}, {"tol": "1e-8"}, {"band": None}])
+def test_find_fixed_points_rejects_bad_parameters(kwargs):
+    with pytest.raises(errors.QsoError):
+        find_fixed_points(make_regular(3), **kwargs)
+
+
+@pytest.mark.parametrize("samples", [0, -1, 1.5])
+def test_check_lyapunov_rejects_bad_sample_counts(samples):
+    with pytest.raises(errors.QsoError, match="samples"):
+        check_lyapunov(make_regular(4), cyclic_product(), samples, 10, seed=0)

@@ -232,3 +232,36 @@ def test_tensor_file_input(capsys, tmp_path):
     assert code == 0
     final = [float(v) for v in out.strip().splitlines()[-1].split(",")[1:]]
     assert np.max(np.abs(np.array(final) - 0.25)) < 1e-8
+
+
+@pytest.mark.parametrize("argv", [
+    ["fixed-points", "--family", "KHUKR", "--starts", "-1"],
+    ["fixed-points", "--family", "KHUKR", "--tol", "nan"],
+    ["fixed-points", "--family", "KHUKR", "--tol", "inf"],
+    ["fixed-points", "--family", "KHUKR", "--tol", "-1"],
+    ["fixed-points", "--family", "KHUKR", "--tol", "0"],
+    ["fixed-points", "--family", "KHUKR", "--band", "nan"],
+    ["fixed-points", "--family", "KHUKR", "--band=-inf"],
+    ["fixed-points", "--family", "KHUKR", "--band", "-0.1"],
+    ["classify", "--family", "KHUKR", "--x0", "0.4,0.36,0.24", "--band", "nan"],
+    ["lyapunov", "--family", "REGULAR", "--m", "4", "--fn", "CYCLIC_PRODUCT",
+     "--samples", "-2", "--seed", "1"],
+    ["lyapunov", "--family", "REGULAR", "--m", "4", "--fn", "CYCLIC_PRODUCT",
+     "--samples", "0", "--seed", "1"],
+    ["lyapunov", "--family", "REGULAR", "--m", "4", "--fn", "CYCLIC_PRODUCT",
+     "--slack", "nan", "--seed", "1"],
+])
+def test_bad_search_parameters_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_fixed_point_search_parameters_at_their_bounds(capsys):
+    code, out, _ = run_cli(capsys, "fixed-points", "--family", "KHUKR", "--starts", "0",
+                           "--tol", "1e-300", "--band", "0")
+    assert code == 0 and json.loads(out)["results"]
+    code, out, _ = run_cli(capsys, "lyapunov", "--family", "REGULAR", "--m", "4",
+                           "--fn", "CYCLIC_PRODUCT", "--samples", "1", "--slack", "0",
+                           "--seed", "1")
+    assert code == 0 and json.loads(out)["results"]["samples"] == 1

@@ -2,11 +2,14 @@
 
 Every comparison is exact (``np.array_equal``): the single-orbit loops make
 the numpy step's own BLAS call, the batched loop sums in the order of
-einsum's three-operand contraction, and both sum in numpy's pairwise order,
-so any difference is a bug.  The numpy loops are selected by replacing the
-loader ``tensor._kernel``.
+einsum's three-operand contraction, the Newton loop makes numpy's Jacobian
+sums and its own LAPACK call, and all sum in numpy's pairwise order, so any
+difference is a bug.  The numpy loops are selected by replacing the loader
+``tensor._kernel``.
 """
 
+import contextlib
+import io
 import os
 import shutil
 from unittest import mock
@@ -16,8 +19,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsodyn import errors, tensor
-from qsodyn.analysis import _greedy_linkage, ergodicity_probe, max_norm_check, omega_estimate
+from qsodyn import cli, errors, tensor
+from qsodyn.analysis import (
+    _CORRECT,
+    _DONE,
+    _SEARCH,
+    _default_starts,
+    _greedy_linkage,
+    _newton_periodic,
+    ergodicity_probe,
+    find_fixed_points,
+    max_norm_check,
+    omega_estimate,
+)
 from qsodyn.families import REGISTRY, make
 from qsodyn.simplex import parse_cycles, validate_point
 from qsodyn.tensor import (
@@ -198,12 +212,13 @@ def test_loader_builds_into_pycache(tmp_path, monkeypatch, kernel):
 
 
 def test_kernel_loads_where_it_can():
-    # a compiler and numpy's BLAS symbol are there: a kernel that fails its
-    # self-test must not pass unnoticed as a silent fallback
+    # a compiler and numpy's BLAS and LAPACK symbols are there: a kernel
+    # that fails its self-test must not pass unnoticed as a silent fallback
     try:
         tensor._numpy_dgemv()
+        tensor._numpy_dgesv()
     except (OSError, AttributeError):
-        pytest.skip("numpy's BLAS does not export the dgemv symbol")
+        pytest.skip("numpy's BLAS or LAPACK does not export the dgemv or dgesv symbol")
     if shutil.which("cc") is None:
         pytest.skip("no C compiler")
     assert tensor._kernel() is not None
@@ -305,6 +320,170 @@ def test_max_norm_check_uses_the_batched_step():
         rep = max_norm_check(500, 7)
     assert spy.call_count == 1 and spy.call_args.args[2] == 1
     assert rep.violations == 0 and rep.checked + rep.excluded == 500
+
+
+# --- Newton fixed-point search ---------------------------------------------------------
+
+
+def newton_both(kernel, t, x0, tol, max_iter=80):
+    """``_newton_periodic`` through the kernel and in numpy, and the phases
+    in which the kernel handed the start back, one per kernel call."""
+    phases = []
+
+    def newton(*args):
+        out = kernel.newton(*args)
+        phases.append(out[0])
+        return out
+
+    spy = mock.Mock(wraps=kernel)
+    spy.newton = newton
+    fast = _newton_periodic(t, x0, 1, tol, max_iter, spy)
+    ref = _newton_periodic(t, x0, 1, tol, max_iter)
+    return fast, ref, phases
+
+
+def same_newton(fast, ref):
+    return np.array_equal(fast[0], ref[0]) and fast[1:] == ref[1:]
+
+
+@st.composite
+def newton_cases(draw):
+    m = draw(st.integers(2, 12))
+    t = random_tensor(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), m)
+    kind = draw(st.sampled_from(["vertex", "edge", "interior", "boundary"]))
+    if kind == "vertex":
+        x = np.eye(m)[draw(st.integers(0, m - 1))]
+    elif kind == "edge":
+        i, j = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+        x = np.zeros(m)
+        x[[i, j]] = 0.5
+    else:
+        x = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=m, max_size=m)))
+        if kind == "boundary":
+            x[draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m - 1))] = 0.0
+        x /= x.sum()
+    return t, x, draw(st.sampled_from([1e-12, 1e-8])), draw(st.sampled_from([80, 80, 2, 0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(newton_cases())
+def test_newton_kernel_matches_numpy(kernel, case):
+    t, x0, tol, max_iter = case
+    fast, ref, _ = newton_both(kernel, t, x0, tol, max_iter)
+    assert same_newton(fast, ref)
+
+
+def slow_blend(m, seed=0):
+    """A random tensor blended into the identity map: its damped sweeps are
+    too slow to converge."""
+    idx = np.arange(m)
+    ident = np.zeros((m, m, m))
+    ident[idx, :, idx] += 0.5
+    ident[:, idx, idx] += 0.5
+    return tensor.CoefficientTensor(m, 3e-3 * random_tensor(np.random.default_rng(seed), m).p
+                                    + (1.0 - 3e-3) * ident)
+
+
+@pytest.mark.parametrize("t,x0,tol,max_iter,phases", [
+    # converges in the search, or after the damped sweeps
+    (random_tensor(np.random.default_rng(1), 5), np.eye(5)[2], 1e-12, 80, [_DONE]),
+    (slow_blend(3), np.eye(3)[0], 1e-3, 1, [_DONE]),
+    # a singular system at the first iteration: numpy makes that iteration
+    # with lstsq, then the kernel goes on, into the damped sweeps if that was
+    # the last iteration
+    (make("ZAKHAREVICH"), np.array([0.5, 0.5, 0.0]), 1e-12, 80, [_SEARCH, _DONE]),
+    (make("ZAKHAREVICH"), np.array([0.5, 0.5, 0.0]), 1e-12, 1, [_SEARCH, _DONE]),
+    (make("REGULAR", 6), np.array([0.5, 0.5, 0, 0, 0, 0]), 1e-8, 80, [_SEARCH, _DONE]),
+    # still off tol after the sweeps: the lstsq correction
+    (slow_blend(3), np.eye(3)[0], 1e-3, 0, [_CORRECT]),
+    (slow_blend(7, 2), np.full(7, 1 / 7), 1e-12, 2, [_CORRECT]),
+])
+def test_newton_kernel_hands_back_where_numpy_calls_lstsq(kernel, t, x0, tol, max_iter, phases):
+    with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
+        fast, ref, handed_back = newton_both(kernel, t, x0, tol, max_iter)
+    assert handed_back == phases
+    assert same_newton(fast, ref)
+    # a start the kernel ends alone is one on which numpy never calls lstsq
+    assert lstsq.called == (phases != [_DONE])
+
+
+def test_singular_system_reaches_lstsq_on_the_numpy_path():
+    # the first reduced system at this edge midpoint is singular
+    t, x0 = make("ZAKHAREVICH"), np.array([0.5, 0.5, 0.0])
+    with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
+        x, resid, ok = _newton_periodic(t, x0, 1, 1e-12)
+    assert lstsq.called
+    assert np.linalg.matrix_rank(lstsq.call_args_list[0].args[0]) < t.m - 1
+    assert ok
+
+
+PERM6 = "(1 2)(3 4 5)"
+# the planar parameters of the explore benchmark workload
+PLANAR_PARAMS = {"VALLANDER_THETA": 0.5, "GANIKHODJAEV_LAMBDA": 0.1, "VALLANDER_SPIRAL": 0.3,
+                 "GSN_ALPHA": 0.5, "GSN_BETA": 0.5, "JJPH_THETA": 0.5}
+
+
+def fixed_points_argv(family, seed):
+    if REGISTRY[family].m_fixed == 3:
+        argv = ["--family", family, "--starts", "100"]
+        if family in PLANAR_PARAMS:
+            argv += ["--param", repr(PLANAR_PARAMS[family])]
+    else:
+        argv = {"REGULAR": ["--family", "REGULAR", "--m", "8"],
+                "QUASI_STRICT": ["--family", "QUASI_STRICT", "--m", "6", "--perm", PERM6],
+                "ALPHA_COMBINATION": ["--family", "ALPHA_COMBINATION", "--m", "6", "--perm", PERM6,
+                                      "--alpha", "0.5"]}[family] + ["--starts", "200"]
+    return ["fixed-points", *argv, "--seed", str(seed)]
+
+
+def cli_report(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("family", sorted(REGISTRY))
+def test_fixed_points_reports_identical_without_kernel(kernel, family, seed):
+    argv = fixed_points_argv(family, seed)
+    fast = cli_report(argv)
+    with numpy_loops():
+        ref = cli_report(argv)
+    assert fast[0] == 0 and fast == ref
+
+
+def test_fixed_points_resume_the_kernel_only_after_a_singular_system(kernel):
+    t = make("ZAKHAREVICH")
+    phases = []
+
+    def newton(*args):
+        out = kernel.newton(*args)
+        phases.append(out[0])
+        return out
+
+    spy = mock.Mock(wraps=kernel)
+    spy.newton = newton
+    with mock.patch.object(tensor, "_kernel", lambda: spy):
+        find_fixed_points(t, starts=10, seed=4)
+    # one call per start, and one more after each singular search iteration
+    assert _SEARCH in phases
+    assert len(phases) == len(_default_starts(t, 10, 4)) + phases.count(_SEARCH)
+
+
+def test_newton_start_of_the_wrong_size_rejected_before_the_kernel(kernel):
+    spy = mock.Mock(wraps=kernel)
+    with pytest.raises(errors.DimensionMismatch):
+        _newton_periodic(make("KHUKR"), np.full(4, 0.25), 1, 1e-12, kernel=spy)
+    spy.newton.assert_not_called()
+
+
+def test_self_test_checks_the_newton_loop(kernel):
+    short = mock.Mock(wraps=kernel)
+    # one Newton iteration short of what was asked
+    short.newton = lambda p, x, tol, first, max_iter: kernel.newton(p, x, tol, first,
+                                                                    max_iter - 1)
+    assert not tensor._kernel_agrees(short)
 
 
 # --- limit-set clustering ----------------------------------------------------------
