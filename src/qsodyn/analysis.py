@@ -56,6 +56,8 @@ DEFAULT_CLUSTER_TOL = 1e-6
 DEFAULT_PERIOD_TOL = 1e-9
 # Monotonicity slack absorbing renormalization round-off.
 LYAPUNOV_SLACK = 1e-12
+# Orbit points that check_lyapunov evaluates per block of samples.
+_LYAPUNOV_BLOCK_POINTS = 1 << 16
 
 
 def sample_interior(rng: np.random.Generator, m: int, n: int = 1) -> np.ndarray:
@@ -385,6 +387,8 @@ class LyapunovFn:
     direction: str  # NON_INCREASING or NON_DECREASING
     n0: int
     families: tuple[str, ...]  # registry names this applies to, () = any
+    # maps points along the last axis of an array to their values, so that
+    # it takes one point or a whole stack of orbits
     fn: callable = field(repr=False)
 
     def __call__(self, x: np.ndarray) -> float:
@@ -394,7 +398,7 @@ class LyapunovFn:
 def cyclic_product() -> LyapunovFn:
     """|x1-x2||x2-x3|...|xm-x1|: non-increasing under the mixing operator."""
     def fn(x):
-        return np.prod(np.abs(x - np.roll(x, -1)))
+        return np.prod(np.abs(x - np.roll(x, -1, axis=-1)), axis=-1)
     return LyapunovFn("CYCLIC_PRODUCT", "NON_INCREASING", 0, ("REGULAR",), fn)
 
 
@@ -407,7 +411,7 @@ def cycle_product(perm: Permutation, cycle_index: int) -> LyapunovFn:
     cyc = _cycle_of(perm, cycle_index)
     idx = np.array(cyc) - 1
     def fn(x):
-        return np.prod(x[idx])
+        return np.prod(np.take(x, idx, axis=-1), axis=-1)
     return LyapunovFn(f"CYCLE_PRODUCT({cycle_index})", "NON_DECREASING", 1,
                       ("QUASI_STRICT",), fn)
 
@@ -417,7 +421,9 @@ def cycle_sum(perm: Permutation, cycle_index: int) -> LyapunovFn:
     cyc = _cycle_of(perm, cycle_index)
     idx = np.array(cyc) - 1
     def fn(x):
-        return np.sum(x[idx])
+        # take, unlike x[..., idx], gives contiguous rows, which numpy sums in
+        # the pairwise order of a single point's sum
+        return np.sum(np.take(x, idx, axis=-1), axis=-1)
     return LyapunovFn(f"CYCLE_SUM({cycle_index})", "NON_DECREASING", 1,
                       ("QUASI_STRICT",), fn)
 
@@ -438,14 +444,15 @@ def last_coord(n0: int = 8) -> LyapunovFn:
     steps to get there, hence the default burn-in ``n0``.
     """
     def fn(x):
-        return x[-1]
+        return x[..., -1]
     return LyapunovFn("LAST_COORD", "NON_INCREASING", n0, ("ALPHA_COMBINATION",), fn)
 
 
 def abs_diff_product() -> LyapunovFn:
     """|x1-x2||x2-x3||x3-x1| on the 2-simplex (balanced planar blends)."""
     def fn(x):
-        return abs(x[0] - x[1]) * abs(x[1] - x[2]) * abs(x[2] - x[0])
+        x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
+        return abs(x1 - x2) * abs(x2 - x3) * abs(x3 - x1)
     return LyapunovFn("ABS_DIFF_PRODUCT", "NON_INCREASING", 0,
                       ("GSN_ALPHA", "GSN_BETA", "JJPH_THETA"), fn)
 
@@ -453,7 +460,7 @@ def abs_diff_product() -> LyapunovFn:
 def coord_product() -> LyapunovFn:
     """x1 x2 x3 on the 2-simplex (spiral blends away from the identity)."""
     def fn(x):
-        return x[0] * x[1] * x[2]
+        return x[..., 0] * x[..., 1] * x[..., 2]
     return LyapunovFn("COORD_PRODUCT", "NON_INCREASING", 0, ("VALLANDER_SPIRAL",), fn)
 
 
@@ -473,8 +480,8 @@ def combine_lyapunov(fns: list[LyapunovFn], coeffs: list[float]) -> LyapunovFn:
     n0 = max(g.n0 for g in fns)
     fams = tuple(sorted(set.intersection(*(set(g.families) for g in fns))))
     def fn(x):
-        vals = [c * g(x) for c, g in zip(coeffs, fns)]
-        return float(np.prod(vals) + np.sum(vals))
+        vals = np.stack([c * g.fn(x) for c, g in zip(coeffs, fns)], axis=-1)
+        return np.prod(vals, axis=-1) + np.sum(vals, axis=-1)
     ident = "COMPOSITE(" + "+".join(g.id for g in fns) + ")"
     return LyapunovFn(ident, direction, n0, fams, fn)
 
@@ -497,35 +504,46 @@ def check_lyapunov(t: CoefficientTensor, fn: LyapunovFn, samples: int,
     """Count monotonicity violations along seeded random trajectories.
 
     A violation is a step, at index >= fn.n0, where the function moves
-    against its declared direction by more than ``slack``.
+    against its declared direction by more than ``slack``.  ``fn.fn`` is
+    evaluated once per block of whole orbits.
     """
     if fn.families and t.name and not any(t.name.startswith(f) for f in fn.families):
         raise InapplicableFunction(
             f"{fn.id} applies to {fn.families}, tensor is {t.name!r}"
         )
     _check_count("samples", samples, 1)
+    _check_count("n0", fn.n0, 0)
     _check_tolerance("slack", slack)
     if fn.n0 >= horizon:
         raise InapplicableFunction(
             f"horizon {horizon} must exceed the burn-in n0={fn.n0}"
         )
+    _check_count("horizon", horizon, 1)
     rng = np.random.default_rng(seed)
     starts = sample_interior(rng, t.m, samples)
     sign = -1.0 if fn.direction == "NON_INCREASING" else 1.0
     violations = 0
     worst = 0.0
     worst_at: tuple[int, int] | None = None
-    for si in range(samples):
-        orbit = run_collect(t, starts[si], horizon)
-        vals = np.array([fn(orbit[n]) for n in range(horizon + 1)])
-        deltas = sign * np.diff(vals)  # >= -slack required
-        for n in range(fn.n0, horizon):
-            bad = -deltas[n]
-            if bad > slack:
-                violations += 1
-                if bad > worst:
-                    worst = float(bad)
-                    worst_at = (si, n)
+    # whole orbits in blocks of samples, so that memory stays bounded
+    block = max(1, _LYAPUNOV_BLOCK_POINTS // (horizon + 1))
+    for first in range(0, samples, block):
+        orbits = np.stack([run_collect(t, x, horizon) for x in starts[first:first + block]])
+        vals = fn.fn(orbits)
+        if np.shape(vals) != orbits.shape[:-1]:
+            raise InapplicableFunction(f"{fn.id} does not map points along the last axis")
+        deltas = sign * np.diff(vals, axis=-1)  # >= -slack required
+        bad = -deltas[:, fn.n0:]
+        hit = bad > slack  # never true for NaN
+        violations += int(np.count_nonzero(hit))
+        if not hit.any():
+            continue
+        # the first maximum in (sample, step) order, as a strict > scan finds it
+        at = int(np.argmax(np.where(hit, bad, -np.inf)))
+        si, n = divmod(at, bad.shape[1])
+        if bad[si, n] > worst:
+            worst = float(bad[si, n])
+            worst_at = (first + si, fn.n0 + n)
     return LyapunovReport(
         fn_id=fn.id, direction=fn.direction, n0=fn.n0, slack=slack,
         samples=samples, horizon=horizon, violations=violations,
@@ -615,6 +633,10 @@ def omega_estimate(t: CoefficientTensor, x0: SimplexPoint, burn_in: int,
     """
     if burn_in < 1 or window < 1:
         raise DimensionMismatch("burn_in and window must be >= 1")
+    _check_tolerance("cluster_tol", cluster_tol)
+    _check_tolerance("period_tol", period_tol)
+    if s_max is not None:
+        _check_count("s_max", s_max, 1)
     x = run(t, x0.array, burn_in)
     tail = run_collect(t, x, window - 1) if window > 1 else x[None, :]
     reps = _greedy_linkage(tail, cluster_tol)

@@ -133,10 +133,15 @@ def cmd_families(args) -> int:
 
 def _trajectory_csv(t: CoefficientTensor, x0: SimplexPoint, steps: int, stride: int) -> str:
     traj = iterate(t, x0, steps, stride)
-    lines = ["n," + ",".join(f"x{i}" for i in range(1, t.m + 1))]
-    for n, pt in traj.points:
-        lines.append(str(n) + "," + ",".join(format(v, ".17g") for v in pt.coords))
-    return "\n".join(lines) + "\n"
+    # repeated rows share one point, so each distinct point is formatted once
+    # (keyed by identity: points compare by value, and -0.0 == 0.0); "%.17g"
+    # gives the bytes of format(v, ".17g")
+    row = "," + ",".join(["%.17g"] * t.m) + "\n"
+    text = {id(pt): pt for _, pt in traj.points}
+    for key, pt in text.items():
+        text[key] = row % pt.coords
+    header = "n," + ",".join(f"x{i}" for i in range(1, t.m + 1)) + "\n"
+    return header + "".join([f"{n}{text[id(pt)]}" for n, pt in traj.points])
 
 
 def cmd_trajectory(args) -> int:
@@ -236,7 +241,10 @@ def cmd_omega(args) -> int:
 def cmd_ergodic(args) -> int:
     t = _resolve_operator(args)
     starts = _resolve_starts(args, t.m)
-    checkpoints = [int(v) for v in args.checkpoints.split(",")]
+    try:
+        checkpoints = [int(v) for v in args.checkpoints.split(",")]
+    except ValueError:
+        raise QsoError(f"cannot parse checkpoints {args.checkpoints!r}")
     results = [
         {"start": x0, "probe": analysis.ergodicity_probe(t, x0, checkpoints)}
         for x0 in starts

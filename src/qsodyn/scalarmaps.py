@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import _check_tolerance
 from .errors import DimensionTooSmall, DomainViolation, MissingParameter, WeightOutOfRange
 
 # Points further than this outside [0, 1] are rejected; closer ones clamped.
@@ -116,6 +117,7 @@ def low_period_scan(spec: ScalarMapSpec, n: int, grid: int = 100_000,
         raise DomainViolation(f"period {n} must be >= 1")
     if grid < 1000:
         raise DomainViolation(f"grid {grid} too coarse; need >= 1000")
+    _check_tolerance("tol", tol)
 
     xs = np.linspace(0.0, 1.0, grid + 1)
     resid = iterate_scalar(spec, xs, n) - xs

@@ -321,10 +321,26 @@ def iterate(t: CoefficientTensor, x0: SimplexPoint, n_steps: int, stride: int = 
         n = min(_ITERATE_BLOCK_ROWS * stride, n_steps - done)
         rows = _collect(t, x, n, stride)
         # row i is step i * stride, or the block's end after a partial stride
-        points += [(done + min(i * stride, n), SimplexPoint(tuple(rows[i].tolist())))
-                   for i in range(1, len(rows))]
+        steps = np.minimum(np.arange(1, len(rows)) * stride, n) + done
+        points += zip(steps.tolist(), _distinct_points(rows[1:]))
         x, done = rows[-1], done + n
     return Trajectory(operator=t.name or "tensor", stride=stride, points=tuple(points))
+
+
+def _distinct_points(rows: np.ndarray) -> list[SimplexPoint]:
+    """A validated point for each row of a C-contiguous array.
+
+    Rows with the same bits share one point, built in order of first
+    occurrence, so the first invalid row raises.  Bits, not float ``==``:
+    -0.0 and 0.0 stay apart.
+    """
+    bits = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    distinct = [SimplexPoint(tuple(r)) for r in rows[first[order]].tolist()]
+    # rank[u]: the index in ``distinct`` of the u-th pattern in sorted order
+    rank = np.argsort(order)
+    return [distinct[k] for k in rank[inverse].tolist()]
 
 
 def cesaro(t: CoefficientTensor, x0: np.ndarray, checkpoints) -> tuple[np.ndarray, np.ndarray]:

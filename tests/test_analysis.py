@@ -464,3 +464,12 @@ def test_find_fixed_points_rejects_bad_parameters(kwargs):
 def test_check_lyapunov_rejects_bad_sample_counts(samples):
     with pytest.raises(errors.QsoError, match="samples"):
         check_lyapunov(make_regular(4), cyclic_product(), samples, 10, seed=0)
+
+
+@pytest.mark.parametrize("kwargs", [{"cluster_tol": float("nan")}, {"cluster_tol": float("inf")},
+                                    {"cluster_tol": -1e-6}, {"period_tol": float("nan")},
+                                    {"s_max": 0}, {"s_max": -2}, {"s_max": 2.5}])
+def test_omega_estimate_rejects_bad_parameters(kwargs):
+    with pytest.raises(errors.QsoError):
+        omega_estimate(make_s2("KHUKR"), validate_point([0.4, 0.36, 0.24]),
+                       burn_in=10, window=20, **kwargs)

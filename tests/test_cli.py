@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -250,6 +251,18 @@ def test_tensor_file_input(capsys, tmp_path):
      "--samples", "0", "--seed", "1"],
     ["lyapunov", "--family", "REGULAR", "--m", "4", "--fn", "CYCLIC_PRODUCT",
      "--slack", "nan", "--seed", "1"],
+    ["lyapunov", "--family", "ALPHA_COMBINATION", "--m", "4", "--perm", "(1 2 3)",
+     "--alpha", "0.3", "--fn", "LAST_COORD", "--n0", "-1", "--seed", "1"],
+    ["omega", "--family", "KHUKR", "--x0", "0.4,0.36,0.24", "--cluster-tol", "nan"],
+    ["omega", "--family", "KHUKR", "--x0", "0.4,0.36,0.24", "--cluster-tol", "inf"],
+    ["omega", "--family", "KHUKR", "--x0", "0.4,0.36,0.24", "--cluster-tol=-1e-6"],
+    ["omega", "--family", "KHUKR", "--x0", "0.4,0.36,0.24", "--period-tol", "nan"],
+    ["omega", "--family", "KHUKR", "--x0", "0.4,0.36,0.24", "--s-max", "0"],
+    ["omega", "--family", "KHUKR", "--x0", "0.4,0.36,0.24", "--s-max", "-2"],
+    ["scalar", "--map", "F", "--scan-period", "3", "--scan-tol", "nan"],
+    ["scalar", "--map", "F", "--scan-period", "3", "--scan-tol", "inf"],
+    ["ergodic", "--family", "ZAKHAREVICH", "--x0", "0.3,0.3,0.4", "--checkpoints", "abc"],
+    ["ergodic", "--family", "ZAKHAREVICH", "--x0", "0.3,0.3,0.4", "--checkpoints", "10,,20"],
 ])
 def test_bad_search_parameters_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -265,3 +278,27 @@ def test_fixed_point_search_parameters_at_their_bounds(capsys):
                            "--fn", "CYCLIC_PRODUCT", "--samples", "1", "--slack", "0",
                            "--seed", "1")
     assert code == 0 and json.loads(out)["results"]["samples"] == 1
+
+
+# sha256 of outputs at the commit before the Lyapunov check and the trajectory
+# CSV were evaluated over whole arrays; both must stay byte-identical
+PINNED_OUTPUTS = [
+    (["trajectory", "--family", "REGULAR", "--m", "5", "--x0", "0.4,0.3,0.2,0.05,0.05",
+      "--steps", "20000"],
+     0, "4d847c0de9e230e431a3a503713daac6cd873fe91183d6fe526075b9f8ee130b"),
+    (["lyapunov", "--family", "QUASI_STRICT", "--m", "6", "--perm", "(1 2)(3 4 5)",
+      "--fn", "CYCLE_PRODUCT", "--cycle-index", "1", "--samples", "100", "--seed", "11"],
+     0, "8916c64702801f19f4ef8e0505528d7eb3a42b155cd39951a08a0c1ac27a0c9d"),
+    # 2483 violations: pins the worst violation and where it is
+    (["lyapunov", "--family", "ALPHA_COMBINATION", "--m", "4", "--perm", "(1 2 3)",
+      "--alpha", "0.3", "--fn", "LAST_COORD", "--n0", "0", "--samples", "100", "--seed", "5"],
+     1, "3770903e02f922248119feac5d1ac3b7a477ce20a1ff59ab7750ab9518e2d73a"),
+]
+
+
+@pytest.mark.parametrize("argv,exit_code,digest", PINNED_OUTPUTS,
+                         ids=["trajectory", "lyapunov", "lyapunov_violations"])
+def test_pinned_output_bytes(capsys, argv, exit_code, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -143,3 +143,9 @@ def test_deformed_map_converges_from_many_starts(m, alpha):
 def test_scan_rejects_coarse_grid():
     with pytest.raises(errors.DomainViolation):
         low_period_scan(F, 2, grid=10)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-10])
+def test_low_period_scan_rejects_bad_tolerance(tol):
+    with pytest.raises(errors.QsoError, match="tol"):
+        low_period_scan(F, 2, grid=1000, tol=tol)

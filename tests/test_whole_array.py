@@ -1,0 +1,395 @@
+"""Whole-array paths against the per-point loops they replaced.
+
+``check_lyapunov`` evaluates each Lyapunov function once over a stack of
+orbits, ``iterate`` builds one point per distinct row and the trajectory CSV
+formats each distinct point once.  The oracles below are the per-point code
+as it was before, copied here; every comparison is exact (bits, or bytes of
+output), because the arithmetic is the same.
+"""
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qsodyn import analysis, cli, tensor
+from qsodyn.analysis import (
+    LYAPUNOV_SLACK,
+    LyapunovFn,
+    abs_diff_product,
+    check_lyapunov,
+    combine_lyapunov,
+    coord_product,
+    cycle_product,
+    cycle_sum,
+    cyclic_product,
+    last_coord,
+    sample_interior,
+)
+from qsodyn.errors import InapplicableFunction, QsoError
+from qsodyn.families import make
+from qsodyn.simplex import Permutation, SimplexPoint, parse_cycles, validate_point
+from qsodyn.tensor import iterate, random_tensor, run_collect
+
+PERM6 = "(1 2)(3 4 5)"
+
+
+def bits(v: float) -> str:
+    """The bits of a float: unlike ==, tells -0.0 from 0.0 and matches NaN."""
+    return float(v).hex()
+
+
+# --- Lyapunov -------------------------------------------------------------------
+
+
+def old_cyclic_product(x):
+    return np.prod(np.abs(x - np.roll(x, -1)))
+
+
+def old_cycle_product(idx):
+    return lambda x: np.prod(x[idx])
+
+
+def old_cycle_sum(idx):
+    return lambda x: np.sum(x[idx])
+
+
+def old_last_coord(x):
+    return x[-1]
+
+
+def old_abs_diff_product(x):
+    return abs(x[0] - x[1]) * abs(x[1] - x[2]) * abs(x[2] - x[0])
+
+
+def old_coord_product(x):
+    return x[0] * x[1] * x[2]
+
+
+def old_call(point_fn, x):
+    """``LyapunovFn.__call__`` as it was: one point, one float."""
+    return float(point_fn(np.asarray(x, dtype=float)))
+
+
+def old_combine(point_fns, coeffs):
+    def fn(x):
+        vals = [c * old_call(g, x) for c, g in zip(coeffs, point_fns)]
+        return float(np.prod(vals) + np.sum(vals))
+    return fn
+
+
+def oracle_check_lyapunov(t, point_fn, direction, n0, samples, horizon, seed, slack):
+    """``check_lyapunov``'s per-point loop: (violations, worst, worst_at)."""
+    rng = np.random.default_rng(seed)
+    starts = sample_interior(rng, t.m, samples)
+    sign = -1.0 if direction == "NON_INCREASING" else 1.0
+    violations = 0
+    worst = 0.0
+    worst_at = None
+    for si in range(samples):
+        orbit = run_collect(t, starts[si], horizon)
+        vals = np.array([old_call(point_fn, orbit[n]) for n in range(horizon + 1)])
+        deltas = sign * np.diff(vals)
+        for n in range(n0, horizon):
+            bad = -deltas[n]
+            if bad > slack:
+                violations += 1
+                if bad > worst:
+                    worst = float(bad)
+                    worst_at = (si, n)
+    return violations, worst, worst_at
+
+
+def assert_matches_oracle(t, fn, point_fn, samples, horizon, seed, slack):
+    rep = check_lyapunov(t, fn, samples, horizon, seed, slack=slack)
+    violations, worst, worst_at = oracle_check_lyapunov(
+        t, point_fn, fn.direction, fn.n0, samples, horizon, seed, slack)
+    assert (rep.violations, rep.worst_location) == (violations, worst_at)
+    assert bits(rep.worst_violation) == bits(worst)
+    assert (rep.fn_id, rep.direction, rep.n0, rep.slack, rep.samples, rep.horizon) == (
+        fn.id, fn.direction, fn.n0, slack, samples, horizon)
+    return rep
+
+
+@st.composite
+def catalog_function(draw, m):
+    """A catalog Lyapunov function for m coordinates and its old per-point form."""
+    kind = draw(st.sampled_from(["cyclic", "cycle_product", "cycle_sum", "last_coord",
+                                 "abs_diff", "coord_product"]))
+    if kind == "cyclic":
+        return cyclic_product(), old_cyclic_product
+    if kind in ("cycle_product", "cycle_sum"):
+        perm = Permutation.from_images(draw(st.permutations(range(1, m))))
+        index = draw(st.integers(1, len(perm.cycles)))
+        idx = np.array(perm.cycles[index - 1]) - 1
+        if kind == "cycle_product":
+            return cycle_product(perm, index), old_cycle_product(idx)
+        return cycle_sum(perm, index), old_cycle_sum(idx)
+    if kind == "last_coord":
+        return last_coord(draw(st.integers(0, 5))), old_last_coord
+    if kind == "abs_diff":
+        return abs_diff_product(), old_abs_diff_product
+    return coord_product(), old_coord_product
+
+
+@st.composite
+def lyapunov_cases(draw):
+    if draw(st.booleans()):
+        m = draw(st.integers(3, 12))
+        t = random_tensor(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), m)
+    else:
+        t = draw(st.sampled_from([
+            make("REGULAR", 6),
+            make("QUASI_STRICT", 6, parse_cycles(PERM6, 5)),
+            make("ALPHA_COMBINATION", 4, parse_cycles("(1 2 3)", 3), 0.3),
+            make("ALPHA_COMBINATION", 6, parse_cycles(PERM6, 5), 0.5),
+            make("GSN_ALPHA", None, None, 0.5),
+            make("VALLANDER_SPIRAL", None, None, 0.3),
+            make("KHUKR"),
+        ])).with_name("")  # no name: every function applies
+    fn, point_fn = draw(catalog_function(t.m))
+    if draw(st.booleans()):
+        # a composite of same-direction parts
+        parts = [(fn, point_fn)]
+        for _ in range(draw(st.integers(0, 2))):
+            g, point_g = draw(catalog_function(t.m))
+            if g.direction == fn.direction:
+                parts.append((g, point_g))
+        coeffs = draw(st.lists(st.floats(0.0, 3.0), min_size=len(parts), max_size=len(parts)))
+        fn = combine_lyapunov([g for g, _ in parts], coeffs)
+        point_fn = old_combine([point_g for _, point_g in parts], coeffs)
+    samples = draw(st.integers(1, 30))
+    horizon = draw(st.integers(fn.n0 + 1, 60))
+    seed = draw(st.integers(0, 2**32 - 1))
+    slack = draw(st.sampled_from([0.0, LYAPUNOV_SLACK, 1e-6]))
+    block = draw(st.sampled_from([analysis._LYAPUNOV_BLOCK_POINTS, 1, 64, 200]))
+    return t, fn, point_fn, samples, horizon, seed, slack, block
+
+
+@settings(max_examples=150, deadline=None)
+@given(lyapunov_cases())
+def test_check_lyapunov_matches_the_per_point_loop(case):
+    t, fn, point_fn, samples, horizon, seed, slack, block = case
+    with mock.patch.object(analysis, "_LYAPUNOV_BLOCK_POINTS", block):
+        assert_matches_oracle(t, fn, point_fn, samples, horizon, seed, slack)
+    # the stack and each single point give the old per-point values, bit for bit
+    orbits = np.stack([run_collect(t, x, horizon)
+                       for x in sample_interior(np.random.default_rng(seed), t.m, 3)])
+    want = np.array([[old_call(point_fn, x) for x in orbit] for orbit in orbits])
+    assert np.array_equal(fn.fn(orbits), want)
+    assert [bits(fn(x)) for x in orbits[0]] == [bits(v) for v in want[0]]
+
+
+@pytest.mark.parametrize("block", [analysis._LYAPUNOV_BLOCK_POINTS, 101, 1])
+def test_many_violations_match_the_per_point_loop(block):
+    # no burn-in on the blend's transient: thousands of violations
+    t = make("ALPHA_COMBINATION", 4, parse_cycles("(1 2 3)", 3), 0.3)
+    with mock.patch.object(analysis, "_LYAPUNOV_BLOCK_POINTS", block):
+        rep = assert_matches_oracle(t, last_coord(0), old_last_coord, 100, 100, 5,
+                                    LYAPUNOV_SLACK)
+    assert rep.violations > 1000
+
+
+def test_catalog_checks_match_the_per_point_loop():
+    qs6 = make("QUASI_STRICT", 6, parse_cycles(PERM6, 5))
+    perm = parse_cycles(PERM6, 5)
+    for t, fn, point_fn in [
+        (make("REGULAR", 6), cyclic_product(), old_cyclic_product),
+        (qs6, cycle_product(perm, 1), old_cycle_product(np.array([0, 1]))),
+        (qs6, cycle_sum(perm, 2), old_cycle_sum(np.array([2, 3, 4]))),
+        (make("GSN_ALPHA", None, None, 0.5), abs_diff_product(), old_abs_diff_product),
+        (make("VALLANDER_SPIRAL", None, None, 0.3), coord_product(), old_coord_product),
+    ]:
+        assert_matches_oracle(t, fn, point_fn, 100, 100, 11, LYAPUNOV_SLACK)
+        assert_matches_oracle(t, fn, point_fn, 40, 30, 3, 0.0)
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 5, 9, 12])
+def test_composite_values_match_the_per_point_sum(parts):
+    # numpy sums up to 8 terms one by one and more in its pairwise order
+    perm = parse_cycles(PERM6, 5)
+    catalog = [(cycle_sum(perm, 1), old_cycle_sum(np.array([0, 1]))),
+               (cycle_product(perm, 2), old_cycle_product(np.array([2, 3, 4]))),
+               (cycle_sum(perm, 2), old_cycle_sum(np.array([2, 3, 4])))]
+    chosen = [catalog[k % 3] for k in range(parts)]
+    coeffs = [0.3 + 0.7 * k for k in range(parts)]
+    fn = combine_lyapunov([g for g, _ in chosen], coeffs)
+    point_fn = old_combine([point_g for _, point_g in chosen], coeffs)
+    t = make("QUASI_STRICT", 6, perm)
+    orbits = np.stack([run_collect(t, x, 50)
+                       for x in sample_interior(np.random.default_rng(parts), 6, 20)])
+    want = np.array([[old_call(point_fn, x) for x in orbit] for orbit in orbits])
+    assert np.array_equal(fn.fn(orbits), want)
+    assert_matches_oracle(t, fn, point_fn, 20, 50, parts, 0.0)
+
+
+def test_long_cycle_values_match_the_per_point_loop():
+    # a cycle of 11 symbols: numpy sums more than 8 terms in its pairwise order
+    perm = parse_cycles("(1 2 3 4 5 6 7 8 9 10 11)", 11)
+    t = random_tensor(np.random.default_rng(3), 12)
+    orbits = np.stack([run_collect(t, x, 30)
+                       for x in sample_interior(np.random.default_rng(4), 12, 10)])
+    for fn, point_fn in [(cycle_sum(perm, 1), old_cycle_sum(np.arange(11))),
+                         (cycle_product(perm, 1), old_cycle_product(np.arange(11))),
+                         (cyclic_product(), old_cyclic_product)]:
+        want = np.array([[old_call(point_fn, x) for x in orbit] for orbit in orbits])
+        assert np.array_equal(fn.fn(orbits), want)
+        assert_matches_oracle(t, fn, point_fn, 10, 30, 4, 0.0)
+
+
+def test_nan_values_never_count():
+    def point_fn(x):
+        return np.nan if x[0] > 0.3 else x[-1]
+
+    fn = LyapunovFn("NAN_ABOVE", "NON_INCREASING", 0, (),
+                    lambda x: np.where(x[..., 0] > 0.3, np.nan, x[..., -1]))
+    t = make("ALPHA_COMBINATION", 4, parse_cycles("(1 2 3)", 3), 0.3).with_name("")
+    rep = assert_matches_oracle(t, fn, point_fn, 50, 40, 2, 0.0)
+    assert 0 < rep.violations
+
+
+def test_a_per_point_function_is_rejected():
+    fn = LyapunovFn("FIRST", "NON_INCREASING", 0, (), lambda x: x[0])
+    with pytest.raises(InapplicableFunction, match="last axis"):
+        check_lyapunov(make("REGULAR", 4), fn, 5, 10, seed=0)
+
+
+@pytest.mark.parametrize("n0", [-1, 1.5])
+def test_bad_burn_in_rejected(n0):
+    fn = LyapunovFn("LAST", "NON_INCREASING", n0, (), lambda x: x[..., -1])
+    with pytest.raises(QsoError, match="n0"):
+        check_lyapunov(make("REGULAR", 4), fn, 5, 10, seed=0)
+
+
+@pytest.mark.parametrize("horizon", [2.5, 0, -3])
+def test_bad_horizon_rejected(horizon):
+    with pytest.raises(QsoError, match="horizon"):
+        check_lyapunov(make("REGULAR", 4), cyclic_product(), 5, horizon, seed=0)
+
+
+# --- trajectories ------------------------------------------------------------------
+
+
+def oracle_points(t, x0, n_steps, stride):
+    """``iterate``'s points as they were: one validated point per row."""
+    points = [(0, x0)]
+    x, done = x0.array, 0
+    while done < n_steps:
+        n = min(tensor._ITERATE_BLOCK_ROWS * stride, n_steps - done)
+        rows = tensor._collect(t, x, n, stride)
+        points += [(done + min(i * stride, n), SimplexPoint(tuple(rows[i].tolist())))
+                   for i in range(1, len(rows))]
+        x, done = rows[-1], done + n
+    return points
+
+
+def oracle_csv(t, x0, steps, stride):
+    """``cli._trajectory_csv`` as it was: every row formatted on its own."""
+    lines = ["n," + ",".join(f"x{i}" for i in range(1, t.m + 1))]
+    for n, pt in oracle_points(t, x0, steps, stride):
+        lines.append(str(n) + "," + ",".join(format(v, ".17g") for v in pt.coords))
+    return "\n".join(lines) + "\n"
+
+
+ORBITS = {
+    # converges to a bitwise fixed point within a few steps
+    "REGULAR": (make("REGULAR", 5), [0.4, 0.3, 0.2, 0.05, 0.05]),
+    # period 2 and period 6
+    "KHUKR": (make("KHUKR"), [0.4, 0.36, 0.24]),
+    "QUASI_STRICT": (make("QUASI_STRICT", 6, parse_cycles(PERM6, 5)),
+                     [0.3, 0.1, 0.2, 0.15, 0.05, 0.2]),
+    # infinite limit set: no row repeats
+    "GANIKHODJAEV": (make("GANIKHODJAEV_LAMBDA", None, None, 0.1), [0.5, 0.3, 0.2]),
+}
+BLOCK = tensor._ITERATE_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("orbit", sorted(ORBITS))
+@pytest.mark.parametrize("steps,stride", [
+    (0, 1), (1, 1), (3000, 1), (1001, 7),
+    (BLOCK - 1, 1), (BLOCK, 1), (BLOCK + 1, 1),
+    (3 * BLOCK - 1, 3), (3 * BLOCK, 3), (3 * BLOCK + 1, 3), (2 * BLOCK + 5, 2),
+])
+def test_trajectory_csv_matches_the_per_row_writer(orbit, steps, stride):
+    t, x0 = ORBITS[orbit]
+    x0 = validate_point(x0)
+    assert cli._trajectory_csv(t, x0, steps, stride) == oracle_csv(t, x0, steps, stride)
+    traj = iterate(t, x0, steps, stride)
+    want = oracle_points(t, x0, steps, stride)
+    assert traj.steps() == [n for n, _ in want]
+    assert [[bits(v) for v in pt.coords] for _, pt in traj.points] == [
+        [bits(v) for v in pt.coords] for _, pt in want]
+
+
+def test_negative_zero_start_is_written_as_given():
+    t = make("KHUKR")
+    x0 = SimplexPoint((-0.0, 0.6, 0.4))
+    text = cli._trajectory_csv(t, x0, 50, 1)
+    assert text == oracle_csv(t, x0, 50, 1)
+    assert text.splitlines()[1].startswith("0,-0,")
+
+
+def test_repeated_rows_share_one_point():
+    t, x0 = ORBITS["KHUKR"]
+    traj = iterate(t, validate_point(x0), 3 * BLOCK)
+    by_bits: dict[tuple, int] = {}
+    # within one block, equal bits <-> the same point
+    for _, pt in traj.points[1:BLOCK + 1]:
+        key = tuple(bits(v) for v in pt.coords)
+        assert by_bits.setdefault(key, id(pt)) == id(pt)
+    assert len(set(by_bits.values())) == len(by_bits)
+    assert len({id(pt) for _, pt in traj.points}) < 100
+
+
+def fake_block(rows):
+    """A ``_collect`` that returns ``rows`` after the start row."""
+    def collect(t, x, n, stride):
+        return np.vstack([np.asarray(x, dtype=float)[None, :], rows])
+    return collect
+
+
+def test_zero_and_negative_zero_rows_stay_apart():
+    rows = np.array([[0.0, 0.5, 0.5], [-0.0, 0.5, 0.5], [0.0, 0.5, 0.5], [-0.0, 0.5, 0.5]])
+    t = make("KHUKR")
+    x0 = validate_point([0.2, 0.4, 0.4])
+    with mock.patch.object(tensor, "_collect", fake_block(rows)):
+        traj = iterate(t, x0, 4)
+        text = cli._trajectory_csv(t, x0, 4, 1)
+    firsts = [math.copysign(1.0, pt.coords[0]) for _, pt in traj.points[1:]]
+    assert firsts == [1.0, -1.0, 1.0, -1.0]
+    assert traj.points[1][1] is traj.points[3][1]
+    assert traj.points[2][1] is traj.points[4][1]
+    assert traj.points[1][1] is not traj.points[2][1]
+    assert [line.split(",")[1] for line in text.splitlines()[2:]] == ["0", "-0", "0", "-0"]
+
+
+GOOD = [0.2, 0.3, 0.5]
+NEGATIVE = [-0.25, 0.75, 0.5]       # NegativeCoordinate
+LONG = [0.5, 0.5, 0.5]              # SumOutOfRange
+NAN = [np.nan, 0.5, 0.5]            # QsoError, non-finite
+
+
+@pytest.mark.parametrize("rows", [
+    [GOOD, GOOD, NEGATIVE, LONG, NEGATIVE],
+    [GOOD, LONG, GOOD, NEGATIVE, LONG],
+    [NAN, NEGATIVE, LONG],
+    [GOOD, GOOD, NEGATIVE, NAN],
+])
+def test_corrupted_block_raises_its_first_bad_row(rows):
+    first_bad = next(r for r in rows if r is not GOOD)
+    with pytest.raises(QsoError) as want:
+        SimplexPoint(tuple(first_bad))
+    t = make("KHUKR")
+    with mock.patch.object(tensor, "_collect", fake_block(np.array(rows))):
+        with pytest.raises(QsoError) as got:
+            iterate(t, validate_point(GOOD), len(rows))
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+@given(st.floats(allow_nan=True, allow_infinity=True))
+def test_percent_format_matches_format(v):
+    assert "%.17g" % v == format(v, ".17g")
