@@ -7,11 +7,15 @@
    arguments numpy's matmul uses), numpy's pairwise summation order, and one
    division per coordinate.
 
-   The batched loop (batch) makes the step of tensor.apply_batch when
-   einsum runs it as one three-operand contraction,
-   `c_einsum('ijk,nj,ni->nk', p, x, x)` then `ys / ys.sum(axis=1)`: each
-   y_k starts at 0.0 and adds (p[i,j,k] * x_j) * x_i with i as the outer
-   and j as the inner index, then comes the same pairwise sum and division.
+   The batched loops make the step of tensor.apply_batch,
+   `np.einsum('ni,nj,ijk->nk', ...)` then `ys / ys.sum(axis=1)`, in the
+   order einsum's path gives it.  batch makes it as one three-operand
+   contraction, `c_einsum('ijk,nj,ni->nk', p, x, x)`: each y_k starts at
+   0.0 and adds (p[i,j,k] * x_j) * x_i with i as the outer and j as the
+   inner index.  row makes it for a single row, where einsum takes two
+   matmuls, `ijk,ni->njk` then `njk,nj->nk`: numpy's matmul calls dgemv
+   for each, on p and then on the intermediate as transposed row-major
+   matrices.  Both end with the same pairwise sum and division.
 
    The Newton loop (newton) makes one start of analysis._newton_periodic
    for the map itself (n_compose == 1): the residual with the step above,
@@ -84,18 +88,24 @@ static double pairwise_sum_blocks(const double *a, int64_t n)
     return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
 }
 
+/* x <- y / y.sum() */
+static inline void renormalize(const double *y, int64_t m, double *x)
+{
+    double s = 0.0 + pairwise_sum(y, m);  /* add.reduce starts from its identity */
+    for (int64_t k = 0; k < m; k++)
+        x[k] = y[k] / s;
+}
+
 static void step(dgemv_fn gemv, const double *flat, int64_t m, double *x)
 {
-    double outer[MAX_M * MAX_M], y[MAX_M], s;
+    double outer[MAX_M * MAX_M], y[MAX_M];
     for (int64_t i = 0; i < m; i++)
         for (int64_t j = 0; j < m; j++)
             outer[i * m + j] = x[i] * x[j];
     /* vector @ matrix: numpy's matmul calls dgemv on the transposed
        row-major (m*m, m) matrix */
     gemv(CBLAS_ROW_MAJOR, CBLAS_TRANS, m * m, m, 1.0, flat, m, outer, 1, 0.0, y, 1);
-    s = 0.0 + pairwise_sum(y, m);  /* add.reduce starts from its identity */
-    for (int64_t k = 0; k < m; k++)
-        x[k] = y[k] / s;
+    renormalize(y, m, x);
 }
 
 /* x <- x^(n_steps) */
@@ -156,7 +166,7 @@ static inline void contract(const double *p, int64_t m, const double *x,
    at a time so that its state stays in L1.  p is the (m, m, m) tensor. */
 void batch(const double *p, int64_t m, double *xs, int64_t rows, int64_t n_steps)
 {
-    double y[MAX_M], s;
+    double y[MAX_M];
     for (int64_t r = 0; r < rows; r++) {
         double *x = xs + r * m;
         for (int64_t n = 0; n < n_steps; n++) {
@@ -165,10 +175,22 @@ void batch(const double *p, int64_t m, double *xs, int64_t rows, int64_t n_steps
                 contract(p, m, x, k, 4, y);
             for (; k < m; k++)
                 contract(p, m, x, k, 1, y);
-            s = 0.0 + pairwise_sum(y, m);
-            for (k = 0; k < m; k++)
-                x[k] = y[k] / s;
+            renormalize(y, m, x);
         }
+    }
+}
+
+/* x <- x^(n_steps) by apply_batch's step on the single row x.  p is the
+   (m, m, m) tensor. */
+void row(dgemv_fn gemv, const double *p, int64_t m, double *x, int64_t n_steps)
+{
+    double u[MAX_M * MAX_M], y[MAX_M];
+    for (int64_t n = 0; n < n_steps; n++) {
+        /* u[j,k] = sum_i p[i,j,k] x_i: p as the transposed (m, m*m) matrix */
+        gemv(CBLAS_ROW_MAJOR, CBLAS_TRANS, m, m * m, 1.0, p, m * m, x, 1, 0.0, u, 1);
+        /* y_k = sum_j u[j,k] x_j: u as the transposed (m, m) matrix */
+        gemv(CBLAS_ROW_MAJOR, CBLAS_TRANS, m, m, 1.0, u, m, x, 1, 0.0, y, 1);
+        renormalize(y, m, x);
     }
 }
 

@@ -12,6 +12,7 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -322,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("families", help="list the operator family registry")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=cmd_families)
 
     p = sub.add_parser("trajectory", help="iterate an operator and write CSV")
     _add_operator_options(p)
@@ -330,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=cmd_trajectory)
 
     p = sub.add_parser("fixed-points", help="multistart fixed-point search")
     _add_operator_options(p)
@@ -339,14 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--band", type=float, default=analysis.DEFAULT_BAND)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=cmd_fixed_points)
 
     p = sub.add_parser("classify", help="spectral classification of a fixed point")
     _add_operator_options(p)
     p.add_argument("--x0", required=True)
     p.add_argument("--band", type=float, default=analysis.DEFAULT_BAND)
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=cmd_classify)
 
     p = sub.add_parser("lyapunov", help="check monotonicity along random orbits")
     _add_operator_options(p)
@@ -361,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slack", type=float, default=analysis.LYAPUNOV_SLACK)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=cmd_lyapunov)
 
     p = sub.add_parser("omega", help="estimate the limit set of orbits")
     _add_operator_options(p)
@@ -372,14 +368,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--period-tol", type=float, default=analysis.DEFAULT_PERIOD_TOL)
     p.add_argument("--s-max", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=cmd_omega)
 
     p = sub.add_parser("ergodic", help="Cesaro-average fluctuation probe")
     _add_operator_options(p)
     _add_start_options(p)
     p.add_argument("--checkpoints", default="10000,100000,1000000")
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=cmd_ergodic)
 
     p = sub.add_parser("scalar", help="evaluate and analyze the scalar maps")
     p.add_argument("--map", choices=("F", "F_ALPHA"), required=True)
@@ -393,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scan-tol", type=float, default=1e-10)
     p.add_argument("--conjugacy-check", action="store_true")
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=cmd_scalar)
 
     p = sub.add_parser("verify", help="run the built-in verification suites")
     p.add_argument("--suite", required=True,
@@ -401,15 +394,20 @@ def build_parser() -> argparse.ArgumentParser:
                         " core_properties | all")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=cmd_verify)
     return top
 
 
+# Built on first use and reused: parsing leaves the parser as it was (no
+# action has a mutable default or appends to one).
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up at each call, so that a rebinding of a handler is seen
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.handler(args)
+        return handler(args)
     except QsoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -279,9 +279,12 @@ def run_collect(t: CoefficientTensor, x0: np.ndarray, n_steps: int) -> np.ndarra
 def run_batch(t: CoefficientTensor, xs: np.ndarray, n_steps: int) -> np.ndarray:
     """Advance every row of an (n, m) array by ``n_steps`` steps.
 
-    Each step is ``apply_batch``'s.  When einsum makes it one three-operand
-    contraction, the compiled kernel runs all the steps in one call, bit for
-    bit; otherwise (one row, or up to about m rows) the numpy loop runs.
+    Each step is ``apply_batch``'s, and the compiled kernel runs all the
+    steps in one call, bit for bit, in the order einsum's contraction path
+    gives: one three-operand contraction (many rows) in ``batch``, and two
+    matmuls, that is two BLAS dgemv calls, for a single row in ``row``.
+    Batches of 2 to about m rows, where einsum makes the two matmuls as
+    batched ones, take the numpy loop.
     """
     _check_steps(n_steps)
     x = np.array(xs, dtype=float, order="C")
@@ -289,10 +292,12 @@ def run_batch(t: CoefficientTensor, xs: np.ndarray, n_steps: int) -> np.ndarray:
         raise DimensionMismatch(f"points have shape {x.shape}, expected (n, {t.m})")
     # the contraction path depends only on the shapes: search it once
     path, _ = np.einsum_path("ni,nj,ijk->nk", x, x, t.p, optimize=True)
-    # the kernel's batch loop sums like einsum's one three-operand contraction
-    kernel = _kernel_for(t.p) if path == ["einsum_path", (0, 1, 2)] else None
-    if kernel is not None:
+    kernel = _kernel_for(t.p)
+    if kernel is not None and path == ["einsum_path", (0, 1, 2)]:
         kernel.batch(t.p, x, n_steps)
+        return x
+    if kernel is not None and len(x) == 1 and path == ["einsum_path", (0, 2), (0, 1)]:
+        kernel.row(t.p, x[0], n_steps)
         return x
     for _ in range(n_steps):
         x = apply_batch(t, x, path)
@@ -395,8 +400,8 @@ _NUMPY_DGESV = "scipy_dgesv_64_"
 
 
 class _Kernel:
-    """The loops of ``_kernel.c``, the single-orbit ones bound to numpy's
-    own BLAS dgemv and the Newton loop also to its LAPACK dgesv.
+    """The loops of ``_kernel.c``, the single-orbit and one-row ones bound
+    to numpy's own BLAS dgemv and the Newton loop also to its LAPACK dgesv.
 
     Callers pass C-contiguous float64 arrays of matching sizes, m <= 64 and
     n_steps >= 0; ``_orbit``, ``run_batch`` and ``analysis._newton_periodic``
@@ -409,9 +414,10 @@ class _Kernel:
         lib.collect.argtypes = [ptr, ptr, i64, ptr, i64, i64, ptr]
         lib.cesaro.argtypes = [ptr, ptr, i64, ptr, ptr, i64, ptr, ptr]
         lib.batch.argtypes = [ptr, i64, ptr, i64, i64]
+        lib.row.argtypes = [ptr, ptr, i64, ptr, i64]
         lib.newton.argtypes = [ptr, ptr, ptr, i64, ptr, f64, i64, i64,
                                ctypes.POINTER(i64), ctypes.POINTER(f64)]
-        for fn in (lib.run, lib.collect, lib.cesaro, lib.batch):
+        for fn in (lib.run, lib.collect, lib.cesaro, lib.batch, lib.row):
             fn.restype = None
         lib.newton.restype = ctypes.c_int
         self._lib = lib
@@ -433,6 +439,9 @@ class _Kernel:
     def batch(self, p, xs, n_steps):
         rows, m = xs.shape
         self._lib.batch(p.ctypes.data, m, xs.ctypes.data, rows, n_steps)
+
+    def row(self, p, x, n_steps):
+        self._lib.row(self._dgemv, p.ctypes.data, len(x), x.ctypes.data, n_steps)
 
     def newton(self, p, x, tol, first, max_iter):
         """A Newton start of ``analysis._newton_periodic`` for the map
@@ -505,8 +514,8 @@ def _kernel_agrees(kernel: _Kernel) -> bool:
     """Bitwise comparison of the compiled loops with the numpy ones, for an
     m below and an m above numpy's 8-term pairwise-sum block: five steps of
     one orbit against ``_step``, of 50 rows (enough for einsum's
-    three-operand contraction) against ``apply_batch``, and Newton starts
-    against ``analysis._newton_periodic``."""
+    three-operand contraction) and of one row against ``apply_batch``, and
+    Newton starts against ``analysis._newton_periodic``."""
     from .analysis import _newton_periodic  # analysis imports this module
 
     rng = np.random.default_rng(0)
@@ -515,14 +524,17 @@ def _kernel_agrees(kernel: _Kernel) -> bool:
         t = random_tensor(rng, m)
         xs = rng.exponential(size=(50, m))
         xs /= xs.sum(axis=1, keepdims=True)
-        want, want_rows = xs[0], xs
+        want, want_rows, want_row = xs[0], xs, xs[:1]
         for _ in range(5):
             want = _step(t._flat, want)
             want_rows = apply_batch(t, want_rows)
-        got, got_rows = xs[0].copy(), xs.copy()
+            want_row = apply_batch(t, want_row)
+        got, got_rows, got_row = xs[0].copy(), xs.copy(), xs[0].copy()
         kernel.run(t._flat, got, 5)
         kernel.batch(t.p, got_rows, 5)
-        if not (np.array_equal(got, want) and np.array_equal(got_rows, want_rows)):
+        kernel.row(t.p, got_row, 5)
+        if not (np.array_equal(got, want) and np.array_equal(got_rows, want_rows)
+                and np.array_equal(got_row, want_row[0])):
             return False
         newton_starts += [(t, np.eye(m)[0], 1e-12, 80), (t, xs[1], 1e-12, 80)]
     # These run to convergence.  One more makes one Newton iteration, the

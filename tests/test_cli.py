@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from qsodyn import cli
 from qsodyn.cli import main
 
 
@@ -168,6 +169,53 @@ def test_config_errors_exit_2(capsys):
                    "--x0", "1,0,0", "--steps", "1")[0] == 2
     assert run_cli(capsys, "trajectory", "--family", "REGULAR", "--m", "3",
                    "--x0", "0.5,0.6,0.2", "--steps", "1")[0] == 2
+
+
+# different subcommands, a usage error followed by a good call, the same argv
+# twice, and options left at their defaults after a call that set them
+PARSER_REUSE_SEQUENCE = [
+    ["families"],
+    ["families", "--bogus-flag"],
+    ["families", "--json"],
+    ["scalar", "--map", "F", "--m", "5", "--iterate", "0.3", "4"],
+    ["scalar", "--map", "F", "--m", "5", "--iterate", "0.3", "4"],
+    ["scalar", "--map", "F", "--m", "5", "--eval", "0.25"],
+    ["trajectory", "--family", "REGULAR", "--m", "3", "--x0", "0.5,0.3,0.2",
+     "--steps", "3", "--stride", "2"],
+    ["trajectory", "--family", "REGULAR", "--m", "3", "--steps", "3"],
+    ["trajectory", "--family", "REGULAR", "--m", "3", "--x0", "0.5,0.3,0.2", "--steps", "3"],
+    ["omega", "--family", "KHUKR", "--x0", "0.4,0.36,0.24", "--s-max", "0"],
+    ["omega", "--family", "KHUKR", "--x0", "0.4,0.36,0.24", "--window", "20"],
+    ["verify"],
+    ["verify", "--suite", "bogus"],
+]
+
+
+def run_sequence(capsys, sequence):
+    outcomes = []
+    for argv in sequence:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err))
+    return outcomes
+
+
+def test_reused_parser_matches_fresh_parsers(capsys, monkeypatch):
+    reused = run_sequence(capsys, PARSER_REUSE_SEQUENCE)
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a new parser per call
+    fresh = run_sequence(capsys, PARSER_REUSE_SEQUENCE)
+    assert reused == fresh
+    codes = [code for code, _, _ in reused]
+    assert codes.count(("exit", 2)) == 2 and 0 in codes and 2 in codes
+
+
+def test_handler_is_looked_up_at_each_call(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "cmd_families", lambda args: print("replaced") or 0)
+    assert run_cli(capsys, "families") == (0, "replaced\n", "")
 
 
 def test_usage_error_exit_2_subprocess():

@@ -2,9 +2,9 @@
 
 Every comparison is exact (``np.array_equal``): the single-orbit loops make
 the numpy step's own BLAS call, the batched loop sums in the order of
-einsum's three-operand contraction, the Newton loop makes numpy's Jacobian
-sums and its own LAPACK call, and all sum in numpy's pairwise order, so any
-difference is a bug.  The numpy loops are selected by replacing the loader
+einsum's three-operand contraction, the one-row loop makes einsum's two BLAS
+calls, the Newton loop makes numpy's Jacobian sums and its own LAPACK call,
+and all sum in numpy's pairwise order, so any difference is a bug.  The numpy loops are selected by replacing the loader
 ``tensor._kernel``.
 """
 
@@ -277,13 +277,70 @@ def test_batch_kernel_runs_only_for_one_contraction(kernel, m):
             xs = np.full((rows, m), 1.0 / m)
             path, _ = np.einsum_path("ni,nj,ijk->nk", xs, xs, t.p, optimize=True)
             spy.batch.reset_mock()
+            spy.row.reset_mock()
             with mock.patch.object(tensor, "apply_batch", wraps=apply_batch) as numpy_step:
                 run_batch(t, xs, 3)
-            one_contraction = path == ["einsum_path", (0, 1, 2)]
-            assert spy.batch.called == one_contraction
-            assert numpy_step.call_count == (0 if one_contraction else 3)
-            used.add(one_contraction)
-    assert used == {True, False}
+            # one row: two matmuls in row; many rows: one three-operand
+            # contraction in batch; between, batched matmuls in numpy
+            loop = "row" if rows == 1 else "batch" if path == ["einsum_path", (0, 1, 2)] else None
+            if rows == 1:
+                assert path == ["einsum_path", (0, 2), (0, 1)]
+            assert spy.row.called == (loop == "row")
+            assert spy.batch.called == (loop == "batch")
+            assert numpy_step.call_count == (0 if loop else 3)
+            used.add(loop)
+    assert used == {"row", "batch", None}
+
+
+@st.composite
+def row_cases(draw):
+    m = draw(st.integers(2, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = random_tensor(rng, m)
+    if draw(st.booleans()):
+        # sparse: most pair rows put all their weight on one coordinate
+        p = t.p * (rng.random(t.p.shape) < 0.2)
+        p[np.arange(m), np.arange(m), rng.integers(0, m, size=m)] = 1.0
+        p = p + p.transpose(1, 0, 2)
+        p[p.sum(axis=2) == 0] = np.eye(m)[0]
+        t = tensor.CoefficientTensor(m, p / p.sum(axis=2, keepdims=True))
+    x = rng.exponential(size=m)
+    start = draw(st.sampled_from(["interior", "vertex", "face"]))
+    if start == "vertex":
+        x = np.eye(m)[draw(st.integers(0, m - 1))]
+    elif start == "face":
+        x[draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m - 1))] = 0.0
+    return t, (x / x.sum())[None, :], draw(st.integers(0, 300))
+
+
+@settings(max_examples=60, deadline=None)
+@given(row_cases())
+def test_row_kernel_matches_numpy_loop(kernel, case):
+    fast, ref = both(run_batch, *case)
+    assert np.array_equal(fast, ref)
+
+
+@pytest.mark.parametrize("theta,x0,n_steps", [
+    # verify's s2 inputs at seed 7: the first start drawn at theta 0.9, and
+    # the start on the critical line
+    (0.9, [0.4078211090584822, 0.30757021167877924, 0.28460867926273853], 2000),
+    (0.75, [0.5, 0.2, 0.3], 5000),
+])
+def test_row_kernel_matches_numpy_on_vallander(kernel, theta, x0, n_steps):
+    t = make("VALLANDER_THETA", 3, None, theta)
+    fast, ref = both(run_batch, t, np.array([x0]), n_steps)
+    assert np.array_equal(fast, ref)
+
+
+def test_self_test_checks_the_row_loop(kernel):
+    off = mock.Mock(wraps=kernel)
+
+    def row_one_ulp_up(p, x, n_steps):
+        kernel.row(p, x, n_steps)
+        x[0] = np.nextafter(x[0], np.inf)
+
+    off.row = row_one_ulp_up
+    assert not tensor._kernel_agrees(off)
 
 
 @pytest.mark.parametrize("bad", [-4, -1, 2.5, 3.0, "4", None])

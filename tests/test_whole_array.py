@@ -1,8 +1,9 @@
 """Whole-array paths against the per-point loops they replaced.
 
 ``check_lyapunov`` evaluates each Lyapunov function once over a stack of
-orbits, ``iterate`` builds one point per distinct row and the trajectory CSV
-formats each distinct point once.  The oracles below are the per-point code
+orbits, ``iterate`` builds one point per distinct row, the trajectory CSV
+formats each distinct point once and ``contraction_report`` measures all its
+blocks with index arrays over one collected orbit.  The oracles below are the per-point code
 as it was before, copied here; every comparison is exact (bits, or bytes of
 output), because the arithmetic is the same.
 """
@@ -29,10 +30,11 @@ from qsodyn.analysis import (
     last_coord,
     sample_interior,
 )
-from qsodyn.errors import InapplicableFunction, QsoError
-from qsodyn.families import make
+from qsodyn.errors import InapplicableFunction, NeverEntersRegion, QsoError
+from qsodyn.families import make, make_alpha_combination
 from qsodyn.simplex import Permutation, SimplexPoint, parse_cycles, validate_point
-from qsodyn.tensor import iterate, random_tensor, run_collect
+from qsodyn.tensor import _apply_arr, iterate, random_tensor, run_collect
+from qsodyn.verification import _blend_config, _interior_points
 
 PERM6 = "(1 2)(3 4 5)"
 
@@ -393,3 +395,121 @@ def test_corrupted_block_raises_its_first_bad_row(rows):
 @given(st.floats(allow_nan=True, allow_infinity=True))
 def test_percent_format_matches_format(v):
     assert "%.17g" % v == format(v, ".17g")
+
+
+# --- contraction ---------------------------------------------------------------------
+
+
+def old_contraction_report(m, perm, alpha, x0, tol=1e-9, blocks=64, diff_floor=1e-6,
+                           max_entry_steps=200_000):
+    t = make_alpha_combination(m, perm, alpha)
+    s = perm.order
+    bound = 1.0 - alpha + alpha ** s
+    x = x0.array.copy()
+    entered = -1
+    for n in range(max_entry_steps + 1):
+        if x[-1] < 0.5:
+            entered = n
+            break
+        x = _apply_arr(t, x)
+    if entered < 0:
+        raise NeverEntersRegion(
+            f"last coordinate stayed >= 1/2 for {max_entry_steps} steps"
+        )
+    pairs = [(u, v) for u in range(m - 1) for v in range(u + 1, m - 1)]
+    worst = None
+    worst_pair = None
+    measured = 0
+    for _ in range(blocks):
+        block = run_collect(t, x, s)
+        x = block[-1]
+        if np.any(block[:, -1] >= 0.5):
+            continue
+        start, end = block[0], block[-1]
+        d0 = np.array([abs(start[u] - start[v]) for u, v in pairs])
+        d1 = np.array([abs(end[u] - end[v]) for u, v in pairs])
+        if d0.max() <= diff_floor:
+            continue
+        measured += 1
+        factor = float(d1.max() / d0.max())
+        if worst is None or factor > worst:
+            worst = factor
+        for k in range(len(pairs)):
+            if d0[k] > diff_floor:
+                pf = float(d1[k] / d0[k])
+                if worst_pair is None or pf > worst_pair:
+                    worst_pair = pf
+    return analysis.ContractionReport(
+        alpha=alpha, s=s, bound=bound, vacuous=(s == 1), entered_at=entered,
+        blocks_measured=measured, worst_factor=worst,
+        worst_single_pair_factor=worst_pair, diff_floor=diff_floor,
+    )
+
+
+def same_contraction(args, **kwargs):
+    """The new report equals the old one to the bit (repr tells -0.0 from 0.0
+    and round-trips every float)."""
+    new = analysis.contraction_report(*args, **kwargs)
+    assert repr(new) == repr(old_contraction_report(*args, **kwargs))
+    return new
+
+
+@pytest.mark.parametrize("seed", [7, 1])
+@pytest.mark.parametrize("m", [3, 5])
+def test_contraction_matches_the_per_block_loop_on_the_alpha_suite(seed, m):
+    perm = _blend_config(m)
+    measured = 0
+    for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
+        starts = _interior_points(seed + 100 * m + int(10 * alpha), m, 50)
+        for k in range(5):
+            rep = same_contraction((m, perm, alpha, SimplexPoint(tuple(starts[k].tolist()))))
+            measured += rep.blocks_measured
+    assert measured > 0
+
+
+@st.composite
+def contraction_cases(draw):
+    m = draw(st.integers(3, 8))
+    perm = Permutation.from_images(draw(st.permutations(range(1, m))))
+    alpha = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.exponential(size=m)
+    if draw(st.booleans()):
+        x[draw(st.lists(st.integers(0, m - 2), max_size=m - 2))] = 0.0
+    if draw(st.booleans()):
+        x[-1] += draw(st.floats(0.0, 3.0)) * x.sum()  # may start at or above 1/2
+    x0 = validate_point(x / x.sum())
+    kwargs = {"blocks": draw(st.integers(0, 70)),
+              "diff_floor": draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-3, 0.05])),
+              "max_entry_steps": 300}
+    return (m, perm, alpha, x0), kwargs
+
+
+@settings(max_examples=150, deadline=None)
+@given(contraction_cases())
+def test_contraction_matches_the_per_block_loop(case):
+    args, kwargs = case
+    try:
+        old_contraction_report(*args, **kwargs)
+    except NeverEntersRegion:
+        with pytest.raises(NeverEntersRegion):
+            analysis.contraction_report(*args, **kwargs)
+    else:
+        same_contraction(args, **kwargs)
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=12))
+def test_first_then_greater_matches_the_running_update(values):
+    want = None
+    for v in values:
+        if want is None or v > want:
+            want = v
+    got = analysis._first_then_greater(np.array(values, dtype=float))
+    assert (got is None and want is None) or bits(got) == bits(want)
+
+
+@pytest.mark.parametrize("blocks", [-1, 2.5, "3"])
+def test_contraction_rejects_a_bad_block_count(blocks):
+    with pytest.raises(QsoError, match="blocks"):
+        analysis.contraction_report(3, parse_cycles("(1 2)", 2), 0.5,
+                                    validate_point([0.3, 0.3, 0.4]), blocks=blocks)
