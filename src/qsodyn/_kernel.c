@@ -1,21 +1,18 @@
 /* Compiled loops of the renormalized quadratic step.
 
-   The single-orbit loops (run, collect, cesaro) make the numpy step of
+   The single-orbit loops (collect, cesaro) make the numpy step of
    tensor.py, `y = np.outer(x, x).ravel() @ flat` then `x = y / y.sum()`,
    the way numpy does it: the exact products x_i x_j, the product by numpy's
    own BLAS dgemv (passed in as a function pointer and called with the
    arguments numpy's matmul uses), numpy's pairwise summation order, and one
-   division per coordinate.
+   division per coordinate.  tensor.run is the last row of collect.
 
-   The batched loops make the step of tensor.apply_batch,
-   `np.einsum('ni,nj,ijk->nk', ...)` then `ys / ys.sum(axis=1)`, in the
-   order einsum's path gives it.  batch makes it as one three-operand
-   contraction, `c_einsum('ijk,nj,ni->nk', p, x, x)`: each y_k starts at
-   0.0 and adds (p[i,j,k] * x_j) * x_i with i as the outer and j as the
-   inner index.  row makes it for a single row, where einsum takes two
-   matmuls, `ijk,ni->njk` then `njk,nj->nk`: numpy's matmul calls dgemv
-   for each, on p and then on the intermediate as transposed row-major
-   matrices.  Both end with the same pairwise sum and division.
+   The batched loop (batch) makes the step of tensor.apply_batch,
+   `np.einsum('ni,nj,ijk->nk', ...)` then `ys / ys.sum(axis=1)`, for the
+   batches where einsum's path is one three-operand contraction,
+   `c_einsum('ijk,nj,ni->nk', p, x, x)`: each y_k starts at 0.0 and adds
+   (p[i,j,k] * x_j) * x_i with i as the outer and j as the inner index,
+   then the same pairwise sum and division.
 
    The Newton loop (newton) makes one start of analysis._newton_periodic
    for the map itself (n_compose == 1): the residual with the step above,
@@ -108,13 +105,6 @@ static void step(dgemv_fn gemv, const double *flat, int64_t m, double *x)
     renormalize(y, m, x);
 }
 
-/* x <- x^(n_steps) */
-void run(dgemv_fn gemv, const double *flat, int64_t m, double *x, int64_t n_steps)
-{
-    for (int64_t n = 0; n < n_steps; n++)
-        step(gemv, flat, m, x);
-}
-
 /* Rows of out: x^(0), then x^(n) for every n that is a multiple of stride
    or equal to n_steps. */
 void collect(dgemv_fn gemv, const double *flat, int64_t m, double *x,
@@ -177,20 +167,6 @@ void batch(const double *p, int64_t m, double *xs, int64_t rows, int64_t n_steps
                 contract(p, m, x, k, 1, y);
             renormalize(y, m, x);
         }
-    }
-}
-
-/* x <- x^(n_steps) by apply_batch's step on the single row x.  p is the
-   (m, m, m) tensor. */
-void row(dgemv_fn gemv, const double *p, int64_t m, double *x, int64_t n_steps)
-{
-    double u[MAX_M * MAX_M], y[MAX_M];
-    for (int64_t n = 0; n < n_steps; n++) {
-        /* u[j,k] = sum_i p[i,j,k] x_i: p as the transposed (m, m*m) matrix */
-        gemv(CBLAS_ROW_MAJOR, CBLAS_TRANS, m, m * m, 1.0, p, m * m, x, 1, 0.0, u, 1);
-        /* y_k = sum_j u[j,k] x_j: u as the transposed (m, m) matrix */
-        gemv(CBLAS_ROW_MAJOR, CBLAS_TRANS, m, m, 1.0, u, m, x, 1, 0.0, y, 1);
-        renormalize(y, m, x);
     }
 }
 

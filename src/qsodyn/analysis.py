@@ -58,6 +58,8 @@ DEFAULT_PERIOD_TOL = 1e-9
 LYAPUNOV_SLACK = 1e-12
 # Orbit points that check_lyapunov evaluates per block of samples.
 _LYAPUNOV_BLOCK_POINTS = 1 << 16
+# Steps that contraction_report collects per block of its entry search.
+_ENTRY_BLOCK_STEPS = 256
 
 
 def sample_interior(rng: np.random.Generator, m: int, n: int = 1) -> np.ndarray:
@@ -121,7 +123,7 @@ def classify_fixed_point(t: CoefficientTensor, x: SimplexPoint,
                          band: float = DEFAULT_BAND) -> FixedPointReport:
     """Spectral classification of a fixed point on the tangent space."""
     _check_tolerance("band", band)
-    residual = float(np.max(np.abs(_apply_arr(t, x.array) - x.array)))
+    residual = float(np.max(np.abs(run(t, x.array, 1) - x.array)))
     if residual >= FIXED_POINT_RESIDUAL:
         raise NotAFixedPoint(f"residual {residual!r} >= {FIXED_POINT_RESIDUAL}")
     eigs, transversal = tangent_eigenvalues(t, x)
@@ -362,7 +364,7 @@ def periodic_absence_search(m: int, perm: Permutation, n: int, starts: int = 40,
 
 
 def _categorize_solution(t: CoefficientTensor, x: np.ndarray, s: int) -> str:
-    if np.max(np.abs(_apply_arr(t, x) - x)) < 1e-8:
+    if np.max(np.abs(run(t, x, 1) - x)) < 1e-8:
         return "fixed_point"
     if abs(x[-1] - 0.5) < 1e-8:
         for d in range(1, s + 1):
@@ -753,6 +755,8 @@ class InvariantSetReport:
 def check_invariant_set(t: CoefficientTensor, spec: InvariantSetSpec, samples: int,
                         horizon: int, seed: int) -> InvariantSetReport:
     """Sample members, iterate, and report the worst membership defect seen."""
+    _check_count("samples", samples, 1)
+    _check_count("horizon", horizon, 1)
     if spec.families and t.name and not any(t.name.startswith(f) for f in spec.families):
         raise InapplicableSet(f"{spec.id} applies to {spec.families}, tensor is {t.name!r}")
     rng = np.random.default_rng(seed)
@@ -766,9 +770,8 @@ def check_invariant_set(t: CoefficientTensor, spec: InvariantSetSpec, samples: i
         if d0 > 1e-12:
             raise InapplicableSet(f"sampler produced defect {d0!r} > 1e-12")
         max_initial = max(max_initial, d0)
-        for _ in range(horizon):
-            x = _apply_arr(t, x)
-            max_defect = max(max_defect, spec.defect(x))
+        # the running max in step order, so that a NaN keeps its place
+        max_defect = max([max_defect, *map(spec.defect, run_collect(t, x, horizon)[1:])])
     return InvariantSetReport(spec.id, samples, horizon, max_initial, max_defect)
 
 
@@ -800,8 +803,7 @@ class ContractionReport:
 
 
 def contraction_report(m: int, perm: Permutation, alpha: float, x0: SimplexPoint,
-                       tol: float = 1e-9, blocks: int = 64,
-                       diff_floor: float = 1e-6,
+                       blocks: int = 64, diff_floor: float = 1e-6,
                        max_entry_steps: int = 200_000) -> ContractionReport:
     """Measure per-s-block contraction of the pairwise coordinate differences.
 
@@ -823,20 +825,26 @@ def contraction_report(m: int, perm: Permutation, alpha: float, x0: SimplexPoint
     from .families import make_alpha_combination
 
     _check_count("blocks", blocks, 0)
+    _check_count("max_entry_steps", max_entry_steps, 0)
     t = make_alpha_combination(m, perm, alpha)
     s = perm.order
     bound = 1.0 - alpha + alpha ** s
-    x = x0.array.copy()
-    entered = -1
-    for n in range(max_entry_steps + 1):
-        if x[-1] < 0.5:
-            entered = n
+    # the first step n <= max_entry_steps with x_m < 1/2, searched over
+    # collected blocks whose first row is the last row of the block before
+    x, entered = x0.array, 0
+    while True:
+        n = min(_ENTRY_BLOCK_STEPS, max_entry_steps - entered)
+        rows = run_collect(t, x, n)
+        below = np.flatnonzero(rows[:, -1] < 0.5)
+        if below.size:
+            entered += int(below[0])
+            x = rows[below[0]]
             break
-        x = _apply_arr(t, x)
-    if entered < 0:
-        raise NeverEntersRegion(
-            f"last coordinate stayed >= 1/2 for {max_entry_steps} steps"
-        )
+        x, entered = rows[-1], entered + n
+        if entered == max_entry_steps:
+            raise NeverEntersRegion(
+                f"last coordinate stayed >= 1/2 for {max_entry_steps} steps"
+            )
     # block b is rows b*s to (b+1)*s of one orbit: the loop carries x from
     # block to block exactly as a call per block would
     orbit = run_collect(t, x, blocks * s)

@@ -242,17 +242,6 @@ def _kernel_for(coeffs: np.ndarray):
     return _kernel() if fits else None
 
 
-def run(t: CoefficientTensor, x0: np.ndarray, n_steps: int) -> np.ndarray:
-    """Final raw coordinate array after ``n_steps`` renormalized steps."""
-    x, flat, kernel = _orbit(t, x0, n_steps)
-    if kernel is not None:
-        kernel.run(flat, x, n_steps)
-        return x
-    for _ in range(n_steps):
-        x = _step(flat, x)
-    return x
-
-
 def _collect(t: CoefficientTensor, x0, n_steps: int, stride: int) -> np.ndarray:
     """Rows x^(0), then x^(n) for each n <= n_steps that is a multiple of
     ``stride`` or is ``n_steps`` itself."""
@@ -271,6 +260,12 @@ def _collect(t: CoefficientTensor, x0, n_steps: int, stride: int) -> np.ndarray:
     return out
 
 
+def run(t: CoefficientTensor, x0: np.ndarray, n_steps: int) -> np.ndarray:
+    """Final raw coordinate array after ``n_steps`` renormalized steps."""
+    _check_steps(n_steps)
+    return _collect(t, x0, n_steps, max(n_steps, 1))[-1]
+
+
 def run_collect(t: CoefficientTensor, x0: np.ndarray, n_steps: int) -> np.ndarray:
     """All iterates x^(0..n_steps) as an (n_steps + 1, m) array."""
     return _collect(t, x0, n_steps, 1)
@@ -279,12 +274,11 @@ def run_collect(t: CoefficientTensor, x0: np.ndarray, n_steps: int) -> np.ndarra
 def run_batch(t: CoefficientTensor, xs: np.ndarray, n_steps: int) -> np.ndarray:
     """Advance every row of an (n, m) array by ``n_steps`` steps.
 
-    Each step is ``apply_batch``'s, and the compiled kernel runs all the
-    steps in one call, bit for bit, in the order einsum's contraction path
-    gives: one three-operand contraction (many rows) in ``batch``, and two
-    matmuls, that is two BLAS dgemv calls, for a single row in ``row``.
-    Batches of 2 to about m rows, where einsum makes the two matmuls as
-    batched ones, take the numpy loop.
+    Each step is ``apply_batch``'s.  Where einsum's contraction path is one
+    three-operand contraction (many rows), the compiled ``batch`` runs all
+    the steps in one call, bit for bit.  Batches of 1 to about m rows, where
+    einsum makes two matmuls instead, take the numpy loop; a single orbit
+    belongs in ``run``.
     """
     _check_steps(n_steps)
     x = np.array(xs, dtype=float, order="C")
@@ -295,9 +289,6 @@ def run_batch(t: CoefficientTensor, xs: np.ndarray, n_steps: int) -> np.ndarray:
     kernel = _kernel_for(t.p)
     if kernel is not None and path == ["einsum_path", (0, 1, 2)]:
         kernel.batch(t.p, x, n_steps)
-        return x
-    if kernel is not None and len(x) == 1 and path == ["einsum_path", (0, 2), (0, 1)]:
-        kernel.row(t.p, x[0], n_steps)
         return x
     for _ in range(n_steps):
         x = apply_batch(t, x, path)
@@ -400,8 +391,8 @@ _NUMPY_DGESV = "scipy_dgesv_64_"
 
 
 class _Kernel:
-    """The loops of ``_kernel.c``, the single-orbit and one-row ones bound
-    to numpy's own BLAS dgemv and the Newton loop also to its LAPACK dgesv.
+    """The loops of ``_kernel.c``, the single-orbit ones bound to numpy's
+    own BLAS dgemv and the Newton loop also to its LAPACK dgesv.
 
     Callers pass C-contiguous float64 arrays of matching sizes, m <= 64 and
     n_steps >= 0; ``_orbit``, ``run_batch`` and ``analysis._newton_periodic``
@@ -410,22 +401,17 @@ class _Kernel:
 
     def __init__(self, lib: ctypes.CDLL, dgemv: int, dgesv: int):
         ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-        lib.run.argtypes = [ptr, ptr, i64, ptr, i64]
         lib.collect.argtypes = [ptr, ptr, i64, ptr, i64, i64, ptr]
         lib.cesaro.argtypes = [ptr, ptr, i64, ptr, ptr, i64, ptr, ptr]
         lib.batch.argtypes = [ptr, i64, ptr, i64, i64]
-        lib.row.argtypes = [ptr, ptr, i64, ptr, i64]
         lib.newton.argtypes = [ptr, ptr, ptr, i64, ptr, f64, i64, i64,
                                ctypes.POINTER(i64), ctypes.POINTER(f64)]
-        for fn in (lib.run, lib.collect, lib.cesaro, lib.batch, lib.row):
+        for fn in (lib.collect, lib.cesaro, lib.batch):
             fn.restype = None
         lib.newton.restype = ctypes.c_int
         self._lib = lib
         self._dgemv = dgemv
         self._dgesv = dgesv
-
-    def run(self, flat, x, n_steps):
-        self._lib.run(self._dgemv, flat.ctypes.data, len(x), x.ctypes.data, n_steps)
 
     def collect(self, flat, x, n_steps, stride, out):
         self._lib.collect(self._dgemv, flat.ctypes.data, len(x), x.ctypes.data,
@@ -439,9 +425,6 @@ class _Kernel:
     def batch(self, p, xs, n_steps):
         rows, m = xs.shape
         self._lib.batch(p.ctypes.data, m, xs.ctypes.data, rows, n_steps)
-
-    def row(self, p, x, n_steps):
-        self._lib.row(self._dgemv, p.ctypes.data, len(x), x.ctypes.data, n_steps)
 
     def newton(self, p, x, tol, first, max_iter):
         """A Newton start of ``analysis._newton_periodic`` for the map
@@ -512,10 +495,10 @@ def _numpy_dgesv() -> int:
 
 def _kernel_agrees(kernel: _Kernel) -> bool:
     """Bitwise comparison of the compiled loops with the numpy ones, for an
-    m below and an m above numpy's 8-term pairwise-sum block: five steps of
-    one orbit against ``_step``, of 50 rows (enough for einsum's
-    three-operand contraction) and of one row against ``apply_batch``, and
-    Newton starts against ``analysis._newton_periodic``."""
+    m below and an m above numpy's 8-term pairwise-sum block: the five
+    collected steps of one orbit against ``_step``, five steps of 50 rows
+    (enough for einsum's three-operand contraction) against ``apply_batch``,
+    and Newton starts against ``analysis._newton_periodic``."""
     from .analysis import _newton_periodic  # analysis imports this module
 
     rng = np.random.default_rng(0)
@@ -524,17 +507,14 @@ def _kernel_agrees(kernel: _Kernel) -> bool:
         t = random_tensor(rng, m)
         xs = rng.exponential(size=(50, m))
         xs /= xs.sum(axis=1, keepdims=True)
-        want, want_rows, want_row = xs[0], xs, xs[:1]
+        want, want_rows = [xs[0]], xs
         for _ in range(5):
-            want = _step(t._flat, want)
+            want.append(_step(t._flat, want[-1]))
             want_rows = apply_batch(t, want_rows)
-            want_row = apply_batch(t, want_row)
-        got, got_rows, got_row = xs[0].copy(), xs.copy(), xs[0].copy()
-        kernel.run(t._flat, got, 5)
+        got, got_rows = np.empty((6, m)), xs.copy()
+        kernel.collect(t._flat, xs[0].copy(), 5, 1, got)
         kernel.batch(t.p, got_rows, 5)
-        kernel.row(t.p, got_row, 5)
-        if not (np.array_equal(got, want) and np.array_equal(got_rows, want_rows)
-                and np.array_equal(got_row, want_row[0])):
+        if not (np.array_equal(got, want) and np.array_equal(got_rows, want_rows)):
             return False
         newton_starts += [(t, np.eye(m)[0], 1e-12, 80), (t, xs[1], 1e-12, 80)]
     # These run to convergence.  One more makes one Newton iteration, the

@@ -342,7 +342,7 @@ def suite_s2(seed: int) -> list[CheckResult]:
         if abs(x[0] - x[2]) < 1e-3:
             x[0] += 1e-2
             x /= x.sum()
-        final = run_batch(t, x[None, :], 2000)[0]
+        final = run(t, x, 2000)
         worst = max(worst, float(np.max(np.abs(final - e1))))
     out.append(CheckResult(
         "s2.vallander_theta09_to_e1", worst < 1e-6, {"max_dev": worst}))
@@ -352,7 +352,7 @@ def suite_s2(seed: int) -> list[CheckResult]:
     c = 0.2
     r = np.sqrt(1.0 + 3.0 * c * c)
     target = np.array([(1 + 3 * c + r) / 6, (2 - r) / 3, (1 - 3 * c + r) / 6])
-    final = run_batch(t, np.array([[0.5, 0.2, 0.3]]), 5000)[0]
+    final = run(t, np.array([0.5, 0.2, 0.3]), 5000)
     dev = float(np.max(np.abs(final - target)))
     out.append(CheckResult(
         "s2.vallander_critical_line_limit", dev < 1e-6, {"max_dev": dev}))

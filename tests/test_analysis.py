@@ -353,6 +353,15 @@ def test_invariant_family_guard():
         check_invariant_set(make_regular(4), m0_set(4), samples=5, horizon=5, seed=0)
 
 
+@pytest.mark.parametrize("kwargs", [{"samples": 0}, {"samples": -1}, {"samples": 2.5},
+                                    {"horizon": 0}, {"horizon": -1}, {"horizon": 2.5}])
+def test_check_invariant_set_rejects_bad_counts(kwargs):
+    counts = {"samples": 5, "horizon": 5, **kwargs}
+    name, = kwargs
+    with pytest.raises(errors.QsoError, match=name):
+        check_invariant_set(make_s2("VALLANDER_THETA", 0.6), vallander_diag(), seed=0, **counts)
+
+
 # --- contraction -------------------------------------------------------------------
 
 

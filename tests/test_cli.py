@@ -311,6 +311,7 @@ def test_tensor_file_input(capsys, tmp_path):
     ["scalar", "--map", "F", "--scan-period", "3", "--scan-tol", "inf"],
     ["ergodic", "--family", "ZAKHAREVICH", "--x0", "0.3,0.3,0.4", "--checkpoints", "abc"],
     ["ergodic", "--family", "ZAKHAREVICH", "--x0", "0.3,0.3,0.4", "--checkpoints", "10,,20"],
+    ["classify", "--family", "REGULAR", "--m", "4", "--x0", "0.5,0.5"],
 ])
 def test_bad_search_parameters_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -2,9 +2,9 @@
 
 Every comparison is exact (``np.array_equal``): the single-orbit loops make
 the numpy step's own BLAS call, the batched loop sums in the order of
-einsum's three-operand contraction, the one-row loop makes einsum's two BLAS
-calls, the Newton loop makes numpy's Jacobian sums and its own LAPACK call,
-and all sum in numpy's pairwise order, so any difference is a bug.  The numpy loops are selected by replacing the loader
+einsum's three-operand contraction, the Newton loop makes numpy's Jacobian
+sums and its own LAPACK call, and all sum in numpy's pairwise order, so any
+difference is a bug.  The numpy loops are selected by replacing the loader
 ``tensor._kernel``.
 """
 
@@ -189,6 +189,18 @@ def test_loader_rejects_a_disagreeing_kernel(monkeypatch):
     assert tensor._kernel.__wrapped__() is None
 
 
+def test_self_test_checks_the_single_orbit_loop(kernel):
+    short = mock.Mock(wraps=kernel)
+
+    def collect_one_step_short(flat, x, n_steps, stride, out):
+        # the last row repeats the one before it
+        kernel.collect(flat, x, n_steps - 1, stride, out[:-1])
+        out[-1] = out[-2]
+
+    short.collect = collect_one_step_short
+    assert not tensor._kernel_agrees(short)
+
+
 def test_self_test_checks_the_batched_loop(kernel):
     assert tensor._kernel_agrees(kernel)
     short = mock.Mock(wraps=kernel)
@@ -277,47 +289,17 @@ def test_batch_kernel_runs_only_for_one_contraction(kernel, m):
             xs = np.full((rows, m), 1.0 / m)
             path, _ = np.einsum_path("ni,nj,ijk->nk", xs, xs, t.p, optimize=True)
             spy.batch.reset_mock()
-            spy.row.reset_mock()
             with mock.patch.object(tensor, "apply_batch", wraps=apply_batch) as numpy_step:
                 run_batch(t, xs, 3)
-            # one row: two matmuls in row; many rows: one three-operand
-            # contraction in batch; between, batched matmuls in numpy
-            loop = "row" if rows == 1 else "batch" if path == ["einsum_path", (0, 1, 2)] else None
+            # many rows: one three-operand contraction in batch; one row up
+            # to about m rows: two matmuls in numpy
+            loop = "batch" if path == ["einsum_path", (0, 1, 2)] else None
             if rows == 1:
-                assert path == ["einsum_path", (0, 2), (0, 1)]
-            assert spy.row.called == (loop == "row")
+                assert loop is None
             assert spy.batch.called == (loop == "batch")
             assert numpy_step.call_count == (0 if loop else 3)
             used.add(loop)
-    assert used == {"row", "batch", None}
-
-
-@st.composite
-def row_cases(draw):
-    m = draw(st.integers(2, 64))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    t = random_tensor(rng, m)
-    if draw(st.booleans()):
-        # sparse: most pair rows put all their weight on one coordinate
-        p = t.p * (rng.random(t.p.shape) < 0.2)
-        p[np.arange(m), np.arange(m), rng.integers(0, m, size=m)] = 1.0
-        p = p + p.transpose(1, 0, 2)
-        p[p.sum(axis=2) == 0] = np.eye(m)[0]
-        t = tensor.CoefficientTensor(m, p / p.sum(axis=2, keepdims=True))
-    x = rng.exponential(size=m)
-    start = draw(st.sampled_from(["interior", "vertex", "face"]))
-    if start == "vertex":
-        x = np.eye(m)[draw(st.integers(0, m - 1))]
-    elif start == "face":
-        x[draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m - 1))] = 0.0
-    return t, (x / x.sum())[None, :], draw(st.integers(0, 300))
-
-
-@settings(max_examples=60, deadline=None)
-@given(row_cases())
-def test_row_kernel_matches_numpy_loop(kernel, case):
-    fast, ref = both(run_batch, *case)
-    assert np.array_equal(fast, ref)
+    assert used == {"batch", None}
 
 
 @pytest.mark.parametrize("theta,x0,n_steps", [
@@ -327,20 +309,10 @@ def test_row_kernel_matches_numpy_loop(kernel, case):
     (0.75, [0.5, 0.2, 0.3], 5000),
 ])
 def test_row_kernel_matches_numpy_on_vallander(kernel, theta, x0, n_steps):
+    # a single start, as verify iterates it: the single-orbit loop
     t = make("VALLANDER_THETA", 3, None, theta)
-    fast, ref = both(run_batch, t, np.array([x0]), n_steps)
+    fast, ref = both(run, t, np.array(x0), n_steps)
     assert np.array_equal(fast, ref)
-
-
-def test_self_test_checks_the_row_loop(kernel):
-    off = mock.Mock(wraps=kernel)
-
-    def row_one_ulp_up(p, x, n_steps):
-        kernel.row(p, x, n_steps)
-        x[0] = np.nextafter(x[0], np.inf)
-
-    off.row = row_one_ulp_up
-    assert not tensor._kernel_agrees(off)
 
 
 @pytest.mark.parametrize("bad", [-4, -1, 2.5, 3.0, "4", None])

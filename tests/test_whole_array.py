@@ -2,10 +2,12 @@
 
 ``check_lyapunov`` evaluates each Lyapunov function once over a stack of
 orbits, ``iterate`` builds one point per distinct row, the trajectory CSV
-formats each distinct point once and ``contraction_report`` measures all its
-blocks with index arrays over one collected orbit.  The oracles below are the per-point code
-as it was before, copied here; every comparison is exact (bits, or bytes of
-output), because the arithmetic is the same.
+formats each distinct point once, ``contraction_report`` searches its entry
+step over collected blocks and measures all its blocks with index arrays over
+one collected orbit, and ``check_invariant_set`` takes each sample's defects
+over one collected orbit.  The oracles below are the per-point code as it was
+before, copied here; every comparison is exact (bits, or bytes of output),
+because the arithmetic is the same.
 """
 
 import math
@@ -19,19 +21,25 @@ from hypothesis import strategies as st
 from qsodyn import analysis, cli, tensor
 from qsodyn.analysis import (
     LYAPUNOV_SLACK,
+    InvariantSetSpec,
     LyapunovFn,
     abs_diff_product,
+    check_invariant_set,
     check_lyapunov,
     combine_lyapunov,
     coord_product,
     cycle_product,
     cycle_sum,
     cyclic_product,
+    khukr_m_tau,
     last_coord,
+    m0_set,
+    m_omega_set,
     sample_interior,
+    vallander_diag,
 )
-from qsodyn.errors import InapplicableFunction, NeverEntersRegion, QsoError
-from qsodyn.families import make, make_alpha_combination
+from qsodyn.errors import InapplicableFunction, InapplicableSet, NeverEntersRegion, QsoError
+from qsodyn.families import make, make_alpha_combination, make_quasi_strict, make_s2
 from qsodyn.simplex import Permutation, SimplexPoint, parse_cycles, validate_point
 from qsodyn.tensor import _apply_arr, iterate, random_tensor, run_collect
 from qsodyn.verification import _blend_config, _interior_points
@@ -400,7 +408,7 @@ def test_percent_format_matches_format(v):
 # --- contraction ---------------------------------------------------------------------
 
 
-def old_contraction_report(m, perm, alpha, x0, tol=1e-9, blocks=64, diff_floor=1e-6,
+def old_contraction_report(m, perm, alpha, x0, blocks=64, diff_floor=1e-6,
                            max_entry_steps=200_000):
     t = make_alpha_combination(m, perm, alpha)
     s = perm.order
@@ -508,8 +516,124 @@ def test_first_then_greater_matches_the_running_update(values):
     assert (got is None and want is None) or bits(got) == bits(want)
 
 
-@pytest.mark.parametrize("blocks", [-1, 2.5, "3"])
-def test_contraction_rejects_a_bad_block_count(blocks):
-    with pytest.raises(QsoError, match="blocks"):
-        analysis.contraction_report(3, parse_cycles("(1 2)", 2), 0.5,
-                                    validate_point([0.3, 0.3, 0.4]), blocks=blocks)
+def entering_at(n):
+    """A start of the m=3, pi=(1 2), alpha=0.5 blend whose last coordinate
+    first drops below 1/2 at step n (n = 0 or n >= 4): near the last vertex,
+    where the other coordinates double at each step, n + 1 halvings away
+    from it."""
+    eps = 2.0 ** -(n + 1) if n else 0.25
+    return (3, parse_cycles("(1 2)", 2), 0.5, SimplexPoint((eps, 2 * eps, 1 - 3 * eps)))
+
+
+@pytest.mark.parametrize("offset", [None, -1, 0, 1])
+def test_contraction_entry_on_either_side_of_a_block_boundary(offset):
+    # None: entry at step 0; otherwise one step before, at or after the end
+    # of the first collected block
+    n = 0 if offset is None else analysis._ENTRY_BLOCK_STEPS + offset
+    rep = same_contraction(entering_at(n))
+    assert rep.entered_at == n
+
+
+@pytest.mark.parametrize("offset", [0, 1])
+def test_contraction_entry_at_the_step_limit(offset):
+    limit = analysis._ENTRY_BLOCK_STEPS + offset
+    rep = same_contraction(entering_at(limit), max_entry_steps=limit)
+    assert rep.entered_at == limit
+    for steps in (limit, 0):
+        with pytest.raises(NeverEntersRegion, match=f"for {steps} steps"):
+            analysis.contraction_report(*entering_at(limit + 1), max_entry_steps=steps)
+
+
+def test_contraction_start_that_never_enters():
+    # the last coordinate settles at exactly 1/2 under the quasi-strict map
+    x0 = SimplexPoint((0.1588, 0.0456, 0.7956))
+    with pytest.raises(NeverEntersRegion, match="for 200000 steps"):
+        analysis.contraction_report(3, parse_cycles("", 2), 0.0, x0)
+
+
+@pytest.mark.parametrize("bad", [-1, 2.5, "3"])
+def test_contraction_rejects_a_bad_block_count(bad):
+    x0 = validate_point([0.3, 0.3, 0.4])
+    for name in ("blocks", "max_entry_steps"):
+        with pytest.raises(QsoError, match=name):
+            analysis.contraction_report(3, parse_cycles("(1 2)", 2), 0.5, x0, **{name: bad})
+
+
+# --- invariant sets ------------------------------------------------------------------
+
+
+def old_check_invariant_set(t, spec, samples, horizon, seed):
+    rng = np.random.default_rng(seed)
+    max_initial = 0.0
+    max_defect = 0.0
+    for _ in range(samples):
+        x = spec.sample(rng)
+        if x.shape != (t.m,):
+            raise InapplicableSet(f"{spec.id} samples dimension {x.shape[0]}, tensor m={t.m}")
+        d0 = spec.defect(x)
+        if d0 > 1e-12:
+            raise InapplicableSet(f"sampler produced defect {d0!r} > 1e-12")
+        max_initial = max(max_initial, d0)
+        for _ in range(horizon):
+            x = _apply_arr(t, x)
+            max_defect = max(max_defect, spec.defect(x))
+    return analysis.InvariantSetReport(spec.id, samples, horizon, max_initial, max_defect)
+
+
+def same_invariant_report(t, spec, samples, horizon, seed):
+    new = check_invariant_set(t, spec, samples, horizon, seed)
+    assert repr(new) == repr(old_check_invariant_set(t, spec, samples, horizon, seed))
+    return new
+
+
+def catalog_invariant_cases():
+    """The invariant-set checks of tests/test_analysis.py."""
+    qs4 = make_quasi_strict(4, parse_cycles("(1 2 3)", 3))
+    perm5, perm6 = parse_cycles("(1 2)(3 4)", 4), parse_cycles("(1 2)(3 4 5)", 5)
+    return [
+        (qs4, m0_set(4), 100, 30, 10),
+        (make_s2("KHUKR"), khukr_m_tau(1.5), 100, 50, 11),
+        (make_quasi_strict(5, perm5), m_omega_set(5, perm5, 1, 2, 2.0), 100, 50, 12),
+        (make_quasi_strict(6, perm6), m_omega_set(6, perm6, 1, 2, 2.0), 50, 30, 13),
+        (make_s2("VALLANDER_THETA", 0.6), vallander_diag(), 100, 50, 14),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_invariant_set_matches_the_per_step_loop_on_the_catalog(case):
+    same_invariant_report(*catalog_invariant_cases()[case])
+
+
+def diag_with_nan_defects():
+    """The planar diagonal, with a NaN defect wherever x1 > 0.3: NaN keeps
+    or loses its place in the running max depending on when it comes."""
+    diag = vallander_diag()
+    def defect(x):
+        return float("nan") if x[0] > 0.3 else diag.defect(x)
+    return InvariantSetSpec("NAN_DIAG", (), defect, diag.sample)
+
+
+@st.composite
+def invariant_cases(draw):
+    spec = draw(st.sampled_from(["m0", "khukr", "m_omega", "diag", "nan_diag"]))
+    if spec == "m0":
+        m = draw(st.integers(3, 8))
+        spec = m0_set(m)
+    elif spec == "m_omega":
+        m = 6
+        spec = m_omega_set(m, parse_cycles("(1 2)(3 4 5)", 5), 1, 2,
+                           draw(st.sampled_from([0.5, 1.0, 2.0])))
+    else:
+        m = 3
+        spec = {"khukr": khukr_m_tau(draw(st.sampled_from([0.5, 1.5]))),
+                "diag": vallander_diag(), "nan_diag": diag_with_nan_defects()}[spec]
+    # a random tensor has no family name, so every set applies to it
+    t = random_tensor(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), m)
+    return (t, spec, draw(st.integers(1, 20)), draw(st.integers(1, 60)),
+            draw(st.integers(0, 2**16)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(invariant_cases())
+def test_invariant_set_matches_the_per_step_loop(case):
+    same_invariant_report(*case)
