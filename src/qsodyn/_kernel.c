@@ -7,10 +7,9 @@
    arguments numpy's matmul uses), numpy's pairwise summation order, and one
    division per coordinate.  tensor.run is the last row of collect.
 
-   The batched loop (batch) makes the step of tensor.apply_batch,
-   `np.einsum('ni,nj,ijk->nk', ...)` then `ys / ys.sum(axis=1)`, for the
-   batches where einsum's path is one three-operand contraction,
-   `c_einsum('ijk,nj,ni->nk', p, x, x)`: each y_k starts at 0.0 and adds
+   The batched loop (batch) makes the step of tensor.apply_batch for any
+   number of rows, `np.einsum('ijk,nj,ni->nk', p, xs, xs)` then
+   `ys / ys.sum(axis=1)`: each y_k starts at 0.0 and adds
    (p[i,j,k] * x_j) * x_i with i as the outer and j as the inner index,
    then the same pairwise sum and division.
 

@@ -269,8 +269,9 @@ def cmd_scalar(args) -> int:
                            "value": float(scalarmaps.eval_map(spec, args.eval))}
     if args.iterate is not None:
         x0, n = args.iterate
-        results["iterate"] = {"x0": x0, "n": int(n),
-                              "value": float(scalarmaps.iterate_scalar(spec, x0, int(n)))}
+        n = int(n) if n.is_integer() else n  # parsed as a float
+        results["iterate"] = {"x0": x0, "n": n,
+                              "value": float(scalarmaps.iterate_scalar(spec, x0, n))}
     if args.fixed_point:
         if args.map == "F":
             results["fixed_point"] = 0.5
@@ -407,9 +408,16 @@ def main(argv=None) -> int:
     # looked up at each call, so that a rebinding of a handler is seen
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise QsoError(f"--seed must be >= 0, got {args.seed}")
         return handler(args)
     except QsoError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except OSError as exc:
+        if exc.filename is None:  # only files named by --tensor-file or --out have one
+            raise
+        print(f"error: cannot open {exc.filename!r}: {exc.strerror}", file=sys.stderr)
         return USAGE_ERROR
     except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

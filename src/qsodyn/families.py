@@ -91,23 +91,14 @@ _S2_PAIR_MAPS: dict[str, dict[tuple[int, int], int]] = {
 # center-regular side): that orientation is the one consistent with its known
 # stability thresholds (center attracting iff lambda > 1 - sqrt(3)/2, vertices
 # repelling iff lambda > 1/2).
-_S2_COMBINATIONS: dict[str, tuple[str, str, bool]] = {
-    # name: (first, second, weight_on_first)
-    "VALLANDER_THETA": ("V1", "V0", True),        # theta V1 + (1-theta) V0
-    "GANIKHODJAEV_LAMBDA": ("V0", "V2", True),    # lambda V0 + (1-lambda) V2
-    "VALLANDER_SPIRAL": ("V2", "V3", True),       # lambda V2 + (1-lambda) V3
-    "GSN_ALPHA": ("V4", "V2", True),              # alpha V4 + (1-alpha) V2
-    "GSN_BETA": ("V5", "V2", True),               # beta V5 + (1-beta) V2
-    "JJPH_THETA": ("V6", "V7", True),             # theta V6 + (1-theta) V7
-}
-
-_PARAM_NAMES = {
-    "VALLANDER_THETA": "theta",
-    "GANIKHODJAEV_LAMBDA": "lambda",
-    "VALLANDER_SPIRAL": "lambda",
-    "GSN_ALPHA": "alpha",
-    "GSN_BETA": "beta",
-    "JJPH_THETA": "theta",
+_S2_COMBINATIONS: dict[str, tuple[str, str, str]] = {
+    # name: (first, second, parameter name)
+    "VALLANDER_THETA": ("V1", "V0", "theta"),         # theta V1 + (1-theta) V0
+    "GANIKHODJAEV_LAMBDA": ("V0", "V2", "lambda"),    # lambda V0 + (1-lambda) V2
+    "VALLANDER_SPIRAL": ("V2", "V3", "lambda"),       # lambda V2 + (1-lambda) V3
+    "GSN_ALPHA": ("V4", "V2", "alpha"),               # alpha V4 + (1-alpha) V2
+    "GSN_BETA": ("V5", "V2", "beta"),                 # beta V5 + (1-beta) V2
+    "JJPH_THETA": ("V6", "V7", "theta"),              # theta V6 + (1-theta) V7
 }
 
 REGISTRY: dict[str, FamilyInfo] = {}
@@ -129,8 +120,7 @@ _register("ZAKHAREVICH", 3, None, False,
           "Volterra operator with divergent time averages (identical to V2)")
 _register("KHUKR", 3, None, False,
           "planar operator with the 2-periodic limit pair on {x1 = 1/2}")
-for _name, _pn in _PARAM_NAMES.items():
-    _a, _b, _ = _S2_COMBINATIONS[_name]
+for _name, (_a, _b, _pn) in _S2_COMBINATIONS.items():
     _register(_name, 3, _pn, False, f"{_pn}*{_a} + (1-{_pn})*{_b} on the 2-simplex")
 
 

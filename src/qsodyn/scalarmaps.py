@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _check_tolerance
+from .analysis import _check_count, _check_tolerance
 from .errors import DimensionTooSmall, DomainViolation, MissingParameter, WeightOutOfRange
 
 # Points further than this outside [0, 1] are rejected; closer ones clamped.
@@ -58,7 +58,8 @@ class ScalarMapSpec:
 
 def _check_domain(x):
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < -DOMAIN_SLACK) or np.any(arr > 1.0 + DOMAIN_SLACK):
+    # written so that NaN, which fails every comparison, is rejected too
+    if not np.all((arr >= -DOMAIN_SLACK) & (arr <= 1.0 + DOMAIN_SLACK)):
         raise DomainViolation("argument outside [0, 1]")
     return np.clip(arr, 0.0, 1.0)
 
@@ -73,6 +74,7 @@ def eval_map(spec: ScalarMapSpec, x):
 
 def iterate_scalar(spec: ScalarMapSpec, x0, n: int):
     """n-fold composition of the map applied to ``x0``."""
+    _check_count("n", n, 0)
     x = _check_domain(x0)
     for _ in range(n):
         x = eval_map(spec, x)

@@ -192,13 +192,10 @@ def apply(t: CoefficientTensor, x: SimplexPoint) -> SimplexPoint:
     return SimplexPoint(tuple(_apply_arr(t, x.array).tolist()))
 
 
-def apply_batch(t: CoefficientTensor, xs: np.ndarray, optimize=True) -> np.ndarray:
-    """Renormalized application to each row of an (n, m) array.
-
-    ``optimize`` goes to ``np.einsum``: True searches for a contraction
-    path, a path from ``np.einsum_path`` is used as given.
-    """
-    ys = np.einsum("ni,nj,ijk->nk", xs, xs, t.p, optimize=optimize)
+def apply_batch(t: CoefficientTensor, xs: np.ndarray) -> np.ndarray:
+    """Renormalized application to each row of an (n, m) array, as one
+    three-operand contraction: no path search and no BLAS call."""
+    ys = np.einsum("ijk,nj,ni->nk", t.p, xs, xs)
     return ys / ys.sum(axis=1, keepdims=True)
 
 
@@ -272,26 +269,19 @@ def run_collect(t: CoefficientTensor, x0: np.ndarray, n_steps: int) -> np.ndarra
 
 
 def run_batch(t: CoefficientTensor, xs: np.ndarray, n_steps: int) -> np.ndarray:
-    """Advance every row of an (n, m) array by ``n_steps`` steps.
-
-    Each step is ``apply_batch``'s.  Where einsum's contraction path is one
-    three-operand contraction (many rows), the compiled ``batch`` runs all
-    the steps in one call, bit for bit.  Batches of 1 to about m rows, where
-    einsum makes two matmuls instead, take the numpy loop; a single orbit
-    belongs in ``run``.
-    """
+    """Advance every row of an (n, m) array by ``n_steps`` steps of
+    ``apply_batch``, all in one call of the compiled ``batch`` where it
+    loads, bit for bit.  A single orbit belongs in ``run``."""
     _check_steps(n_steps)
     x = np.array(xs, dtype=float, order="C")
     if x.ndim != 2 or x.shape[1] != t.m:
         raise DimensionMismatch(f"points have shape {x.shape}, expected (n, {t.m})")
-    # the contraction path depends only on the shapes: search it once
-    path, _ = np.einsum_path("ni,nj,ijk->nk", x, x, t.p, optimize=True)
     kernel = _kernel_for(t.p)
-    if kernel is not None and path == ["einsum_path", (0, 1, 2)]:
+    if kernel is not None:
         kernel.batch(t.p, x, n_steps)
         return x
     for _ in range(n_steps):
-        x = apply_batch(t, x, path)
+        x = apply_batch(t, x)
     return x
 
 
@@ -447,15 +437,14 @@ def _build_kernel() -> Path:
     The library is keyed by a hash of the source and flags and renamed into
     place atomically, so concurrent builds cannot load a partial file.
     """
-    # imported here so that only the first kernel use pays for them
-    import hashlib
-    import subprocess
+    import hashlib  # only the first kernel use pays for it
 
     source = _KERNEL_SOURCE.read_bytes()
     key = hashlib.sha256(source + " ".join(_KERNEL_CFLAGS).encode()).hexdigest()[:16]
     cache = _KERNEL_SOURCE.parent / "__pycache__"
     lib = cache / f"_kernel-{key}.so"
     if not lib.exists():
+        import subprocess  # only a build needs it
         cache.mkdir(exist_ok=True)
         fd, tmp = tempfile.mkstemp(prefix="_kernel-", suffix=".tmp", dir=cache)
         os.close(fd)
@@ -497,8 +486,8 @@ def _kernel_agrees(kernel: _Kernel) -> bool:
     """Bitwise comparison of the compiled loops with the numpy ones, for an
     m below and an m above numpy's 8-term pairwise-sum block: the five
     collected steps of one orbit against ``_step``, five steps of 50 rows
-    (enough for einsum's three-operand contraction) against ``apply_batch``,
-    and Newton starts against ``analysis._newton_periodic``."""
+    against ``apply_batch``, and Newton starts against
+    ``analysis._newton_periodic``."""
     from .analysis import _newton_periodic  # analysis imports this module
 
     rng = np.random.default_rng(0)
@@ -573,6 +562,13 @@ def save_tensor(t: CoefficientTensor, f) -> None:
                     f.write(f"{i + 1} {j + 1} {k + 1} {format(v, '.17g')}\n")
 
 
+def _parse_field(kind, text: str, lineno: int):
+    try:
+        return kind(text)
+    except ValueError:
+        raise MalformedSyntax(f"line {lineno}: cannot parse {text!r} as {kind.__name__}") from None
+
+
 def load_tensor(f, name: str = "") -> CoefficientTensor:
     """Parse the text format written by :func:`save_tensor`.
 
@@ -591,12 +587,14 @@ def load_tensor(f, name: str = "") -> CoefficientTensor:
         if m is None:
             if len(parts) != 2 or parts[0] != "m":
                 raise MalformedSyntax(f"line {lineno}: expected 'm <int>' header, got {text!r}")
-            m = int(parts[1])
+            m = _parse_field(int, parts[1], lineno)
+            if m < 2:
+                raise DimensionMismatch(f"line {lineno}: tensor dimension {m} must be >= 2")
             continue
         if len(parts) != 4:
             raise MalformedSyntax(f"line {lineno}: expected 'i j k value', got {text!r}")
-        i, j, k = (int(v) for v in parts[:3])
-        rows.append((i, j, k, float(parts[3])))
+        i, j, k = (_parse_field(int, v, lineno) for v in parts[:3])
+        rows.append((i, j, k, _parse_field(float, parts[3], lineno)))
     if m is None:
         raise MalformedSyntax("missing 'm <int>' header")
     return build_tensor(m, rows, name=name)

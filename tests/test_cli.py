@@ -283,6 +283,13 @@ def test_tensor_file_input(capsys, tmp_path):
     assert np.max(np.abs(np.array(final) - 0.25)) < 1e-8
 
 
+BAD_TENSOR_FILES = {
+    "header_abc.tsv": "m abc\n",
+    "entry_x.tsv": "m 3\n1 1 x 1\n",
+    "negative_m.tsv": "m -2\n",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["fixed-points", "--family", "KHUKR", "--starts", "-1"],
     ["fixed-points", "--family", "KHUKR", "--tol", "nan"],
@@ -312,8 +319,51 @@ def test_tensor_file_input(capsys, tmp_path):
     ["ergodic", "--family", "ZAKHAREVICH", "--x0", "0.3,0.3,0.4", "--checkpoints", "abc"],
     ["ergodic", "--family", "ZAKHAREVICH", "--x0", "0.3,0.3,0.4", "--checkpoints", "10,,20"],
     ["classify", "--family", "REGULAR", "--m", "4", "--x0", "0.5,0.5"],
+    # tensor files that do not parse, or cannot be opened; {tmp} is tmp_path
+    *(["trajectory", "--tensor-file", path, "--x0", "0.3,0.3,0.4", "--steps", "3"]
+      for path in ["{tmp}/header_abc.tsv", "{tmp}/entry_x.tsv", "{tmp}/negative_m.tsv",
+                   "{tmp}/missing.tsv", "{tmp}"]),
+    # an --out path in a directory that does not exist
+    ["families", "--out", "{tmp}/no/such.txt"],
+    ["families", "--json", "--out", "{tmp}/no/such.json"],
+    ["trajectory", "--family", "KHUKR", "--x0", "0.3,0.3,0.4", "--steps", "3",
+     "--out", "{tmp}/no/such.csv"],
+    ["trajectory", "--family", "KHUKR", "--random-starts", "2", "--seed", "1",
+     "--steps", "3", "--out", "{tmp}/no/such.csv"],
+    ["fixed-points", "--family", "KHUKR", "--starts", "0", "--out", "{tmp}/no/such.json"],
+    ["classify", "--family", "KHUKR", "--x0", "0.5,0.25,0.25", "--out", "{tmp}/no/such.json"],
+    ["lyapunov", "--family", "REGULAR", "--m", "4", "--fn", "CYCLIC_PRODUCT",
+     "--samples", "1", "--horizon", "2", "--seed", "1", "--out", "{tmp}/no/such.json"],
+    ["omega", "--family", "KHUKR", "--x0", "0.4,0.36,0.24", "--burn-in", "10",
+     "--window", "10", "--out", "{tmp}/no/such.json"],
+    ["ergodic", "--family", "ZAKHAREVICH", "--x0", "0.3,0.3,0.4", "--checkpoints", "10",
+     "--out", "{tmp}/no/such.json"],
+    ["scalar", "--map", "F", "--eval", "0.5", "--out", "{tmp}/no/such.json"],
+    ["verify", "--suite", "scalar", "--out", "{tmp}/no/such.txt"],
+    # negative seeds, which numpy's generators do not take
+    ["fixed-points", "--family", "KHUKR", "--starts", "0", "--seed", "-1"],
+    ["lyapunov", "--family", "REGULAR", "--m", "4", "--fn", "CYCLIC_PRODUCT",
+     "--samples", "1", "--seed", "-1"],
+    ["omega", "--family", "KHUKR", "--random-starts", "2", "--seed", "-1"],
+    ["ergodic", "--family", "ZAKHAREVICH", "--random-starts", "1", "--seed", "-1"],
+    ["trajectory", "--family", "KHUKR", "--random-starts", "1", "--seed", "-1",
+     "--steps", "3"],
+    ["trajectory", "--family", "KHUKR", "--x0", "0.3,0.3,0.4", "--seed", "-1", "--steps", "3"],
+    ["verify", "--suite", "regular", "--seed", "-3000"],
+    ["verify", "--suite", "scalar", "--seed", "-1"],
+    # scalar points that are not finite, and step counts that are not
+    # integers >= 0
+    ["scalar", "--map", "F", "--eval", "nan"],
+    ["scalar", "--map", "F", "--iterate", "nan", "2"],
+    ["scalar", "--map", "F", "--iterate", "0.3", "-1"],
+    ["scalar", "--map", "F", "--iterate", "0.3", "2.5"],
+    ["scalar", "--map", "F", "--iterate", "0.3", "nan"],
+    ["scalar", "--map", "F", "--iterate", "0.3", "inf"],
 ])
-def test_bad_search_parameters_exit_2(capsys, argv):
+def test_bad_search_parameters_exit_2(capsys, tmp_path, argv):
+    for name, text in BAD_TENSOR_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [a.format(tmp=tmp_path) for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
@@ -327,6 +377,21 @@ def test_fixed_point_search_parameters_at_their_bounds(capsys):
                            "--fn", "CYCLIC_PRODUCT", "--samples", "1", "--slack", "0",
                            "--seed", "1")
     assert code == 0 and json.loads(out)["results"]["samples"] == 1
+
+
+def test_seed_zero_is_accepted(capsys):
+    code, out, _ = run_cli(capsys, "fixed-points", "--family", "KHUKR", "--starts", "2",
+                           "--seed", "0")
+    assert code == 0 and json.loads(out)["seed"] == 0
+
+
+def test_scalar_iterate_takes_a_whole_float_count(capsys):
+    _, whole, _ = run_cli(capsys, "scalar", "--map", "F", "--iterate", "0.3", "3.0")
+    _, plain, _ = run_cli(capsys, "scalar", "--map", "F", "--iterate", "0.3", "3")
+    assert whole == plain
+    assert json.loads(plain)["results"]["iterate"]["n"] == 3
+    _, zero, _ = run_cli(capsys, "scalar", "--map", "F", "--iterate", "0.3", "0")
+    assert json.loads(zero)["results"]["iterate"]["value"] == 0.3
 
 
 # sha256 of outputs at the commit before the Lyapunov check and the trajectory

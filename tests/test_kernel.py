@@ -12,11 +12,14 @@ import contextlib
 import io
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsodyn import cli, errors, tensor
@@ -43,6 +46,9 @@ from qsodyn.tensor import (
     run_batch,
     run_collect,
 )
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def numpy_loops():
@@ -280,26 +286,119 @@ def test_batch_kernel_matches_numpy_on_catalog(kernel, family):
 
 
 @pytest.mark.parametrize("m", [3, 8])
-def test_batch_kernel_runs_only_for_one_contraction(kernel, m):
+def test_batch_kernel_runs_for_every_row_count(kernel, m):
     t = random_tensor(np.random.default_rng(m), m)
     spy = mock.Mock(wraps=kernel)
-    used = set()
     with mock.patch.object(tensor, "_kernel", lambda: spy):
+        # one row to past the row counts where einsum's path search would
+        # make two matmuls
         for rows in range(1, 2 * m + 2):
-            xs = np.full((rows, m), 1.0 / m)
-            path, _ = np.einsum_path("ni,nj,ijk->nk", xs, xs, t.p, optimize=True)
             spy.batch.reset_mock()
             with mock.patch.object(tensor, "apply_batch", wraps=apply_batch) as numpy_step:
-                run_batch(t, xs, 3)
-            # many rows: one three-operand contraction in batch; one row up
-            # to about m rows: two matmuls in numpy
-            loop = "batch" if path == ["einsum_path", (0, 1, 2)] else None
-            if rows == 1:
-                assert loop is None
-            assert spy.batch.called == (loop == "batch")
-            assert numpy_step.call_count == (0 if loop else 3)
-            used.add(loop)
-    assert used == {"batch", None}
+                run_batch(t, np.full((rows, m), 1.0 / m), 3)
+            assert spy.batch.call_count == 1
+            assert numpy_step.call_count == 0
+
+
+def searched_step(t, xs):
+    """The batched step before it was fixed to one contraction: einsum with
+    a path search, which picks the three-operand contraction for many rows
+    and two BLAS matmuls for 1 to about m rows.  Kept as the oracle."""
+    ys = np.einsum("ni,nj,ijk->nk", xs, xs, t.p, optimize=True)
+    return ys / ys.sum(axis=1, keepdims=True)
+
+
+def three_operand(t, xs):
+    path, _ = np.einsum_path("ni,nj,ijk->nk", xs, xs, t.p, optimize=True)
+    return path == ["einsum_path", (0, 1, 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch_cases())
+def test_batch_step_matches_the_searched_step_where_it_contracted_once(case):
+    t, xs, n_steps = case
+    assume(three_operand(t, xs))
+    got = want = xs
+    for _ in range(min(n_steps, 50)):
+        got, want = apply_batch(t, got), searched_step(t, want)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+@pytest.mark.parametrize("rows", [50, 100, 10_000])
+def test_batch_step_matches_the_searched_step_on_workload_shapes(m, rows):
+    # verify's batches have 50 or 100 rows, max_norm_check and the
+    # benchmark's basin sweep 10^4: their output is the searched step's
+    t = random_tensor(np.random.default_rng(m), m)
+    xs = np.random.default_rng(rows).exponential(size=(rows, m))
+    xs /= xs.sum(axis=1, keepdims=True)
+    assert three_operand(t, xs)
+    got = want = xs
+    for _ in range(20):
+        got, want = apply_batch(t, got), searched_step(t, want)
+    assert np.array_equal(got, want)
+
+
+# Each OpenBLAS core type and the instructions its kernels need, as named in
+# the flags of /proc/cpuinfo.
+CORE_TYPE_FLAGS = {
+    "Prescott": {"pni"},  # SSE3
+    "Nehalem": {"ssse3", "sse4_1", "sse4_2"},
+    "Sandybridge": {"avx"},
+    "Haswell": {"avx2", "fma"},
+}
+
+# A child process that prints a digest of run_batch on 1 to 2m+1 rows, m =
+# 3 to 12, through the compiled kernel and through the numpy loop.
+BATCH_DIGEST = """
+import hashlib
+from unittest import mock
+import numpy as np
+from qsodyn import tensor
+h = hashlib.sha256()
+for loader in (tensor._kernel, lambda: None):
+    with mock.patch.object(tensor, "_kernel", loader):
+        for m in range(3, 13):
+            t = tensor.random_tensor(np.random.default_rng(m), m)
+            for rows in range(1, 2 * m + 2):
+                xs = np.random.default_rng(rows).exponential(size=(rows, m))
+                h.update(tensor.run_batch(t, xs / xs.sum(axis=1, keepdims=True), 20).tobytes())
+print(h.hexdigest())
+"""
+
+
+def batch_digest(core_type=None):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("OPENBLAS_CORETYPE", None)
+    if core_type is not None:
+        env["OPENBLAS_CORETYPE"] = core_type
+    done = subprocess.run([sys.executable, "-c", BATCH_DIGEST], env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout.strip()
+
+
+def host_cpu_flags():
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    for line in text.splitlines():
+        if line.startswith("flags"):
+            return set(line.split(":", 1)[1].split())
+    return set()
+
+
+@pytest.fixture(scope="module")
+def default_batch_digest():
+    return batch_digest()
+
+
+@pytest.mark.parametrize("core_type", sorted(CORE_TYPE_FLAGS))
+def test_batch_bytes_do_not_depend_on_the_blas_kernel(default_batch_digest, core_type):
+    missing = CORE_TYPE_FLAGS[core_type] - host_cpu_flags()
+    if missing:
+        pytest.skip(f"this CPU lacks {', '.join(sorted(missing))} for {core_type}")
+    assert batch_digest(core_type) == default_batch_digest
 
 
 @pytest.mark.parametrize("theta,x0,n_steps", [
@@ -340,7 +439,7 @@ def test_run_batch_path_reuse_is_bit_identical(rows):
     xs /= xs.sum(axis=1, keepdims=True)
     ref = xs
     for _ in range(20):
-        ref = apply_batch(t, ref)  # searches its path on every call
+        ref = apply_batch(t, ref)
     assert np.array_equal(run_batch(t, xs, 20), ref)
 
 

@@ -149,3 +149,18 @@ def test_scan_rejects_coarse_grid():
 def test_low_period_scan_rejects_bad_tolerance(tol):
     with pytest.raises(errors.QsoError, match="tol"):
         low_period_scan(F, 2, grid=1000, tol=tol)
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf"),
+                               [0.5, float("nan")]])
+def test_domain_rejects_non_finite_points(x):
+    with pytest.raises(errors.DomainViolation):
+        eval_map(F, x)
+    with pytest.raises(errors.DomainViolation):
+        iterate_scalar(F, x, 1)
+
+
+@pytest.mark.parametrize("n", [-1, 2.5, 3.0, float("nan"), "3", None])
+def test_iterate_rejects_a_bad_step_count(n):
+    with pytest.raises(errors.QsoError, match="n must be an integer >= 0"):
+        iterate_scalar(F, 0.3, n)

@@ -247,3 +247,18 @@ def test_tensor_text_comments_and_errors():
     assert t.m == 2
     with pytest.raises(errors.MalformedSyntax):
         load_tensor(io.StringIO("1 1 1 1.0\n"))
+
+
+@pytest.mark.parametrize("text,error", [
+    ("m abc\n", errors.MalformedSyntax),
+    ("m 3.0\n", errors.MalformedSyntax),
+    ("m 3\n1 1 x 1\n", errors.MalformedSyntax),
+    ("m 3\n1 1 1 one\n", errors.MalformedSyntax),
+    ("m 3\n1 1 1\n", errors.MalformedSyntax),
+    ("m -2\n", errors.DimensionMismatch),
+    ("m 1\n1 1 1 1.0\n", errors.DimensionMismatch),
+    ("m 0\n", errors.DimensionMismatch),
+])
+def test_tensor_text_rejects_unparsable_fields_and_small_m(text, error):
+    with pytest.raises(error, match="line"):
+        load_tensor(io.StringIO(text))
