@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from . import analysis, families, reports, scalarmaps, verification
 from .errors import QsoError
 from .simplex import SimplexPoint, parse_cycles, validate_point
-from .tensor import CoefficientTensor, iterate, load_tensor
+from .tensor import CoefficientTensor, distinct_rows, iterate, load_tensor
 
 USAGE_ERROR = 2
 FAILURE = 1
@@ -134,15 +135,14 @@ def cmd_families(args) -> int:
 
 def _trajectory_csv(t: CoefficientTensor, x0: SimplexPoint, steps: int, stride: int) -> str:
     traj = iterate(t, x0, steps, stride)
-    # repeated rows share one point, so each distinct point is formatted once
-    # (keyed by identity: points compare by value, and -0.0 == 0.0); "%.17g"
-    # gives the bytes of format(v, ".17g")
+    # each distinct row is formatted once; "%.17g" gives format(v, ".17g")'s bytes
     row = "," + ",".join(["%.17g"] * t.m) + "\n"
-    text = {id(pt): pt for _, pt in traj.points}
-    for key, pt in text.items():
-        text[key] = row % pt.coords
+    first, inverse = distinct_rows(traj.rows)
+    text = [row % tuple(r) for r in traj.rows[first].tolist()]
     header = "n," + ",".join(f"x{i}" for i in range(1, t.m + 1)) + "\n"
-    return header + "".join([f"{n}{text[id(pt)]}" for n, pt in traj.points])
+    lines = [f"{n}{text[k]}" for n, k in zip(traj.steps.tolist(), inverse.tolist())]
+    # one join, so that the text is not copied once more to prepend the header
+    return "".join([header, *lines])
 
 
 def cmd_trajectory(args) -> int:
@@ -410,9 +410,18 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise QsoError(f"--seed must be >= 0, got {args.seed}")
+        # refused before any work; other failures to write show at the write
+        out = getattr(args, "out", None) or "-"
+        if out != "-" and os.path.isdir(out):
+            raise QsoError(f"cannot open {out!r}: Is a directory")
+        if out != "-" and not os.path.isdir(os.path.dirname(out) or "."):
+            raise QsoError(f"cannot open {out!r}: No such file or directory")
         return handler(args)
     except QsoError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return USAGE_ERROR
     except OSError as exc:
         if exc.filename is None:  # only files named by --tensor-file or --out have one

@@ -207,23 +207,19 @@ def make_s2(name: str, parameter: float | None = None) -> CoefficientTensor:
     )
 
 
-def make_operator(spec: FamilySpec) -> CoefficientTensor:
-    """Build the tensor described by a validated :class:`FamilySpec`."""
-    if spec.family == "REGULAR":
-        return make_regular(spec.m)
-    if spec.family == "QUASI_STRICT":
-        return make_quasi_strict(spec.m, spec.permutation)
-    if spec.family == "ALPHA_COMBINATION":
-        return make_alpha_combination(spec.m, spec.permutation, spec.parameter)
-    return make_s2(spec.family, spec.parameter)
-
-
 def make(family: str, m: int | None = None, permutation: Permutation | None = None,
          parameter: float | None = None) -> CoefficientTensor:
-    """Convenience dispatcher: validate the request and build the tensor."""
+    """Validate the request as a :class:`FamilySpec` and build its tensor."""
     info = family_info(family)
     if m is None:
         if info.m_fixed is None:
             raise MissingParameter(f"{family} requires m")
         m = info.m_fixed
-    return make_operator(FamilySpec(family, m, permutation, parameter))
+    FamilySpec(family, m, permutation, parameter)
+    if family == "REGULAR":
+        return make_regular(m)
+    if family == "QUASI_STRICT":
+        return make_quasi_strict(m, permutation)
+    if family == "ALPHA_COMBINATION":
+        return make_alpha_combination(m, permutation, parameter)
+    return make_s2(family, parameter)

@@ -31,7 +31,7 @@ from .errors import (
     RowSumNotOne,
     WeightOutOfRange,
 )
-from .simplex import SimplexPoint
+from .simplex import TAU_SUM, SimplexPoint
 
 # Pair rows must be stochastic to this absolute tolerance.
 ROW_SUM_TOL = 1e-12
@@ -86,28 +86,46 @@ class CoefficientTensor:
         return self.p.reshape(self.m * self.m, self.m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Recorded iterates ``(step, point)`` of one operator run."""
+    """Recorded iterates of one operator run: ``rows[i]`` holds the
+    coordinates at step ``steps[i]``.  Both arrays are read-only."""
 
     operator: str
     stride: int
-    points: tuple[tuple[int, SimplexPoint], ...] = field(repr=False)
+    steps: np.ndarray = field(repr=False)
+    rows: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        self.steps.setflags(write=False)
+        self.rows.setflags(write=False)
 
     @property
     def final(self) -> SimplexPoint:
-        return self.points[-1][1]
+        return SimplexPoint(tuple(self.rows[-1].tolist()))
 
-    def steps(self) -> list[int]:
-        return [n for n, _ in self.points]
+    @functools.cached_property
+    def points(self) -> tuple[tuple[int, SimplexPoint], ...]:
+        """``(step, point)`` pairs; rows with the same bits share one point."""
+        first, inverse = distinct_rows(self.rows)
+        distinct = [SimplexPoint(tuple(r)) for r in self.rows[first].tolist()]
+        return tuple(zip(self.steps.tolist(), [distinct[k] for k in inverse.tolist()]))
 
     def tail_array(self) -> np.ndarray:
-        """Coordinates of the longest suffix recorded at consecutive steps."""
-        steps = self.steps()
-        cut = len(steps) - 1
-        while cut > 0 and steps[cut] - steps[cut - 1] == 1:
-            cut -= 1
-        return np.array([pt.coords for _, pt in self.points[cut:]], dtype=float)
+        """Coordinates of the longest suffix recorded at consecutive steps,
+        as a read-only view of ``rows``."""
+        gaps = np.flatnonzero(np.diff(self.steps) != 1)
+        return self.rows[gaps[-1] + 1 if gaps.size else 0:]
+
+
+def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, inverse)``: the first row of each distinct bit pattern of a
+    C-contiguous (n, m) array, and each row's pattern, so that
+    ``rows[first][inverse]`` is ``rows``.  Bits, not float ``==``: -0.0 and
+    0.0 stay apart."""
+    bits = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
+    return first, inverse
 
 
 def build_tensor(m: int, entries, name: str = "") -> CoefficientTensor:
@@ -285,48 +303,23 @@ def run_batch(t: CoefficientTensor, xs: np.ndarray, n_steps: int) -> np.ndarray:
     return x
 
 
-# Rows that iterate collects per kernel call.
-_ITERATE_BLOCK_ROWS = 4096
-
-
 def iterate(t: CoefficientTensor, x0: SimplexPoint, n_steps: int, stride: int = 1) -> Trajectory:
     """Iterate from ``x0``, recording step 0, every stride-th step, and the last.
 
     Renormalization divides by the coordinate sum after every application so
     that million-step runs cannot drift off the simplex.
     """
-    if x0.m != t.m:
-        raise DimensionMismatch(f"point has {x0.m} coordinates, tensor has m={t.m}")
     if not isinstance(stride, numbers.Integral) or stride < 1:
         raise DimensionMismatch(f"stride must be an integer >= 1, got {stride!r}")
-    _check_steps(n_steps)
-    # collected in blocks, so that the raw rows stay small next to the points
-    points = [(0, x0)]
-    x, done = x0.array, 0
-    while done < n_steps:
-        n = min(_ITERATE_BLOCK_ROWS * stride, n_steps - done)
-        rows = _collect(t, x, n, stride)
-        # row i is step i * stride, or the block's end after a partial stride
-        steps = np.minimum(np.arange(1, len(rows)) * stride, n) + done
-        points += zip(steps.tolist(), _distinct_points(rows[1:]))
-        x, done = rows[-1], done + n
-    return Trajectory(operator=t.name or "tensor", stride=stride, points=tuple(points))
-
-
-def _distinct_points(rows: np.ndarray) -> list[SimplexPoint]:
-    """A validated point for each row of a C-contiguous array.
-
-    Rows with the same bits share one point, built in order of first
-    occurrence, so the first invalid row raises.  Bits, not float ``==``:
-    -0.0 and 0.0 stay apart.
-    """
-    bits = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    distinct = [SimplexPoint(tuple(r)) for r in rows[first[order]].tolist()]
-    # rank[u]: the index in ``distinct`` of the u-th pattern in sorted order
-    rank = np.argsort(order)
-    return [distinct[k] for k in rank[inverse].tolist()]
+    rows = _collect(t, x0.array, n_steps, stride)
+    # only rows this pass cannot clear are built as points, so the first bad
+    # row raises; np.sum is within m * 2**-52 of math.fsum, inside TAU_SUM / 2
+    clear = (rows.min(axis=1) >= 0.0) & (np.abs(rows.sum(axis=1) - 1.0) <= TAU_SUM / 2)
+    for row in rows[~clear].tolist():
+        SimplexPoint(tuple(row))
+    # row i is step i * stride, or n_steps after a partial stride
+    steps = np.minimum(np.arange(len(rows)) * stride, n_steps)
+    return Trajectory(t.name or "tensor", stride, steps, rows)
 
 
 def cesaro(t: CoefficientTensor, x0: np.ndarray, checkpoints) -> tuple[np.ndarray, np.ndarray]:
@@ -354,12 +347,10 @@ def cesaro(t: CoefficientTensor, x0: np.ndarray, checkpoints) -> tuple[np.ndarra
                 steps += 1
             sums[c] = acc
             states[c] = x
-    means = np.empty_like(sums)
-    for c, n_target in enumerate(cps):
-        mean = sums[c] / n_target
-        # the running sum accumulates round-off linearly in n; renormalize
-        means[c] = mean / mean.sum()
-    return means, states
+    means = sums / np.array(cps, dtype=float)[:, None]
+    # the running sum accumulates round-off linearly in n; renormalize (each
+    # row summed alone, in the order of a one-row sum)
+    return means / means.sum(axis=1, keepdims=True), states
 
 
 def cesaro_means(t: CoefficientTensor, x0: SimplexPoint, checkpoints) -> list[SimplexPoint]:
@@ -576,7 +567,10 @@ def load_tensor(f, name: str = "") -> CoefficientTensor:
     """
     if isinstance(f, (str, bytes)):
         with open(f) as fh:
-            return load_tensor(fh, name)
+            try:
+                return load_tensor(fh, name)
+            except UnicodeDecodeError as exc:
+                raise MalformedSyntax(f"{f!r} is not a text file ({exc.reason})") from None
     m = None
     rows = []
     for lineno, line in enumerate(f, start=1):

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from qsodyn import cli
+from qsodyn import cli, tensor
 from qsodyn.cli import main
 
 
@@ -284,9 +284,11 @@ def test_tensor_file_input(capsys, tmp_path):
 
 
 BAD_TENSOR_FILES = {
-    "header_abc.tsv": "m abc\n",
-    "entry_x.tsv": "m 3\n1 1 x 1\n",
-    "negative_m.tsv": "m -2\n",
+    "header_abc.tsv": b"m abc\n",
+    "entry_x.tsv": b"m 3\n1 1 x 1\n",
+    "negative_m.tsv": b"m -2\n",
+    # the start of an executable: not text in any UTF-8 locale
+    "binary.tsv": b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256)) + b"\n",
 }
 
 
@@ -322,7 +324,7 @@ BAD_TENSOR_FILES = {
     # tensor files that do not parse, or cannot be opened; {tmp} is tmp_path
     *(["trajectory", "--tensor-file", path, "--x0", "0.3,0.3,0.4", "--steps", "3"]
       for path in ["{tmp}/header_abc.tsv", "{tmp}/entry_x.tsv", "{tmp}/negative_m.tsv",
-                   "{tmp}/missing.tsv", "{tmp}"]),
+                   "{tmp}/binary.tsv", "{tmp}/missing.tsv", "{tmp}"]),
     # an --out path in a directory that does not exist
     ["families", "--out", "{tmp}/no/such.txt"],
     ["families", "--json", "--out", "{tmp}/no/such.json"],
@@ -361,12 +363,40 @@ BAD_TENSOR_FILES = {
     ["scalar", "--map", "F", "--iterate", "0.3", "inf"],
 ])
 def test_bad_search_parameters_exit_2(capsys, tmp_path, argv):
-    for name, text in BAD_TENSOR_FILES.items():
-        (tmp_path / name).write_text(text)
+    for name, data in BAD_TENSOR_FILES.items():
+        (tmp_path / name).write_bytes(data)
     argv = [a.format(tmp=tmp_path) for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("out,reason", [
+    ("{tmp}/no/such.txt", "No such file or directory"),
+    ("{tmp}", "Is a directory"),
+])
+def test_unusable_out_is_refused_before_any_work(capsys, monkeypatch, tmp_path, out, reason):
+    calls = []
+    monkeypatch.setattr(cli.verification, "run_suite", lambda *a: calls.append(a) or [])
+    out = out.format(tmp=tmp_path)
+    code, stdout, err = run_cli(capsys, "verify", "--suite", "all", "--out", out)
+    assert code == 2 and stdout == "" and calls == []
+    assert err == f"error: cannot open {out!r}: {reason}\n"
+
+
+@pytest.mark.parametrize("exc,message", [
+    (MemoryError("Unable to allocate 3.64 TiB"), "Unable to allocate 3.64 TiB"),
+    (MemoryError(), "out of memory"),
+])
+def test_memory_error_exits_2(capsys, monkeypatch, exc, message):
+    def collect(*args):
+        raise exc
+
+    monkeypatch.setattr(tensor, "_collect", collect)
+    code, out, err = run_cli(capsys, "trajectory", "--family", "KHUKR", "--x0", "0.3,0.3,0.4",
+                             "--steps", "1000000000000")
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_fixed_point_search_parameters_at_their_bounds(capsys):

@@ -93,7 +93,8 @@ def test_kernel_matches_numpy_loops(kernel, case, stride):
     fast, ref = both(run_collect, t, x0.array, n)
     assert np.array_equal(fast, ref)
     fast, ref = both(iterate, t, x0, n, stride)
-    assert fast == ref
+    assert (fast.operator, fast.stride) == (ref.operator, ref.stride)
+    assert np.array_equal(fast.steps, ref.steps) and np.array_equal(fast.rows, ref.rows)
     if n >= 1:
         cps = sorted({max(1, n // 7), max(1, n // 2), n})
         fast, ref = both(ergodicity_probe, t, x0, cps)
@@ -121,34 +122,35 @@ def test_kernel_matches_numpy_on_catalog(kernel, family):
 def test_strided_iterate_records_only_strided_rows(kernel):
     t = make("REGULAR", 5)
     x0 = validate_point([0.4, 0.3, 0.2, 0.05, 0.05])
-    shapes = []
-    collect = tensor._collect
-
-    def recording(*args):
-        out = collect(*args)
-        shapes.append(out.shape)
-        return out
-
-    with mock.patch.object(tensor, "_collect", recording):
-        traj = iterate(t, x0, 1001, stride=100)
-    assert shapes == [(12, 5)]
-    assert traj.steps() == [0, 100, 200, 300, 400, 500, 600, 700, 800, 900, 1000, 1001]
-    assert traj.points[0][1] is x0
+    traj = iterate(t, x0, 1001, stride=100)
+    assert traj.steps.tolist() == [0, 100, 200, 300, 400, 500, 600, 700, 800, 900, 1000, 1001]
+    assert traj.points[0][1] == x0
     full = run_collect(t, x0.array, 1001)
     for n, pt in traj.points:
         assert pt.coords == tuple(full[n].tolist())
 
 
 @pytest.mark.parametrize("n_steps,stride", [(0, 1), (9, 1), (100, 1), (100, 3), (101, 7), (80, 8)])
-def test_iterate_across_collection_blocks(monkeypatch, n_steps, stride):
-    monkeypatch.setattr(tensor, "_ITERATE_BLOCK_ROWS", 4)
+def test_iterate_across_collection_blocks(n_steps, stride):
+    """The whole orbit comes from one ``_collect`` call, whatever its length
+    (it was once collected in blocks)."""
     t = make("KHUKR")
     x0 = validate_point([0.4, 0.36, 0.24])
-    traj = iterate(t, x0, n_steps, stride)
+    calls = []
+    collect = tensor._collect
+
+    def recording(*args):
+        out = collect(*args)
+        calls.append((args[2:], out.shape))
+        return out
+
+    with mock.patch.object(tensor, "_collect", recording):
+        traj = iterate(t, x0, n_steps, stride)
+    want_steps = sorted({*range(0, n_steps + 1, stride), n_steps})
+    assert calls == [((n_steps, stride), (len(want_steps), 3))]
+    assert traj.steps.tolist() == want_steps
     full = run_collect(t, x0.array, n_steps)
-    assert traj.steps() == sorted({*range(0, n_steps + 1, stride), n_steps})
-    for n, pt in traj.points:
-        assert pt.coords == tuple(full[n].tolist())
+    assert np.array_equal(traj.rows, full[want_steps])
 
 
 def test_cesaro_means_match_numpy_loop(kernel):

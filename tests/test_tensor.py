@@ -187,14 +187,14 @@ def test_jacobian_matches_central_differences():
 def test_iterate_zero_steps():
     t = make_regular(3)
     traj = iterate(t, center(3), 0)
-    assert traj.steps() == [0]
+    assert traj.steps.tolist() == [0]
     assert traj.final.coords == center(3).coords
 
 
 def test_iterate_converges_to_center():
     t = make_regular(5)
     traj = iterate(t, validate_point([0.4, 0.3, 0.2, 0.05, 0.05]), 200, stride=50)
-    assert traj.steps() == [0, 50, 100, 150, 200]
+    assert traj.steps.tolist() == [0, 50, 100, 150, 200]
     assert traj.final.sup_dist(center(5)) < 1e-8
 
 
@@ -209,7 +209,7 @@ def test_iterate_period_two_alternation():
 def test_iterate_stride_records_final():
     t = make_regular(3)
     traj = iterate(t, center(3), 7, stride=3)
-    assert traj.steps() == [0, 3, 6, 7]
+    assert traj.steps.tolist() == [0, 3, 6, 7]
 
 
 def test_cesaro_constant_at_fixed_point():

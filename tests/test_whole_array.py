@@ -1,10 +1,12 @@
 """Whole-array paths against the per-point loops they replaced.
 
 ``check_lyapunov`` evaluates each Lyapunov function once over a stack of
-orbits, ``iterate`` builds one point per distinct row, the trajectory CSV
-formats each distinct point once, ``contraction_report`` searches its entry
-step over collected blocks and measures all its blocks with index arrays over
-one collected orbit, and ``check_invariant_set`` takes each sample's defects
+orbits, ``iterate`` collects a whole orbit in one call and ``Trajectory``
+builds one point per distinct row and its tail with ``np.diff``, the
+trajectory CSV formats each distinct row once, ``cesaro`` renormalizes all
+its means at once, ``contraction_report`` searches its entry step over
+collected blocks and measures all its blocks with index arrays over one
+collected orbit, and ``check_invariant_set`` takes each sample's defects
 over one collected orbit.  The oracles below are the per-point code as it was
 before, copied here; every comparison is exact (bits, or bytes of output),
 because the arithmetic is the same.
@@ -284,11 +286,12 @@ def test_bad_horizon_rejected(horizon):
 
 
 def oracle_points(t, x0, n_steps, stride):
-    """``iterate``'s points as they were: one validated point per row."""
+    """``iterate``'s points as they were: one validated point per row,
+    collected in blocks of 4096 rows."""
     points = [(0, x0)]
     x, done = x0.array, 0
     while done < n_steps:
-        n = min(tensor._ITERATE_BLOCK_ROWS * stride, n_steps - done)
+        n = min(4096 * stride, n_steps - done)
         rows = tensor._collect(t, x, n, stride)
         points += [(done + min(i * stride, n), SimplexPoint(tuple(rows[i].tolist())))
                    for i in range(1, len(rows))]
@@ -314,14 +317,14 @@ ORBITS = {
     # infinite limit set: no row repeats
     "GANIKHODJAEV": (make("GANIKHODJAEV_LAMBDA", None, None, 0.1), [0.5, 0.3, 0.2]),
 }
-BLOCK = tensor._ITERATE_BLOCK_ROWS
 
 
 @pytest.mark.parametrize("orbit", sorted(ORBITS))
 @pytest.mark.parametrize("steps,stride", [
     (0, 1), (1, 1), (3000, 1), (1001, 7),
-    (BLOCK - 1, 1), (BLOCK, 1), (BLOCK + 1, 1),
-    (3 * BLOCK - 1, 3), (3 * BLOCK, 3), (3 * BLOCK + 1, 3), (2 * BLOCK + 5, 2),
+    # the edges of the oracle's 4096-row blocks
+    (4095, 1), (4096, 1), (4097, 1),
+    (12287, 3), (12288, 3), (12289, 3), (8197, 2),
 ])
 def test_trajectory_csv_matches_the_per_row_writer(orbit, steps, stride):
     t, x0 = ORBITS[orbit]
@@ -329,7 +332,7 @@ def test_trajectory_csv_matches_the_per_row_writer(orbit, steps, stride):
     assert cli._trajectory_csv(t, x0, steps, stride) == oracle_csv(t, x0, steps, stride)
     traj = iterate(t, x0, steps, stride)
     want = oracle_points(t, x0, steps, stride)
-    assert traj.steps() == [n for n, _ in want]
+    assert traj.steps.tolist() == [n for n, _ in want]
     assert [[bits(v) for v in pt.coords] for _, pt in traj.points] == [
         [bits(v) for v in pt.coords] for _, pt in want]
 
@@ -344,14 +347,57 @@ def test_negative_zero_start_is_written_as_given():
 
 def test_repeated_rows_share_one_point():
     t, x0 = ORBITS["KHUKR"]
-    traj = iterate(t, validate_point(x0), 3 * BLOCK)
+    traj = iterate(t, validate_point(x0), 12288)
     by_bits: dict[tuple, int] = {}
-    # within one block, equal bits <-> the same point
-    for _, pt in traj.points[1:BLOCK + 1]:
+    # equal bits <-> the same point
+    for _, pt in traj.points:
         key = tuple(bits(v) for v in pt.coords)
         assert by_bits.setdefault(key, id(pt)) == id(pt)
     assert len(set(by_bits.values())) == len(by_bits)
     assert len({id(pt) for _, pt in traj.points}) < 100
+
+
+def oracle_tail(traj):
+    """``Trajectory.tail_array`` as it was: a loop back over the steps."""
+    steps = traj.steps.tolist()
+    cut = len(steps) - 1
+    while cut > 0 and steps[cut] - steps[cut - 1] == 1:
+        cut -= 1
+    return np.array([pt.coords for _, pt in traj.points[cut:]], dtype=float)
+
+
+@pytest.mark.parametrize("orbit", sorted(ORBITS))
+@pytest.mark.parametrize("steps,stride", [
+    (0, 1), (1, 1), (50, 1), (0, 3), (2, 3), (3, 3), (301, 3), (300, 3),
+    (6, 7), (7, 7), (8, 7), (700, 7), (706, 7),
+])
+def test_tail_array_matches_the_loop(orbit, steps, stride):
+    t, x0 = ORBITS[orbit]
+    traj = iterate(t, validate_point(x0), steps, stride)
+    tail = traj.tail_array()
+    want = oracle_tail(traj)
+    assert tail.dtype == want.dtype and tail.shape == want.shape
+    assert tail.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m", [2, 3, 9, 17])
+def test_cesaro_means_match_the_per_checkpoint_loop(m):
+    """``cesaro`` renormalizes its means as one array, as the former loop did
+    checkpoint by checkpoint."""
+    rng = np.random.default_rng(m)
+    t = random_tensor(rng, m)
+    x0 = rng.exponential(size=m)
+    x0 /= x0.sum()
+    cps = [1, 2, 7, 100, 1000]
+    means, _ = tensor.cesaro(t, x0, cps)
+    acc, x, want = np.zeros(m), x0.copy(), []
+    for n in range(1, cps[-1] + 1):
+        acc += x
+        x = _apply_arr(t, x)
+        if n in cps:
+            mean = acc / n
+            want.append(mean / mean.sum())
+    assert means.tobytes() == np.array(want).tobytes()
 
 
 def fake_block(rows):
