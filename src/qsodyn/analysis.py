@@ -509,18 +509,14 @@ def check_lyapunov(t: CoefficientTensor, fn: LyapunovFn, samples: int,
     against its declared direction by more than ``slack``.  ``fn.fn`` is
     evaluated once per block of whole orbits.
     """
-    if fn.families and t.name and not any(t.name.startswith(f) for f in fn.families):
-        raise InapplicableFunction(
-            f"{fn.id} applies to {fn.families}, tensor is {t.name!r}"
-        )
+    if fn.families and t.spec is not None and t.spec.family not in fn.families:
+        raise InapplicableFunction(f"{fn.id} applies to {fn.families}, tensor is {t.name!r}")
     _check_count("samples", samples, 1)
     _check_count("n0", fn.n0, 0)
     _check_tolerance("slack", slack)
-    if fn.n0 >= horizon:
-        raise InapplicableFunction(
-            f"horizon {horizon} must exceed the burn-in n0={fn.n0}"
-        )
     _check_count("horizon", horizon, 1)
+    if fn.n0 >= horizon:
+        raise InapplicableFunction(f"horizon {horizon} must exceed the burn-in n0={fn.n0}")
     rng = np.random.default_rng(seed)
     starts = sample_interior(rng, t.m, samples)
     sign = -1.0 if fn.direction == "NON_INCREASING" else 1.0
@@ -633,8 +629,8 @@ def omega_estimate(t: CoefficientTensor, x0: SimplexPoint, burn_in: int,
     Clustering is greedy sup-norm linkage at ``cluster_tol``; the detected
     period of the window tail is attached when the window is long enough.
     """
-    if burn_in < 1 or window < 1:
-        raise DimensionMismatch("burn_in and window must be >= 1")
+    _check_count("burn_in", burn_in, 1)
+    _check_count("window", window, 1)
     _check_tolerance("cluster_tol", cluster_tol)
     _check_tolerance("period_tol", period_tol)
     if s_max is not None:
@@ -757,7 +753,7 @@ def check_invariant_set(t: CoefficientTensor, spec: InvariantSetSpec, samples: i
     """Sample members, iterate, and report the worst membership defect seen."""
     _check_count("samples", samples, 1)
     _check_count("horizon", horizon, 1)
-    if spec.families and t.name and not any(t.name.startswith(f) for f in spec.families):
+    if spec.families and t.spec is not None and t.spec.family not in spec.families:
         raise InapplicableSet(f"{spec.id} applies to {spec.families}, tensor is {t.name!r}")
     rng = np.random.default_rng(seed)
     max_initial = 0.0
@@ -932,6 +928,7 @@ def psi_bound_check(m: int, samples: int, seed: int) -> PsiBoundReport:
     """Check the shrink factor stays at or below (4/m)^m on random points."""
     if m < 5:
         raise DimensionMismatch("the strict-decay bound applies to m >= 5")
+    _check_count("samples", samples, 1)
     rng = np.random.default_rng(seed)
     xs = sample_interior(rng, m, samples)
     vals = psi_decay_values(xs)
@@ -962,6 +959,7 @@ def max_norm_check(samples: int, seed: int, exclusion_radius: float = 1e-9) -> M
     """
     from .families import make_regular
 
+    _check_count("samples", samples, 1)
     t = make_regular(4)
     rng = np.random.default_rng(seed)
     xs = sample_interior(rng, 4, samples)

@@ -87,8 +87,11 @@ def _resolve_starts(args, m: int) -> list[SimplexPoint]:
 
 def _write(out: str | None, payload: str) -> None:
     if out and out != "-":
-        with open(out, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(out, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:  # also a failed write or close, which names no file
+            raise QsoError(f"cannot write {out!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(payload)
 
@@ -140,9 +143,11 @@ def _trajectory_csv(t: CoefficientTensor, x0: SimplexPoint, steps: int, stride: 
     first, inverse = distinct_rows(traj.rows)
     text = [row % tuple(r) for r in traj.rows[first].tolist()]
     header = "n," + ",".join(f"x{i}" for i in range(1, t.m + 1)) + "\n"
-    lines = [f"{n}{text[k]}" for n, k in zip(traj.steps.tolist(), inverse.tolist())]
-    # one join, so that the text is not copied once more to prepend the header
-    return "".join([header, *lines])
+    # step numbers alternate with the shared row texts: no string per line
+    parts = [header] * (2 * len(inverse) + 1)
+    parts[1::2] = map(str, traj.steps.tolist())
+    parts[2::2] = [text[k] for k in inverse.tolist()]
+    return "".join(parts)
 
 
 def cmd_trajectory(args) -> int:
@@ -424,7 +429,7 @@ def main(argv=None) -> int:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return USAGE_ERROR
     except OSError as exc:
-        if exc.filename is None:  # only files named by --tensor-file or --out have one
+        if exc.filename is None:  # only a --tensor-file that cannot be read has one
             raise
         print(f"error: cannot open {exc.filename!r}: {exc.strerror}", file=sys.stderr)
         return USAGE_ERROR

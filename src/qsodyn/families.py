@@ -51,6 +51,8 @@ class FamilySpec:
 
     def __post_init__(self):
         info = family_info(self.family)
+        if self.m is None:
+            raise MissingParameter(f"{self.family} requires m")
         if info.m_fixed is not None and self.m != info.m_fixed:
             raise PermutationSizeMismatch(
                 f"{self.family} is defined on m={info.m_fixed}, got m={self.m}"
@@ -70,6 +72,18 @@ class FamilySpec:
                 f"permutation acts on 1..{self.permutation.n}, need 1..{self.m - 1}"
             )
 
+    @property
+    def label(self) -> str:
+        """The tensor's name, ``family(m=…, pi=…, <parameter>=<value>)``
+        with only the arguments the family takes (``m=`` where m is free)."""
+        info = family_info(self.family)
+        args = [f"m={self.m}"] if info.m_fixed is None else []
+        if self.permutation is not None:
+            args.append(f"pi={self.permutation.cycle_text()}")
+        if info.parameter:
+            args.append(f"{info.parameter}={self.parameter!r}")
+        return f"{self.family}({', '.join(args)})" if args else self.family
+
 
 # Each basic planar operator sends the whole product of one unordered pair
 # (i, j) to a single output coordinate k; that assignment defines it.
@@ -85,6 +99,7 @@ _S2_PAIR_MAPS: dict[str, dict[tuple[int, int], int]] = {
     # x'_1 = x1^2 + (x2 + x3)^2, x'_2 = 2 x1 x3, x'_3 = 2 x1 x2
     "KHUKR": {(1, 1): 1, (2, 2): 1, (3, 3): 1, (2, 3): 1, (1, 3): 2, (1, 2): 3},
 }
+_S2_PAIR_MAPS["ZAKHAREVICH"] = _S2_PAIR_MAPS["V2"]
 
 # Convex blends on the 2-simplex: weight w goes on the first constituent.
 # GANIKHODJAEV_LAMBDA carries the weight on V0 (so lambda -> 1 approaches the
@@ -135,10 +150,7 @@ def family_names() -> list[str]:
     return list(REGISTRY)
 
 
-def make_regular(m: int) -> CoefficientTensor:
-    """x'_k = x_k^2 + (2/(m-2)) * sum of x_i x_j over pairs avoiding k."""
-    if m < 3:
-        raise DimensionTooSmall(f"REGULAR needs m >= 3, got {m}")
+def _regular(m: int) -> CoefficientTensor:
     w = 1.0 / (m - 2)
     entries = {}
     for k in range(1, m + 1):
@@ -148,17 +160,10 @@ def make_regular(m: int) -> CoefficientTensor:
             for k in range(1, m + 1):
                 if k != i and k != j:
                     entries[(i, j, k)] = w
-    return build_tensor(m, entries, name=f"REGULAR(m={m})")
+    return build_tensor(m, entries)
 
 
-def make_quasi_strict(m: int, perm: Permutation) -> CoefficientTensor:
-    """x'_k = 2 x_m x_{perm(k)} for k < m; x'_m = x_m^2 + (1 - x_m)^2."""
-    if m < 3:
-        raise DimensionTooSmall(f"QUASI_STRICT needs m >= 3, got {m}")
-    if perm.n != m - 1:
-        raise PermutationSizeMismatch(
-            f"permutation acts on 1..{perm.n}, need 1..{m - 1}"
-        )
+def _quasi_strict(m: int, perm: Permutation) -> CoefficientTensor:
     entries = {}
     for k in range(1, m):
         entries[(perm.images[k - 1], m, k)] = 1.0
@@ -167,59 +172,51 @@ def make_quasi_strict(m: int, perm: Permutation) -> CoefficientTensor:
         entries[(i, i, m)] = 1.0
         for j in range(i + 1, m):
             entries[(i, j, m)] = 1.0
-    return build_tensor(m, entries, name=f"QUASI_STRICT(m={m}, pi={perm.cycle_text()})")
+    return build_tensor(m, entries)
 
 
-def make_alpha_combination(m: int, perm: Permutation, alpha: float) -> CoefficientTensor:
-    """Convex blend ``alpha * REGULAR(m) + (1 - alpha) * QUASI_STRICT(m, perm)``."""
-    return convex_combine(
-        make_regular(m),
-        make_quasi_strict(m, perm),
-        alpha,
-        name=f"ALPHA_COMBINATION(m={m}, pi={perm.cycle_text()}, alpha={alpha!r})",
-    )
-
-
-def _make_pair_map(name: str) -> CoefficientTensor:
+def _pair_map(name: str) -> CoefficientTensor:
     entries = {(i, j, k): 1.0 for (i, j), k in _S2_PAIR_MAPS[name].items()}
-    return build_tensor(3, entries, name=name)
-
-
-def make_s2(name: str, parameter: float | None = None) -> CoefficientTensor:
-    """Member of the planar catalog (m = 3) by family name."""
-    info = family_info(name)
-    if info.m_fixed != 3:
-        raise UnknownFamily(f"{name} is not a planar (m=3) family")
-    if info.parameter is None:
-        if parameter is not None:
-            raise UnexpectedParameter(f"{name} takes no parameter")
-        if name == "ZAKHAREVICH":
-            return _make_pair_map("V2").with_name("ZAKHAREVICH")
-        return _make_pair_map(name)
-    if parameter is None:
-        raise MissingParameter(f"{name} requires parameter {info.parameter}")
-    first, second, _ = _S2_COMBINATIONS[name]
-    return convex_combine(
-        _make_pair_map(first),
-        _make_pair_map(second),
-        parameter,
-        name=f"{name}({info.parameter}={parameter!r})",
-    )
+    return build_tensor(3, entries)
 
 
 def make(family: str, m: int | None = None, permutation: Permutation | None = None,
          parameter: float | None = None) -> CoefficientTensor:
     """Validate the request as a :class:`FamilySpec` and build its tensor."""
-    info = family_info(family)
     if m is None:
-        if info.m_fixed is None:
-            raise MissingParameter(f"{family} requires m")
-        m = info.m_fixed
-    FamilySpec(family, m, permutation, parameter)
+        m = family_info(family).m_fixed
+    spec = FamilySpec(family, m, permutation, parameter)
     if family == "REGULAR":
-        return make_regular(m)
-    if family == "QUASI_STRICT":
-        return make_quasi_strict(m, permutation)
-    if family == "ALPHA_COMBINATION":
-        return make_alpha_combination(m, permutation, parameter)
-    return make_s2(family, parameter)
+        t = _regular(m)
+    elif family == "QUASI_STRICT":
+        t = _quasi_strict(m, permutation)
+    elif family == "ALPHA_COMBINATION":
+        t = convex_combine(_regular(m), _quasi_strict(m, permutation), parameter)
+    elif family in _S2_COMBINATIONS:
+        first, second, _ = _S2_COMBINATIONS[family]
+        t = convex_combine(_pair_map(first), _pair_map(second), parameter)
+    else:
+        t = _pair_map(family)
+    return CoefficientTensor(m, t.p, spec.label, spec)
+
+
+def make_regular(m: int) -> CoefficientTensor:
+    """x'_k = x_k^2 + (2/(m-2)) * sum of x_i x_j over pairs avoiding k."""
+    return make("REGULAR", m)
+
+
+def make_quasi_strict(m: int, perm: Permutation) -> CoefficientTensor:
+    """x'_k = 2 x_m x_{perm(k)} for k < m; x'_m = x_m^2 + (1 - x_m)^2."""
+    return make("QUASI_STRICT", m, perm)
+
+
+def make_alpha_combination(m: int, perm: Permutation, alpha: float) -> CoefficientTensor:
+    """Convex blend ``alpha * REGULAR(m) + (1 - alpha) * QUASI_STRICT(m, perm)``."""
+    return make("ALPHA_COMBINATION", m, perm, alpha)
+
+
+def make_s2(name: str, parameter: float | None = None) -> CoefficientTensor:
+    """Member of the planar catalog (m = 3) by family name."""
+    if family_info(name).m_fixed != 3:
+        raise UnknownFamily(f"{name} is not a planar (m=3) family")
+    return make(name, 3, None, parameter)

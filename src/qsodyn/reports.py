@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import fields, is_dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -39,8 +38,6 @@ def to_jsonable(obj):
         return list(obj.coords)
     if isinstance(obj, Permutation):
         return obj.cycle_text()
-    if isinstance(obj, Enum):
-        return obj.value
     if is_dataclass(obj) and not isinstance(obj, type):
         # walk fields by hand: asdict() would deep-convert nested package
         # types before their dedicated branches above could run
@@ -89,11 +86,11 @@ def dumps(obj, indent: int = 2) -> str:
 
 def report_document(operator: str, parameters: dict, seed, tolerances: dict,
                     results) -> dict:
-    """The standard report envelope used by every analysis subcommand."""
+    """The report envelope of every analysis subcommand, for :func:`dumps`."""
     return {
         "operator": operator,
-        "parameters": to_jsonable(parameters),
+        "parameters": parameters,
         "seed": seed,
-        "tolerances": to_jsonable(tolerances),
-        "results": to_jsonable(results),
+        "tolerances": tolerances,
+        "results": results,
     }

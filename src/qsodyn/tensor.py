@@ -20,6 +20,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,6 +33,9 @@ from .errors import (
     WeightOutOfRange,
 )
 from .simplex import TAU_SUM, SimplexPoint
+
+if TYPE_CHECKING:
+    from .families import FamilySpec
 
 # Pair rows must be stochastic to this absolute tolerance.
 ROW_SUM_TOL = 1e-12
@@ -46,6 +50,8 @@ class CoefficientTensor:
     m: int
     p: np.ndarray
     name: str = ""
+    # the request ``families.make`` built this tensor from; None for any other
+    spec: FamilySpec | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not (isinstance(self.m, int) and self.m >= 2):
@@ -76,9 +82,6 @@ class CoefficientTensor:
     def entry(self, i: int, j: int, k: int) -> float:
         """1-based coefficient access."""
         return float(self.p[i - 1, j - 1, k - 1])
-
-    def with_name(self, name: str) -> "CoefficientTensor":
-        return CoefficientTensor(self.m, self.p, name)
 
     # Flattened (m*m, m) view used by the hot iteration loop.
     @property
@@ -165,14 +168,13 @@ def is_volterra(t: CoefficientTensor) -> bool:
     return bool(np.all(off_pattern <= VOLTERRA_TOL))
 
 
-def convex_combine(t1: CoefficientTensor, t2: CoefficientTensor, w: float,
-                   name: str = "") -> CoefficientTensor:
+def convex_combine(t1: CoefficientTensor, t2: CoefficientTensor, w: float) -> CoefficientTensor:
     """Entrywise ``w * t1 + (1 - w) * t2``."""
     if t1.m != t2.m:
         raise DimensionMismatch(f"cannot combine tensors of dimension {t1.m} and {t2.m}")
     if not 0.0 <= w <= 1.0:
         raise WeightOutOfRange(f"weight {w!r} outside [0, 1]")
-    t = CoefficientTensor(t1.m, w * t1.p + (1.0 - w) * t2.p, name)
+    t = CoefficientTensor(t1.m, w * t1.p + (1.0 - w) * t2.p)
     t.validate()
     return t
 

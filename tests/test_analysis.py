@@ -475,6 +475,23 @@ def test_check_lyapunov_rejects_bad_sample_counts(samples):
         check_lyapunov(make_regular(4), cyclic_product(), samples, 10, seed=0)
 
 
+@pytest.mark.parametrize("name,call", [
+    ("burn_in", lambda: omega_estimate(make_s2("KHUKR"), validate_point([0.4, 0.36, 0.24]),
+                                       burn_in="3", window=20)),
+    ("window", lambda: omega_estimate(make_s2("KHUKR"), validate_point([0.4, 0.36, 0.24]),
+                                      burn_in=10, window=2.5)),
+    ("window", lambda: omega_estimate(make_s2("KHUKR"), validate_point([0.4, 0.36, 0.24]),
+                                      burn_in=10, window=0)),
+    ("samples", lambda: psi_bound_check(5, 0, 1)),
+    ("samples", lambda: max_norm_check(0, 1)),
+    ("horizon", lambda: check_lyapunov(make_regular(4), cyclic_product(), 5, "3", seed=0)),
+], ids=["omega-burn_in-str", "omega-window-float", "omega-window-0", "psi-samples-0",
+        "max_norm-samples-0", "lyapunov-horizon-str"])
+def test_api_counts_are_checked(name, call):
+    with pytest.raises(errors.QsoError, match=f"{name} must be an integer >= 1"):
+        call()
+
+
 @pytest.mark.parametrize("kwargs", [{"cluster_tol": float("nan")}, {"cluster_tol": float("inf")},
                                     {"cluster_tol": -1e-6}, {"period_tol": float("nan")},
                                     {"s_max": 0}, {"s_max": -2}, {"s_max": 2.5}])

@@ -1,7 +1,10 @@
+import errno
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,7 +245,7 @@ def test_random_starts_trajectories(capsys, tmp_path):
         finals.append([float(v) for v in lines[-1].split(",")[1:]])
     assert np.max(np.abs(np.array(finals) - 0.25)) < 1e-8
     # seeded draws are distinct starts
-    firsts = {open(p).read().splitlines()[1] for p in paths}
+    firsts = {Path(p).read_text().splitlines()[1] for p in paths}
     assert len(firsts) == 3
 
 
@@ -382,6 +385,13 @@ def test_unusable_out_is_refused_before_any_work(capsys, monkeypatch, tmp_path, 
     code, stdout, err = run_cli(capsys, "verify", "--suite", "all", "--out", out)
     assert code == 2 and stdout == "" and calls == []
     assert err == f"error: cannot open {out!r}: {reason}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_a_failed_write_exits_2(capsys):
+    code, out, err = run_cli(capsys, "families", "--json", "--out", "/dev/full")
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write '/dev/full': {os.strerror(errno.ENOSPC)}\n"
 
 
 @pytest.mark.parametrize("exc,message", [

@@ -43,7 +43,7 @@ from qsodyn.analysis import (
 from qsodyn.errors import InapplicableFunction, InapplicableSet, NeverEntersRegion, QsoError
 from qsodyn.families import make, make_alpha_combination, make_quasi_strict, make_s2
 from qsodyn.simplex import Permutation, SimplexPoint, parse_cycles, validate_point
-from qsodyn.tensor import _apply_arr, iterate, random_tensor, run_collect
+from qsodyn.tensor import CoefficientTensor, _apply_arr, iterate, random_tensor, run_collect
 from qsodyn.verification import _blend_config, _interior_points
 
 PERM6 = "(1 2)(3 4 5)"
@@ -161,7 +161,8 @@ def lyapunov_cases(draw):
             make("GSN_ALPHA", None, None, 0.5),
             make("VALLANDER_SPIRAL", None, None, 0.3),
             make("KHUKR"),
-        ])).with_name("")  # no name: every function applies
+        ]))
+        t = CoefficientTensor(t.m, t.p)  # no spec: every function applies
     fn, point_fn = draw(catalog_function(t.m))
     if draw(st.booleans()):
         # a composite of same-direction parts
@@ -258,7 +259,8 @@ def test_nan_values_never_count():
 
     fn = LyapunovFn("NAN_ABOVE", "NON_INCREASING", 0, (),
                     lambda x: np.where(x[..., 0] > 0.3, np.nan, x[..., -1]))
-    t = make("ALPHA_COMBINATION", 4, parse_cycles("(1 2 3)", 3), 0.3).with_name("")
+    t = make("ALPHA_COMBINATION", 4, parse_cycles("(1 2 3)", 3), 0.3)
+    t = CoefficientTensor(t.m, t.p)
     rep = assert_matches_oracle(t, fn, point_fn, 50, 40, 2, 0.0)
     assert 0 < rep.violations
 
@@ -673,7 +675,7 @@ def invariant_cases(draw):
         m = 3
         spec = {"khukr": khukr_m_tau(draw(st.sampled_from([0.5, 1.5]))),
                 "diag": vallander_diag(), "nan_diag": diag_with_nan_defects()}[spec]
-    # a random tensor has no family name, so every set applies to it
+    # a random tensor has no family spec, so every set applies to it
     t = random_tensor(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), m)
     return (t, spec, draw(st.integers(1, 20)), draw(st.integers(1, 60)),
             draw(st.integers(0, 2**16)))
