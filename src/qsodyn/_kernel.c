@@ -1,11 +1,13 @@
 /* Compiled loops of the renormalized quadratic step.
 
-   The single-orbit loops (collect, cesaro) make the numpy step of
-   tensor.py, `y = np.outer(x, x).ravel() @ flat` then `x = y / y.sum()`,
-   the way numpy does it: the exact products x_i x_j, the product by numpy's
-   own BLAS dgemv (passed in as a function pointer and called with the
-   arguments numpy's matmul uses), numpy's pairwise summation order, and one
-   division per coordinate.  tensor.run is the last row of collect.
+   The single-orbit loop (orbit) makes the numpy step of tensor.py,
+   `y = np.outer(x, x).ravel() @ flat` then `x = y / y.sum()`, the way numpy
+   does it: the exact products x_i x_j, the product by numpy's own BLAS
+   dgemv (passed in as a function pointer and called with the arguments
+   numpy's matmul uses), numpy's pairwise summation order, and one division
+   per coordinate.  It keeps the state and the running sum at each of a list
+   of step marks: tensor.run is one mark, run_collect and iterate one mark
+   per recorded step, and cesaro one per checkpoint with the sums.
 
    The batched loop (batch) makes the step of tensor.apply_batch for any
    number of rows, `np.einsum('ijk,nj,ni->nk', p, xs, xs)` then
@@ -26,8 +28,8 @@
    No result depends on an order chosen here, so every loop reproduces its
    numpy loop bit for bit.  Build with -O2 -ffp-contract=off and without
    -ffast-math or -march, so that nothing is fused or reordered.  The caller
-   checks that m <= MAX_M, that the arrays are C-contiguous doubles and that
-   n_steps >= 0. */
+   checks that m <= MAX_M, that the arrays are C-contiguous doubles (the
+   marks int64s, increasing from 0 or later) and that n_steps >= 0. */
 
 #include <math.h>
 #include <stdint.h>
@@ -104,35 +106,23 @@ static void step(dgemv_fn gemv, const double *flat, int64_t m, double *x)
     renormalize(y, m, x);
 }
 
-/* Rows of out: x^(0), then x^(n) for every n that is a multiple of stride
-   or equal to n_steps. */
-void collect(dgemv_fn gemv, const double *flat, int64_t m, double *x,
-             int64_t n_steps, int64_t stride, double *out)
-{
-    memcpy(out, x, m * sizeof *x);
-    for (int64_t n = 1; n <= n_steps; n++) {
-        step(gemv, flat, m, x);
-        if (n % stride == 0 || n == n_steps)
-            memcpy(out += m, x, m * sizeof *x);
-    }
-}
-
-/* For each checkpoint c: sums[c] = x^(0) + ... + x^(c - 1) and
-   states[c] = x^(c).  Checkpoints are increasing. */
-void cesaro(dgemv_fn gemv, const double *flat, int64_t m, double *x,
-            const int64_t *checkpoints, int64_t n_checkpoints,
-            double *sums, double *states)
+/* For each mark c: states[c] = x^(marks[c]) and, unless sums is NULL,
+   sums[c] = x^(0) + ... + x^(marks[c] - 1).  Marks are increasing and
+   start at 0 or later; x is left at x^(marks[n_marks - 1]). */
+void orbit(dgemv_fn gemv, const double *flat, int64_t m, double *x,
+           const int64_t *marks, int64_t n_marks, double *states, double *sums)
 {
     double acc[MAX_M] = {0.0};
-    int64_t steps = 0;
-    for (int64_t c = 0; c < n_checkpoints; c++) {
-        for (; steps < checkpoints[c]; steps++) {
+    int64_t n = 0;
+    for (int64_t c = 0; c < n_marks; c++) {
+        for (; n < marks[c]; n++) {
             for (int64_t k = 0; k < m; k++)
                 acc[k] += x[k];
             step(gemv, flat, m, x);
         }
-        memcpy(sums + c * m, acc, m * sizeof *acc);
         memcpy(states + c * m, x, m * sizeof *x);
+        if (sums)
+            memcpy(sums + c * m, acc, m * sizeof *acc);
     }
 }
 

@@ -926,6 +926,7 @@ class PsiBoundReport:
 
 def psi_bound_check(m: int, samples: int, seed: int) -> PsiBoundReport:
     """Check the shrink factor stays at or below (4/m)^m on random points."""
+    _check_count("m", m, 1)
     if m < 5:
         raise DimensionMismatch("the strict-decay bound applies to m >= 5")
     _check_count("samples", samples, 1)

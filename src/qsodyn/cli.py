@@ -93,7 +93,11 @@ def _write(out: str | None, payload: str) -> None:
         except OSError as exc:  # also a failed write or close, which names no file
             raise QsoError(f"cannot write {out!r}: {exc.strerror}") from None
     else:
-        sys.stdout.write(payload)
+        try:
+            sys.stdout.write(payload)
+            sys.stdout.flush()
+        except OSError as exc:
+            raise QsoError(f"cannot write to stdout: {exc.strerror}") from None
 
 
 def _operator_params(args) -> dict:
@@ -165,7 +169,7 @@ def cmd_trajectory(args) -> int:
     for k, x0 in enumerate(starts, start=1):
         path = f"{stem}.{k}.{ext}"
         _write(path, _trajectory_csv(t, x0, args.steps, args.stride))
-        print(path)
+        _write(None, path + "\n")
     return 0
 
 

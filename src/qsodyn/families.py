@@ -18,7 +18,10 @@ convex blends named after the people who analyzed them.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     DimensionTooSmall,
@@ -26,6 +29,7 @@ from .errors import (
     PermutationSizeMismatch,
     UnexpectedParameter,
     UnknownFamily,
+    WeightOutOfRange,
 )
 from .simplex import Permutation
 from .tensor import CoefficientTensor, build_tensor, convex_combine
@@ -63,6 +67,12 @@ class FamilySpec:
             raise MissingParameter(f"{self.family} requires parameter {info.parameter}")
         if not info.parameter and self.parameter is not None:
             raise UnexpectedParameter(f"{self.family} takes no parameter")
+        if self.parameter is not None and not isinstance(self.parameter, numbers.Real):
+            raise WeightOutOfRange(
+                f"{info.parameter} must be a real number, got {self.parameter!r}")
+        if isinstance(self.parameter, np.generic):
+            # named after the equal Python number, not the numpy type
+            object.__setattr__(self, "parameter", self.parameter.item())
         if info.needs_permutation and self.permutation is None:
             raise MissingParameter(f"{self.family} requires a permutation of 1..m-1")
         if not info.needs_permutation and self.permutation is not None:

@@ -236,21 +236,6 @@ def _check_steps(n_steps) -> None:
         raise DimensionMismatch(f"n_steps must be an integer >= 0, got {n_steps!r}")
 
 
-def _orbit(t: CoefficientTensor, x0, n_steps):
-    """Checked inputs of a single-orbit loop.
-
-    Returns a fresh float copy of ``x0``, the flattened coefficients and the
-    compiled kernel when it can run them (else None, and the numpy loop
-    runs).  Bad input raises before the kernel is loaded or called.
-    """
-    _check_steps(n_steps)
-    x = np.array(x0, dtype=float)
-    if x.shape != (t.m,):
-        raise DimensionMismatch(f"point has shape {x.shape}, tensor has m={t.m}")
-    flat = t._flat
-    return x, flat, _kernel_for(flat)
-
-
 def _kernel_for(coeffs: np.ndarray):
     """The compiled kernel if it can take ``coeffs`` (the flat or the full
     coefficient array) as it is, else None."""
@@ -259,33 +244,55 @@ def _kernel_for(coeffs: np.ndarray):
     return _kernel() if fits else None
 
 
-def _collect(t: CoefficientTensor, x0, n_steps: int, stride: int) -> np.ndarray:
-    """Rows x^(0), then x^(n) for each n <= n_steps that is a multiple of
-    ``stride`` or is ``n_steps`` itself."""
-    x, flat, kernel = _orbit(t, x0, n_steps)
-    out = np.empty((1 + n_steps // stride + (n_steps % stride > 0), t.m))
+def _walk(t: CoefficientTensor, x0, marks: np.ndarray, sums: np.ndarray | None = None
+          ) -> np.ndarray:
+    """States x^(n) at each of the increasing int64 step ``marks``, as a
+    (len(marks), m) array.  Row c of ``sums``, if given, gets
+    x^(0) + ... + x^(n - 1) for mark n = marks[c].
+
+    The compiled ``orbit`` runs where it can take the coefficients, else the
+    numpy loop, bit for bit.  Bad input raises before the kernel is loaded.
+    """
+    x = np.array(x0, dtype=float)
+    if x.shape != (t.m,):
+        raise DimensionMismatch(f"point has shape {x.shape}, tensor has m={t.m}")
+    flat = t._flat
+    states = np.empty((len(marks), t.m))
+    kernel = _kernel_for(flat)
     if kernel is not None:
-        kernel.collect(flat, x, n_steps, stride, out)
-        return out
-    out[0] = x
-    row = 0
-    for n in range(1, n_steps + 1):
-        x = _step(flat, x)
-        if n % stride == 0 or n == n_steps:
-            row += 1
-            out[row] = x
-    return out
+        kernel.orbit(flat, x, marks, states, sums)
+        return states
+    acc, done = np.zeros(t.m), 0
+    for c, mark in enumerate(marks.tolist()):
+        for _ in range(mark - done):
+            acc += x
+            x = _step(flat, x)
+        done = mark
+        states[c] = x
+        if sums is not None:
+            sums[c] = acc
+    return states
+
+
+def _collect(t: CoefficientTensor, x0, n_steps: int, stride: int
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """The steps 0, stride, 2 * stride, ..., n_steps (the last one after a
+    partial stride) and the rows x^(n) at them."""
+    _check_steps(n_steps)
+    marks = np.arange(0, n_steps + stride, stride, dtype=np.int64)
+    marks[-1] = n_steps
+    return marks, _walk(t, x0, marks)
 
 
 def run(t: CoefficientTensor, x0: np.ndarray, n_steps: int) -> np.ndarray:
     """Final raw coordinate array after ``n_steps`` renormalized steps."""
     _check_steps(n_steps)
-    return _collect(t, x0, n_steps, max(n_steps, 1))[-1]
+    return _walk(t, x0, np.array([n_steps], dtype=np.int64))[0]
 
 
 def run_collect(t: CoefficientTensor, x0: np.ndarray, n_steps: int) -> np.ndarray:
     """All iterates x^(0..n_steps) as an (n_steps + 1, m) array."""
-    return _collect(t, x0, n_steps, 1)
+    return _collect(t, x0, n_steps, 1)[1]
 
 
 def run_batch(t: CoefficientTensor, xs: np.ndarray, n_steps: int) -> np.ndarray:
@@ -313,14 +320,12 @@ def iterate(t: CoefficientTensor, x0: SimplexPoint, n_steps: int, stride: int = 
     """
     if not isinstance(stride, numbers.Integral) or stride < 1:
         raise DimensionMismatch(f"stride must be an integer >= 1, got {stride!r}")
-    rows = _collect(t, x0.array, n_steps, stride)
+    steps, rows = _collect(t, x0.array, n_steps, stride)
     # only rows this pass cannot clear are built as points, so the first bad
     # row raises; np.sum is within m * 2**-52 of math.fsum, inside TAU_SUM / 2
     clear = (rows.min(axis=1) >= 0.0) & (np.abs(rows.sum(axis=1) - 1.0) <= TAU_SUM / 2)
     for row in rows[~clear].tolist():
         SimplexPoint(tuple(row))
-    # row i is step i * stride, or n_steps after a partial stride
-    steps = np.minimum(np.arange(len(rows)) * stride, n_steps)
     return Trajectory(t.name or "tensor", stride, steps, rows)
 
 
@@ -334,22 +339,10 @@ def cesaro(t: CoefficientTensor, x0: np.ndarray, checkpoints) -> tuple[np.ndarra
     cps = [int(n) for n in checkpoints]
     if any(b <= a for a, b in zip(cps, cps[1:])) or (cps and cps[0] < 1):
         raise DimensionMismatch("checkpoints must be strictly increasing positive integers")
-    x, flat, kernel = _orbit(t, x0, cps[-1] if cps else 0)
+    marks = np.array(cps, dtype=np.int64)
     sums = np.empty((len(cps), t.m))
-    states = np.empty_like(sums)
-    if kernel is not None:
-        kernel.cesaro(flat, x, np.array(cps, dtype=np.int64), sums, states)
-    else:
-        acc = np.zeros(t.m)
-        steps = 0
-        for c, n_target in enumerate(cps):
-            while steps < n_target:
-                acc += x
-                x = _step(flat, x)
-                steps += 1
-            sums[c] = acc
-            states[c] = x
-    means = sums / np.array(cps, dtype=float)[:, None]
+    states = _walk(t, x0, marks, sums)
+    means = sums / marks[:, None]
     # the running sum accumulates round-off linearly in n; renormalize (each
     # row summed alone, in the order of a one-row sum)
     return means / means.sum(axis=1, keepdims=True), states
@@ -366,7 +359,9 @@ def cesaro_means(t: CoefficientTensor, x0: SimplexPoint, checkpoints) -> list[Si
 # The C loops keep the m*m outer product on the stack.
 _KERNEL_MAX_M = 64
 _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
-_KERNEL_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# Each function starts on a 64-byte line, so that the speed of a loop does
+# not depend on the size of the code before it.
+_KERNEL_CFLAGS = ("-O2", "-ffp-contract=off", "-falign-functions=64", "-shared", "-fPIC")
 # numpy's cblas_dgemv and LAPACK dgesv with 64-bit integers, as exported by
 # scipy-openblas64
 _NUMPY_DGEMV = "scipy_cblas_dgemv64_"
@@ -374,36 +369,32 @@ _NUMPY_DGESV = "scipy_dgesv_64_"
 
 
 class _Kernel:
-    """The loops of ``_kernel.c``, the single-orbit ones bound to numpy's
-    own BLAS dgemv and the Newton loop also to its LAPACK dgesv.
+    """The loops of ``_kernel.c``, the single-orbit one bound to numpy's own
+    BLAS dgemv and the Newton loop also to its LAPACK dgesv.
 
-    Callers pass C-contiguous float64 arrays of matching sizes, m <= 64 and
-    n_steps >= 0; ``_orbit``, ``run_batch`` and ``analysis._newton_periodic``
-    check all of it.  ``x`` and ``xs`` are advanced in place.
+    Callers pass C-contiguous float64 arrays of matching sizes, increasing
+    int64 marks >= 0, m <= 64 and n_steps >= 0; the callers of ``_walk``,
+    ``run_batch`` and ``analysis._newton_periodic`` check all of it.  ``x``
+    and ``xs`` are advanced in place.
     """
 
     def __init__(self, lib: ctypes.CDLL, dgemv: int, dgesv: int):
         ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-        lib.collect.argtypes = [ptr, ptr, i64, ptr, i64, i64, ptr]
-        lib.cesaro.argtypes = [ptr, ptr, i64, ptr, ptr, i64, ptr, ptr]
+        lib.orbit.argtypes = [ptr, ptr, i64, ptr, ptr, i64, ptr, ptr]
         lib.batch.argtypes = [ptr, i64, ptr, i64, i64]
         lib.newton.argtypes = [ptr, ptr, ptr, i64, ptr, f64, i64, i64,
                                ctypes.POINTER(i64), ctypes.POINTER(f64)]
-        for fn in (lib.collect, lib.cesaro, lib.batch):
+        for fn in (lib.orbit, lib.batch):
             fn.restype = None
         lib.newton.restype = ctypes.c_int
         self._lib = lib
         self._dgemv = dgemv
         self._dgesv = dgesv
 
-    def collect(self, flat, x, n_steps, stride, out):
-        self._lib.collect(self._dgemv, flat.ctypes.data, len(x), x.ctypes.data,
-                          n_steps, stride, out.ctypes.data)
-
-    def cesaro(self, flat, x, checkpoints, sums, states):
-        self._lib.cesaro(self._dgemv, flat.ctypes.data, len(x), x.ctypes.data,
-                         checkpoints.ctypes.data, len(checkpoints),
-                         sums.ctypes.data, states.ctypes.data)
+    def orbit(self, flat, x, marks, states, sums=None):
+        self._lib.orbit(self._dgemv, flat.ctypes.data, len(x), x.ctypes.data,
+                        marks.ctypes.data, len(marks), states.ctypes.data,
+                        None if sums is None else sums.ctypes.data)
 
     def batch(self, p, xs, n_steps):
         rows, m = xs.shape
@@ -477,26 +468,29 @@ def _numpy_dgesv() -> int:
 
 def _kernel_agrees(kernel: _Kernel) -> bool:
     """Bitwise comparison of the compiled loops with the numpy ones, for an
-    m below and an m above numpy's 8-term pairwise-sum block: the five
-    collected steps of one orbit against ``_step``, five steps of 50 rows
-    against ``apply_batch``, and Newton starts against
+    m below and an m above numpy's 8-term pairwise-sum block: the states and
+    running sums of one orbit at steps 0 to 5 against ``_step``, five steps
+    of 50 rows against ``apply_batch``, and Newton starts against
     ``analysis._newton_periodic``."""
     from .analysis import _newton_periodic  # analysis imports this module
 
     rng = np.random.default_rng(0)
     newton_starts = []
+    marks = np.arange(6, dtype=np.int64)
     for m in (3, 9):
         t = random_tensor(rng, m)
         xs = rng.exponential(size=(50, m))
         xs /= xs.sum(axis=1, keepdims=True)
-        want, want_rows = [xs[0]], xs
+        want, want_sums, want_rows = [xs[0]], [np.zeros(m)], xs
         for _ in range(5):
+            want_sums.append(want_sums[-1] + want[-1])
             want.append(_step(t._flat, want[-1]))
             want_rows = apply_batch(t, want_rows)
-        got, got_rows = np.empty((6, m)), xs.copy()
-        kernel.collect(t._flat, xs[0].copy(), 5, 1, got)
+        got, got_sums, got_rows = np.empty((6, m)), np.empty((6, m)), xs.copy()
+        kernel.orbit(t._flat, xs[0].copy(), marks, got, got_sums)
         kernel.batch(t.p, got_rows, 5)
-        if not (np.array_equal(got, want) and np.array_equal(got_rows, want_rows)):
+        if not (np.array_equal(got, want) and np.array_equal(got_sums, want_sums)
+                and np.array_equal(got_rows, want_rows)):
             return False
         newton_starts += [(t, np.eye(m)[0], 1e-12, 80), (t, xs[1], 1e-12, 80)]
     # These run to convergence.  One more makes one Newton iteration, the

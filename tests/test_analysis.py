@@ -483,9 +483,12 @@ def test_check_lyapunov_rejects_bad_sample_counts(samples):
     ("window", lambda: omega_estimate(make_s2("KHUKR"), validate_point([0.4, 0.36, 0.24]),
                                       burn_in=10, window=0)),
     ("samples", lambda: psi_bound_check(5, 0, 1)),
+    ("m", lambda: psi_bound_check("5", 10, 1)),
+    ("m", lambda: psi_bound_check(5.5, 10, 1)),
     ("samples", lambda: max_norm_check(0, 1)),
     ("horizon", lambda: check_lyapunov(make_regular(4), cyclic_product(), 5, "3", seed=0)),
 ], ids=["omega-burn_in-str", "omega-window-float", "omega-window-0", "psi-samples-0",
+        "psi-m-str", "psi-m-float",
         "max_norm-samples-0", "lyapunov-horizon-str"])
 def test_api_counts_are_checked(name, call):
     with pytest.raises(errors.QsoError, match=f"{name} must be an integer >= 1"):

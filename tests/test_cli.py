@@ -394,6 +394,24 @@ def test_a_failed_write_exits_2(capsys):
     assert err == f"error: cannot write '/dev/full': {os.strerror(errno.ENOSPC)}\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("argv", [
+    ["families"],
+    ["verify", "--suite", "scalar"],
+    ["scalar", "--map", "F", "--eval", "0.3"],
+    # the numbered files are written; the list of their paths is not
+    ["trajectory", "--family", "REGULAR", "--m", "4", "--random-starts", "2", "--seed", "1",
+     "--steps", "5", "--out", "{tmp}/runs.csv"],
+], ids=["families", "verify", "scalar", "trajectory-paths"])
+def test_a_failed_stdout_write_exits_2(tmp_path, argv):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "qsodyn",
+                               *[a.format(tmp=tmp_path) for a in argv]],
+                              stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write to stdout: {os.strerror(errno.ENOSPC)}\n"
+
+
 @pytest.mark.parametrize("exc,message", [
     (MemoryError("Unable to allocate 3.64 TiB"), "Unable to allocate 3.64 TiB"),
     (MemoryError(), "out of memory"),

@@ -29,7 +29,7 @@ from qsodyn.analysis import (
     m_omega_set,
     vallander_diag,
 )
-from qsodyn.errors import InapplicableFunction, InapplicableSet
+from qsodyn.errors import InapplicableFunction, InapplicableSet, QsoError
 from qsodyn.families import (
     REGISTRY,
     FamilySpec,
@@ -117,6 +117,25 @@ def test_the_wrappers_carry_the_spec_of_make():
                     (make_s2("ZAKHAREVICH"), "ZAKHAREVICH"),
                     (make_s2("GSN_BETA", 0.05), "GSN_BETA(beta=0.05)")]:
         assert t.name == name == t.spec.label
+
+
+@pytest.mark.parametrize("parameter,name", [
+    (np.float64(0.05), "GSN_BETA(beta=0.05)"),
+    (np.float32(0.5), "GSN_BETA(beta=0.5)"),
+    (np.int64(1), "GSN_BETA(beta=1)"),
+], ids=["float64", "float32", "int64"])
+def test_a_numpy_parameter_is_named_as_the_python_number(parameter, name):
+    t = make("GSN_BETA", parameter=parameter)
+    assert t.name == name == t.spec.label
+    assert type(t.spec.parameter) is type(parameter.item())
+    assert np.array_equal(t.p, make("GSN_BETA", parameter=parameter.item()).p)
+
+
+@pytest.mark.parametrize("parameter", ["0.5", b"0.5", [0.5], 0.5j],
+                         ids=["str", "bytes", "list", "complex"])
+def test_a_parameter_that_is_not_a_real_number_is_refused(parameter):
+    with pytest.raises(QsoError, match="beta must be a real number"):
+        make("GSN_BETA", parameter=parameter)
 
 
 def test_every_catalog_family_entry_is_a_registry_name():

@@ -101,6 +101,44 @@ def test_kernel_matches_numpy_loops(kernel, case, stride):
         assert fast == ref
 
 
+@st.composite
+def mark_cases(draw):
+    """Increasing step marks: none, one, a leading 0, gaps of any size."""
+    marks = sorted(set(draw(st.lists(st.integers(0, 300), max_size=12))))
+    if marks and draw(st.booleans()):
+        marks[0] = 0
+    return np.array(marks, dtype=np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(orbit_cases(), mark_cases(), st.booleans())
+def test_walk_matches_numpy_loop(kernel, case, marks, with_sums):
+    t, x0, _ = case
+    got_sums = np.empty((len(marks), t.m)) if with_sums else None
+    ref_sums = None if got_sums is None else np.empty_like(got_sums)
+    spy = mock.Mock(wraps=kernel)
+    with mock.patch.object(tensor, "_kernel", lambda: spy):
+        got = tensor._walk(t, x0.array, marks, got_sums)
+    spy.orbit.assert_called_once()
+    with numpy_loops():
+        ref = tensor._walk(t, x0.array, marks, ref_sums)
+    assert got.shape == (len(marks), t.m) and np.array_equal(got, ref)
+    if with_sums:
+        assert np.array_equal(got_sums, ref_sums)
+    # the states are the orbit's own, x^(n) at each mark n, and the sums
+    # add x^(0), x^(1), ... in order from 0.0
+    if len(marks):
+        rows = run_collect(t, x0.array, int(marks[-1]))
+        assert np.array_equal(got, rows[marks])
+        if with_sums:
+            acc, want = np.zeros(t.m), []
+            for n, row in enumerate(rows):
+                if n in marks:
+                    want.append(acc.copy())
+                acc = acc + row
+            assert np.array_equal(got_sums, want)
+
+
 def catalog_tensor(family):
     info = REGISTRY[family]
     m = info.m_fixed or 6
@@ -140,9 +178,9 @@ def test_iterate_across_collection_blocks(n_steps, stride):
     collect = tensor._collect
 
     def recording(*args):
-        out = collect(*args)
-        calls.append((args[2:], out.shape))
-        return out
+        marks, rows = collect(*args)
+        calls.append((args[2:], rows.shape))
+        return marks, rows
 
     with mock.patch.object(tensor, "_collect", recording):
         traj = iterate(t, x0, n_steps, stride)
@@ -178,8 +216,7 @@ def test_point_of_wrong_size_rejected():
 
 def test_large_m_falls_back_to_numpy(kernel):
     t = random_tensor(np.random.default_rng(3), tensor._KERNEL_MAX_M + 1)
-    _, _, chosen = tensor._orbit(t, np.full(t.m, 1 / t.m), 2)
-    assert chosen is None
+    assert tensor._kernel_for(t._flat) is None
     assert run(t, np.full(t.m, 1 / t.m), 2).shape == (t.m,)
 
 
@@ -200,13 +237,25 @@ def test_loader_rejects_a_disagreeing_kernel(monkeypatch):
 def test_self_test_checks_the_single_orbit_loop(kernel):
     short = mock.Mock(wraps=kernel)
 
-    def collect_one_step_short(flat, x, n_steps, stride, out):
-        # the last row repeats the one before it
-        kernel.collect(flat, x, n_steps - 1, stride, out[:-1])
-        out[-1] = out[-2]
+    def orbit_one_step_short(flat, x, marks, states, sums=None):
+        marks = marks.copy()
+        marks[-1] -= 1
+        kernel.orbit(flat, x, marks, states, sums)
 
-    short.collect = collect_one_step_short
+    short.orbit = orbit_one_step_short
     assert not tensor._kernel_agrees(short)
+
+
+def test_self_test_checks_the_running_sums(kernel):
+    off = mock.Mock(wraps=kernel)
+
+    def orbit_sums_one_ulp_off(flat, x, marks, states, sums=None):
+        kernel.orbit(flat, x, marks, states, sums)
+        if sums is not None:
+            sums[-1, 0] = np.nextafter(sums[-1, 0], np.inf)
+
+    off.orbit = orbit_sums_one_ulp_off
+    assert not tensor._kernel_agrees(off)
 
 
 def test_self_test_checks_the_batched_loop(kernel):

@@ -294,7 +294,7 @@ def oracle_points(t, x0, n_steps, stride):
     x, done = x0.array, 0
     while done < n_steps:
         n = min(4096 * stride, n_steps - done)
-        rows = tensor._collect(t, x, n, stride)
+        _, rows = tensor._collect(t, x, n, stride)
         points += [(done + min(i * stride, n), SimplexPoint(tuple(rows[i].tolist())))
                    for i in range(1, len(rows))]
         x, done = rows[-1], done + n
@@ -403,9 +403,10 @@ def test_cesaro_means_match_the_per_checkpoint_loop(m):
 
 
 def fake_block(rows):
-    """A ``_collect`` that returns ``rows`` after the start row."""
+    """A ``_collect`` that returns ``rows`` after the start row, at steps
+    1, 2, ..."""
     def collect(t, x, n, stride):
-        return np.vstack([np.asarray(x, dtype=float)[None, :], rows])
+        return np.arange(len(rows) + 1), np.vstack([np.asarray(x, dtype=float)[None, :], rows])
     return collect
 
 
