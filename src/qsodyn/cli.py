@@ -97,6 +97,11 @@ def _write(out: str | None, payload: str) -> None:
             sys.stdout.write(payload)
             sys.stdout.flush()
         except OSError as exc:
+            # the unwritten bytes stay buffered; point the descriptor at the
+            # null device so that the flush at exit does not fail again
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
             raise QsoError(f"cannot write to stdout: {exc.strerror}") from None
 
 

@@ -265,7 +265,8 @@ def _walk(t: CoefficientTensor, x0, marks: np.ndarray, sums: np.ndarray | None =
     acc, done = np.zeros(t.m), 0
     for c, mark in enumerate(marks.tolist()):
         for _ in range(mark - done):
-            acc += x
+            if sums is not None:
+                acc += x
             x = _step(flat, x)
         done = mark
         states[c] = x

@@ -403,11 +403,16 @@ def test_a_failed_write_exits_2(capsys):
     ["trajectory", "--family", "REGULAR", "--m", "4", "--random-starts", "2", "--seed", "1",
      "--steps", "5", "--out", "{tmp}/runs.csv"],
 ], ids=["families", "verify", "scalar", "trajectory-paths"])
-def test_a_failed_stdout_write_exits_2(tmp_path, argv):
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_a_failed_stdout_write_exits_2(tmp_path, argv, buffered):
+    # a buffered stdout keeps the unwritten bytes for the flush at exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "w") as full:
         proc = subprocess.run([sys.executable, "-m", "qsodyn",
                                *[a.format(tmp=tmp_path) for a in argv]],
-                              stdout=full, stderr=subprocess.PIPE, text=True)
+                              stdout=full, stderr=subprocess.PIPE, text=True, env=env)
     assert proc.returncode == 2
     assert proc.stderr == f"error: cannot write to stdout: {os.strerror(errno.ENOSPC)}\n"
 
