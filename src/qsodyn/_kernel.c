@@ -13,7 +13,8 @@
    number of rows, `np.einsum('ijk,nj,ni->nk', p, xs, xs)` then
    `ys / ys.sum(axis=1)`: each y_k starts at 0.0 and adds
    (p[i,j,k] * x_j) * x_i with i as the outer and j as the inner index,
-   then the same pairwise sum and division.
+   then the same pairwise sum and division.  It advances two rows at once,
+   one in each lane of an SSE2 vector, with the same operations per lane.
 
    The Newton loop (newton) makes one start of analysis._newton_periodic
    for the map itself (n_compose == 1): the residual with the step above,
@@ -126,12 +127,17 @@ void orbit(dgemv_fn gemv, const double *flat, int64_t m, double *x,
     }
 }
 
-/* y[k .. k + w - 1], each summed over (i, j) in einsum's order.  w is a
-   constant at every call, so the w sums stay in registers. */
-static inline void contract(const double *p, int64_t m, const double *x,
-                            int64_t k, int w, double *y)
+/* Two rows, one in each lane of an SSE2 register.  Each operation on a v2d
+   is one IEEE multiply, add or divide per lane, so each lane has the bits
+   of the same loop on doubles. */
+typedef double v2d __attribute__((vector_size(16)));
+
+/* y[k .. k + w - 1], each summed over (i, j) in einsum's order, for both
+   rows.  w is a constant at every call, so the w sums stay in registers. */
+static inline void contract(const double *p, int64_t m, const v2d *x,
+                            int64_t k, int w, v2d *y)
 {
-    double acc[4] = {0.0, 0.0, 0.0, 0.0};
+    v2d acc[2] = {{0.0, 0.0}, {0.0, 0.0}};
     const double *q = p + k;
     for (int64_t i = 0; i < m; i++)
         for (int64_t j = 0; j < m; j++, q += m)
@@ -141,21 +147,43 @@ static inline void contract(const double *p, int64_t m, const double *x,
         y[k + b] = acc[b];
 }
 
-/* Each of the rows of the (rows, m) array xs <- its x^(n_steps), one row
-   at a time so that its state stays in L1.  p is the (m, m, m) tensor. */
+/* Each of the rows of the (rows, m) array xs <- its x^(n_steps), two rows
+   at a time, one per lane, so that their state stays in L1; an odd last
+   row is paired with itself.  p is the (m, m, m) tensor. */
 void batch(const double *p, int64_t m, double *xs, int64_t rows, int64_t n_steps)
 {
-    double y[MAX_M];
-    for (int64_t r = 0; r < rows; r++) {
-        double *x = xs + r * m;
+    v2d x[MAX_M], y[MAX_M];
+    double lane[MAX_M];
+    for (int64_t r = 0; r < rows; r += 2) {
+        double *row[2] = {xs + r * m, xs + (r + 1 < rows ? r + 1 : r) * m};
+        for (int64_t k = 0; k < m; k++)
+            x[k] = (v2d){row[0][k], row[1][k]};
         for (int64_t n = 0; n < n_steps; n++) {
             int64_t k = 0;
-            for (; k + 4 <= m; k += 4)
-                contract(p, m, x, k, 4, y);
-            for (; k < m; k++)
+            for (; k + 2 <= m; k += 2)
+                contract(p, m, x, k, 2, y);
+            if (k < m)
                 contract(p, m, x, k, 1, y);
-            renormalize(y, m, x);
+            /* renormalize, lane by lane: below 8 terms the pairwise sum is
+               this sequential one, above it takes a copy of each lane */
+            v2d s = {0.0, 0.0};
+            if (m < 8) {
+                for (k = 0; k < m; k++)
+                    s += y[k];
+            } else {
+                for (int l = 0; l < 2; l++) {
+                    for (k = 0; k < m; k++)
+                        lane[k] = y[k][l];
+                    s[l] = pairwise_sum(lane, m);
+                }
+            }
+            s = 0.0 + s;
+            for (k = 0; k < m; k++)
+                x[k] = y[k] / s;
         }
+        for (int l = 0; l < 2; l++)
+            for (int64_t k = 0; k < m; k++)
+                row[l][k] = x[k][l];
     }
 }
 

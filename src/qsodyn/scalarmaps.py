@@ -123,7 +123,7 @@ def low_period_scan(spec: ScalarMapSpec, n: int, grid: int = 100_000,
 
     xs = np.linspace(0.0, 1.0, grid + 1)
     resid = iterate_scalar(spec, xs, n) - xs
-    roots = [float(x) for x, r in zip(xs, resid) if abs(r) < tol]
+    roots = xs[np.abs(resid) < tol].tolist()
 
     def residual(x: float) -> float:
         return float(iterate_scalar(spec, x, n) - x)

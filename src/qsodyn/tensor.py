@@ -471,7 +471,8 @@ def _kernel_agrees(kernel: _Kernel) -> bool:
     """Bitwise comparison of the compiled loops with the numpy ones, for an
     m below and an m above numpy's 8-term pairwise-sum block: the states and
     running sums of one orbit at steps 0 to 5 against ``_step``, five steps
-    of 50 rows against ``apply_batch``, and Newton starts against
+    of 51 rows against ``apply_batch`` (an odd count, so that the last row is
+    paired with itself), and Newton starts against
     ``analysis._newton_periodic``."""
     from .analysis import _newton_periodic  # analysis imports this module
 
@@ -480,7 +481,7 @@ def _kernel_agrees(kernel: _Kernel) -> bool:
     marks = np.arange(6, dtype=np.int64)
     for m in (3, 9):
         t = random_tensor(rng, m)
-        xs = rng.exponential(size=(50, m))
+        xs = rng.exponential(size=(51, m))
         xs /= xs.sum(axis=1, keepdims=True)
         want, want_sums, want_rows = [xs[0]], [np.zeros(m)], xs
         for _ in range(5):

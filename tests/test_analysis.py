@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsodyn import errors
 from qsodyn.analysis import (
     ATTRACTING,
     NON_HYPERBOLIC,
     REPELLING,
+    MaxNormReport,
+    _max_norm_distance,
     abs_diff_product,
     check_invariant_set,
     check_lyapunov,
@@ -41,7 +45,7 @@ from qsodyn.families import (
     make_s2,
 )
 from qsodyn.simplex import SimplexPoint, center, parse_cycles, validate_point, vertex
-from qsodyn.tensor import apply, iterate, jacobian, random_tensor
+from qsodyn.tensor import apply, iterate, jacobian, random_tensor, run_batch
 
 
 # --- fixed points and classification -----------------------------------------
@@ -432,6 +436,59 @@ def test_max_norm_strict_decrease_examples():
     rep = max_norm_check(2000, seed=17)
     assert rep.violations == 0
     assert rep.min_margin > 0.0
+
+
+M4_FIXED = np.vstack([np.eye(4), np.full((1, 4), 0.25)])
+
+
+def reference_max_norm_check(samples, seed, exclusion_radius=1e-9):
+    """max_norm_check as it was written before its reductions went column by
+    column, kept as the oracle."""
+    xs = sample_interior(np.random.default_rng(seed), 4, samples)
+    dist = np.min(np.max(np.abs(xs[:, None, :] - M4_FIXED[None, :, :]), axis=2), axis=1)
+    keep = dist > exclusion_radius
+    ys = run_batch(make_regular(4), xs[keep], 1)
+    margins = np.max(xs[keep], axis=1) - np.max(ys, axis=1)
+    return MaxNormReport(samples, int(keep.sum()), int((~keep).sum()),
+                         float(np.min(margins)), int(np.sum(margins <= 0.0)))
+
+
+@st.composite
+def near_fixed_samples(draw):
+    """Random points of the 3-simplex, some of them on or within 1e-9 of a
+    vertex or the center."""
+    n = draw(st.integers(1, 40))
+    xs = sample_interior(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), 4, n)
+    for r in draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True)):
+        offset = np.array(draw(st.lists(st.floats(-1e-9, 1e-9), min_size=4, max_size=4)))
+        xs[r] = M4_FIXED[draw(st.integers(0, 4))] + offset
+    return xs
+
+
+@settings(max_examples=100, deadline=None)
+@given(near_fixed_samples())
+def test_max_norm_distance_is_the_three_axis_reduction(xs):
+    want = np.min(np.max(np.abs(xs[:, None, :] - M4_FIXED[None, :, :]), axis=2), axis=1)
+    got = _max_norm_distance(xs, M4_FIXED)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("seed,radius", [(17, 1e-9), (4, 1e-9), (11, 0.05), (3, 0.0)])
+def test_max_norm_check_matches_the_three_axis_reduction(seed, radius):
+    assert max_norm_check(3000, seed, radius) == reference_max_norm_check(3000, seed, radius)
+
+
+@pytest.mark.parametrize("radius", [float("nan"), float("inf"), -1e-9, "1e-9", None])
+def test_max_norm_check_rejects_a_bad_exclusion_radius(radius):
+    with pytest.raises(errors.QsoError, match="exclusion_radius must be a finite number >= 0"):
+        max_norm_check(100, 1, radius)
+
+
+def test_max_norm_check_raises_when_every_sample_is_excluded():
+    # no two points of the simplex are farther apart than 1 in the max norm
+    with pytest.raises(errors.QsoError, match="excludes all 100 samples"):
+        max_norm_check(100, 1, 2.0)
 
 
 # --- periodic absence -----------------------------------------------------------------

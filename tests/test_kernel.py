@@ -266,6 +266,19 @@ def test_self_test_checks_the_batched_loop(kernel):
     assert not tensor._kernel_agrees(short)
 
 
+def test_self_test_checks_the_odd_last_row(kernel):
+    # the last row of an odd count shares its vector with itself alone
+    odd = mock.Mock(wraps=kernel)
+
+    def batch_odd_row_one_ulp_off(p, xs, n_steps):
+        kernel.batch(p, xs, n_steps)
+        if len(xs) % 2:
+            xs[-1, 0] = np.nextafter(xs[-1, 0], np.inf)
+
+    odd.batch = batch_odd_row_one_ulp_off
+    assert not tensor._kernel_agrees(odd)
+
+
 def test_loader_builds_into_pycache(tmp_path, monkeypatch, kernel):
     src = tmp_path / "_kernel.c"
     src.write_bytes(tensor._KERNEL_SOURCE.read_bytes())
@@ -298,7 +311,8 @@ def test_kernel_loads_where_it_can():
 
 @st.composite
 def batch_cases(draw):
-    m = draw(st.integers(2, 16))
+    # past numpy's 8-term pairwise-sum block and past 16
+    m = draw(st.integers(2, 33))
     rows = draw(st.integers(1, 64))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     t = random_tensor(rng, m)
@@ -340,15 +354,21 @@ def test_batch_kernel_matches_numpy_on_catalog(kernel, family):
 def test_batch_kernel_runs_for_every_row_count(kernel, m):
     t = random_tensor(np.random.default_rng(m), m)
     spy = mock.Mock(wraps=kernel)
-    with mock.patch.object(tensor, "_kernel", lambda: spy):
-        # one row to past the row counts where einsum's path search would
-        # make two matmuls
-        for rows in range(1, 2 * m + 2):
-            spy.batch.reset_mock()
-            with mock.patch.object(tensor, "apply_batch", wraps=apply_batch) as numpy_step:
-                run_batch(t, np.full((rows, m), 1.0 / m), 3)
-            assert spy.batch.call_count == 1
-            assert numpy_step.call_count == 0
+    # one row to past the row counts where einsum's path search would make
+    # two matmuls, odd and even counts alike
+    for rows in range(1, 2 * m + 2):
+        xs = np.random.default_rng(rows).exponential(size=(rows, m))
+        xs /= xs.sum(axis=1, keepdims=True)
+        want = xs
+        for _ in range(3):
+            want = apply_batch(t, want)
+        spy.batch.reset_mock()
+        with (mock.patch.object(tensor, "_kernel", lambda: spy),
+              mock.patch.object(tensor, "apply_batch", wraps=apply_batch) as numpy_step):
+            got = run_batch(t, xs, 3)
+        assert spy.batch.call_count == 1
+        assert numpy_step.call_count == 0
+        assert np.array_equal(got, want)
 
 
 def searched_step(t, xs):
