@@ -164,8 +164,8 @@ void batch(const double *p, int64_t m, double *xs, int64_t rows, int64_t n_steps
                 contract(p, m, x, k, 2, y);
             if (k < m)
                 contract(p, m, x, k, 1, y);
-            /* renormalize, lane by lane: below 8 terms the pairwise sum is
-               this sequential one, above it takes a copy of each lane */
+            /* renormalize, lane by lane: below 8 terms numpy's pairwise sum
+               is this sequential one; from 8 on, each lane is copied out */
             v2d s = {0.0, 0.0};
             if (m < 8) {
                 for (k = 0; k < m; k++)
