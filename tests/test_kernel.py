@@ -311,7 +311,7 @@ def test_kernel_loads_where_it_can():
 
 @st.composite
 def batch_cases(draw):
-    # past numpy's 8-term pairwise-sum block and past 16
+    # both sides of numpy's 8-term pairwise-sum block, and past 16
     m = draw(st.integers(2, 33))
     rows = draw(st.integers(1, 64))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
