@@ -590,11 +590,15 @@ def _greedy_linkage(points: np.ndarray, tol: float) -> list[list[float]]:
     ``tol`` in the order a < b is merged into a, weighted by counts, and the
     scan restarts from a = 0 until no pair is within ``tol``.
     """
-    reps = np.empty_like(points)
+    # column-major: each scan screens on the contiguous first coordinates, and
+    # the sup norm, within tol only where they all are, picks the same first hit
+    reps = np.empty_like(points, order="F")
     counts: list[int] = []
     for row in points:
         k = len(counts)
-        hits = np.flatnonzero(np.max(np.abs(reps[:k] - row), axis=1) <= tol)
+        hits = np.flatnonzero(np.abs(reps[:k, 0] - row[0]) <= tol)
+        if hits.size:
+            hits = hits[np.max(np.abs(reps[hits] - row), axis=1) <= tol]
         if hits.size:
             i = hits[0]
             counts[i] += 1
@@ -606,11 +610,13 @@ def _greedy_linkage(points: np.ndarray, tol: float) -> list[list[float]]:
     a = 0
     while a < len(counts) - 1:
         k = len(counts)
-        hits = np.flatnonzero(np.max(np.abs(reps[a] - reps[a + 1:k]), axis=1) <= tol)
+        hits = a + 1 + np.flatnonzero(np.abs(reps[a, 0] - reps[a + 1:k, 0]) <= tol)
+        if hits.size:
+            hits = hits[np.max(np.abs(reps[a] - reps[hits]), axis=1) <= tol]
         if not hits.size:
             a += 1
             continue
-        b = a + 1 + hits[0]
+        b = hits[0]
         total = counts[a] + counts[b]
         reps[a] = (counts[a] * reps[a] + counts[b] * reps[b]) / total
         counts[a] = total

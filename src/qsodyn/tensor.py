@@ -62,19 +62,18 @@ class CoefficientTensor:
 
     def validate(self) -> None:
         """Check finiteness, symmetry, nonnegativity, and row stochasticity."""
-        if not np.all(np.isfinite(self.p)):
+        p = self.p
+        if not np.isfinite(p).all():
             raise NegativeCoefficient("non-finite coefficient in tensor")
-        if not np.array_equal(self.p, np.swapaxes(self.p, 0, 1)):
+        if not (p == p.transpose(1, 0, 2)).all():
             raise AsymmetricInput("p[i,j,k] != p[j,i,k] somewhere")
-        if np.min(self.p) < 0.0:
-            i, j, k = np.unravel_index(int(np.argmin(self.p)), self.p.shape)
-            raise NegativeCoefficient(
-                f"p[{i + 1},{j + 1},{k + 1}] = {self.p[i, j, k]!r} is negative"
-            )
-        sums = self.p.sum(axis=2)
-        bad = np.argwhere(np.abs(sums - 1.0) > ROW_SUM_TOL)
-        if bad.size:
-            i, j = bad[0]
+        if p.min() < 0.0:
+            i, j, k = np.unravel_index(int(p.argmin()), p.shape)
+            raise NegativeCoefficient(f"p[{i + 1},{j + 1},{k + 1}] = {p[i, j, k]!r} is negative")
+        sums = p.sum(axis=2)
+        bad = np.abs(sums - 1.0) > ROW_SUM_TOL
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
             raise RowSumNotOne(
                 f"row (i={i + 1}, j={j + 1}) sums to {sums[i, j]!r}, expected 1"
             )
@@ -594,16 +593,18 @@ def load_tensor(f, name: str = "") -> CoefficientTensor:
 
 def random_tensor(rng: np.random.Generator, m: int, name: str = "") -> CoefficientTensor:
     """A random valid tensor: each pair row is an independent Dirichlet draw."""
+    if not (isinstance(m, int) and m >= 2):
+        raise DimensionMismatch(f"tensor dimension {m} must be an integer >= 2")
+    # one draw: the rows (i, j), i <= j, in the order a draw per row takes them
+    rows = rng.exponential(size=(m * (m + 1) // 2, m))
+    rows /= rows.sum(axis=1, keepdims=True)
+    # round-trip through fsum-style normalization to keep the row sum
+    # within ROW_SUM_TOL exactly as validate() measures it
+    rows /= np.array([math.fsum(row) for row in rows.tolist()])[:, None]
+    upper = np.arange(m) >= np.arange(m)[:, None]
     p = np.zeros((m, m, m))
-    for i in range(m):
-        for j in range(i, m):
-            row = rng.exponential(size=m)
-            row /= row.sum()
-            # round-trip through fsum-style normalization to keep the row sum
-            # within ROW_SUM_TOL exactly as validate() measures it
-            row /= math.fsum(row.tolist())
-            p[i, j] = row
-            p[j, i] = row
+    p[upper] = rows
+    p.transpose(1, 0, 2)[upper] = rows
     t = CoefficientTensor(m, p, name)
     t.validate()
     return t
