@@ -590,8 +590,8 @@ def _greedy_linkage(points: np.ndarray, tol: float) -> list[list[float]]:
     ``tol`` in the order a < b is merged into a, weighted by counts, and the
     scan restarts from a = 0 until no pair is within ``tol``.
     """
-    # column-major: each scan screens on the contiguous first coordinates, and
-    # the sup norm, within tol only where they all are, picks the same first hit
+    # column-major: each scan screens on the contiguous first coordinate, then
+    # takes the sup norm of the few left, which keeps the same first hit
     reps = np.empty_like(points, order="F")
     counts: list[int] = []
     for row in points:

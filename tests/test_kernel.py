@@ -10,6 +10,7 @@ difference is a bug.  The numpy loops are selected by replacing the loader
 
 import contextlib
 import io
+import math
 import os
 import shutil
 import subprocess
@@ -741,3 +742,81 @@ def test_linkage_merge_pass_matches_reference():
     pts = 0.5 + rng.normal(scale=0.004, size=(300, 3))
     for tol in (0.003, 0.005, 0.01):
         assert [tuple(r) for r in _greedy_linkage(pts, tol)] == reference_linkage(pts, tol)
+
+
+@st.composite
+def linkage_cases(draw):
+    """Point sets for the greedy linkage at a dyadic tol: jitter about a few
+    centers, a drift whose running means merge, or a dyadic grid, whose
+    first coordinates differ by exactly tol, with signed zeros and repeated
+    rows."""
+    m = draw(st.integers(2, 8))
+    n = draw(st.integers(1, 300))
+    tol = 2.0 ** draw(st.integers(-20, -3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["jitter", "drift", "grid"]))
+    if kind == "jitter":
+        centers = rng.random((draw(st.integers(1, 6)), m))
+        scale = draw(st.sampled_from([0.1, 0.5, 1.0, 2.0])) * tol
+        pts = centers[rng.integers(len(centers), size=n)] + rng.normal(scale=scale, size=(n, m))
+    elif kind == "drift":
+        step = draw(st.sampled_from([0.25, 0.5, 1.0])) * tol
+        pts = 0.5 + np.cumsum(rng.normal(scale=step, size=(n, m)), axis=0)
+    else:
+        pts = tol * rng.integers(-2, 3, size=(n, m)).astype(float)
+        pts[rng.random((n, m)) < 0.5] *= -1.0  # 0.0 and -0.0
+    if draw(st.booleans()):
+        pts = pts[rng.integers(n, size=n)]  # repeated rows
+    return pts, tol
+
+
+def bits(rows):
+    return np.array(rows, dtype=float).tobytes()
+
+
+@given(linkage_cases())
+@settings(max_examples=100, deadline=None)
+def test_linkage_matches_reference_on_drawn_points(case):
+    pts, tol = case
+    assert bits(_greedy_linkage(pts, tol)) == bits(reference_linkage(pts, tol))
+
+
+@pytest.mark.parametrize("second,clusters", [
+    ([0.25, 0.0], 1),    # |dx_0| == tol exactly: within tol, as in the sup norm
+    ([-0.25, -0.0], 1),
+    ([0.5, 0.0], 2),     # screened out
+    ([0.25, 0.5], 2),    # passes the screen, fails the sup norm
+    ([0.0, 0.25], 1),
+])
+def test_linkage_screen_at_tol(second, clusters):
+    pts = np.array([[0.0, 0.0], second])
+    got = _greedy_linkage(pts, 0.25)
+    assert len(got) == clusters and got == [list(r) for r in reference_linkage(pts, 0.25)]
+
+
+# --- random tensors -----------------------------------------------------------------
+
+
+def per_row_random_tensor(rng, m):
+    """The per-row loop that random_tensor used before it drew all rows at
+    once, kept as the oracle."""
+    p = np.zeros((m, m, m))
+    for i in range(m):
+        for j in range(i, m):
+            row = rng.exponential(size=m)
+            row /= row.sum()
+            row /= math.fsum(row.tolist())
+            p[i, j] = row
+            p[j, i] = row
+    return p
+
+
+@pytest.mark.parametrize("m,seeds", [*((m, 200) for m in range(2, 18)), (33, 20), (64, 20)])
+def test_random_tensor_matches_the_per_row_loop(m, seeds):
+    for seed in range(seeds):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_tensor(got_rng, m, "r")
+        assert got.p.tobytes() == per_row_random_tensor(want_rng, m).tobytes()
+        # the generator is left where the loop left it, for the draws after
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert got.name == "r"

@@ -9,6 +9,7 @@ from qsodyn import errors
 from qsodyn.families import make_quasi_strict, make_regular, make_s2
 from qsodyn.simplex import center, parse_cycles, validate_point, vertex
 from qsodyn.tensor import (
+    CoefficientTensor,
     apply,
     apply_raw,
     build_tensor,
@@ -51,6 +52,53 @@ def test_build_rejects_non_finite():
 def test_build_rejects_lower_triangle_input():
     with pytest.raises(errors.AsymmetricInput):
         build_tensor(2, {(2, 1, 1): 1.0})
+
+
+def faulty_tensor(*faults):
+    """A uniform m=4 tensor with the named faults; entries are dyadic, so
+    every unfaulted row sums to exactly 1."""
+    p = np.full((4, 4, 4), 0.25)
+    if "non-finite" in faults:
+        p[3, 2, 1] = p[2, 3, 1] = np.nan
+    if "asymmetric" in faults:
+        p[0, 3, 2] += 2.0**-40
+    if "negative" in faults:
+        # two equal minima: the first in C order is named
+        p[1, 2, 3] = p[2, 1, 3] = -0.5
+        p[3, 0, 0] = p[0, 3, 0] = -0.5
+    if "row sum" in faults:
+        # two bad rows: the first in C order is named
+        p[3, 3, 0] += 2.0**-30
+        p[1, 3, 1] = p[3, 1, 1] = 0.25 - 2.0**-30
+    return CoefficientTensor(4, p)
+
+
+# Each failure as validate() reported it before it was vectorized, pinned (a
+# value is named by its numpy repr); each tensor also has every fault that
+# validate() checks later.
+@pytest.mark.parametrize("faults,error,message", [
+    (("non-finite", "asymmetric", "negative", "row sum"), errors.NegativeCoefficient,
+     "non-finite coefficient in tensor"),
+    (("asymmetric", "negative", "row sum"), errors.AsymmetricInput,
+     "p[i,j,k] != p[j,i,k] somewhere"),
+    (("negative", "row sum"), errors.NegativeCoefficient,
+     f"p[1,4,1] = {np.float64(-0.5)!r} is negative"),
+    (("row sum",), errors.RowSumNotOne,
+     f"row (i=2, j=4) sums to {np.float64(1 - 2.0**-30)!r}, expected 1"),
+])
+def test_validate_reports_the_first_fault(faults, error, message):
+    with pytest.raises(error) as info:
+        faulty_tensor(*faults).validate()
+    assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("m", [-1, 0, 1, 2.0, 3.5, "3", True, np.int64(3)])
+def test_random_tensor_rejects_a_bad_m_before_drawing(m):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(errors.DimensionMismatch, match="must be an integer >= 2"):
+        random_tensor(rng, m)
+    assert rng.bit_generator.state == state
 
 
 def test_zakharevich_entries_valid():
