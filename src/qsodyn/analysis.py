@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
@@ -30,8 +31,6 @@ from .simplex import Permutation, SimplexPoint
 from .tensor import (
     CoefficientTensor,
     Trajectory,
-    _apply_arr,
-    _kernel_for,
     cesaro,
     jacobian,
     run,
@@ -150,132 +149,131 @@ def classify_fixed_point(t: CoefficientTensor, x: SimplexPoint,
 # --- multistart Newton solving ------------------------------------------------
 
 
-def _compose(t: CoefficientTensor, x: np.ndarray, n: int) -> np.ndarray:
-    for _ in range(n):
-        x = _apply_arr(t, x)
-    return x
-
-
-def _compose_jacobian(t: CoefficientTensor, x: np.ndarray, n: int) -> np.ndarray:
-    """Chain-rule Jacobian of the n-fold map along the orbit of x."""
-    j = jacobian(t, x)
+def _compose_jacobian_rows(t: CoefficientTensor, xs: np.ndarray, n: int) -> np.ndarray:
+    """Chain-rule Jacobian of the n-fold map along the orbit of each row, as
+    a (rows, m, m) stack of ``jacobian``."""
+    j = 2.0 * np.einsum("ijk,ni->nkj", t.p, xs)
     for _ in range(n - 1):
-        x = _apply_arr(t, x)
-        j = jacobian(t, x) @ j
+        xs = run_batch(t, xs, 1)
+        j = 2.0 * np.einsum("ijk,ni->nkj", t.p, xs) @ j
     return j
 
 
 def _project(x: np.ndarray) -> np.ndarray:
-    """Clamp negatives to zero and renormalize back onto the simplex."""
+    """Clamp negatives to zero and renormalize each point (along the last
+    axis) back onto the simplex; a point with no positive mass goes to the
+    barycentre."""
     y = np.clip(x, 0.0, None)
-    s = y.sum()
-    if s <= 0.0:
-        y = np.full_like(x, 1.0 / x.size)
-        s = 1.0
+    s = y.sum(axis=-1, keepdims=True)
+    empty = s <= 0.0
+    if empty.any():
+        y = np.where(empty, 1.0 / x.shape[-1], y)
+        s = np.where(empty, 1.0, s)
     return y / s
 
 
-def _solve_or_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _lstsq_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.array([np.linalg.lstsq(ak, bk, rcond=None)[0] for ak, bk in zip(a, b)])
+
+
+def _solve_rows(a: np.ndarray, b: np.ndarray, singular=None) -> np.ndarray:
+    """The solution of each system ``a[k] x = b[k]``, by one stacked
+    ``np.linalg.solve``.  A singular system gets ``singular`` of its rows,
+    or NaN when ``singular`` is None."""
     try:
-        return np.linalg.solve(a, b)
+        return np.linalg.solve(a, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        return _lstsq(a, b)
+        # slogdet factors each system as solve does: sign 0 where it is singular
+        bad = np.linalg.slogdet(a).sign == 0.0
+        x = np.full_like(b, np.nan)
+        x[~bad] = np.linalg.solve(a[~bad], b[~bad, :, None])[..., 0]
+        if singular is not None:
+            x[bad] = singular(a[bad], b[bad])
+        return x
 
 
-def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.linalg.lstsq(a, b, rcond=None)[0]
+def _solve_or_lstsq_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _solve_rows(a, b, _lstsq_rows)
 
 
-def _newton_step(t: CoefficientTensor, x: np.ndarray, r: np.ndarray, n_compose: int,
-                 solve=np.linalg.solve) -> np.ndarray | None:
-    """Increment of the first m-1 coordinates of a Newton step for
-    V^n(x) = x from x, whose residual is r; None if it is not finite.
+def _newton_iterations(t: CoefficientTensor, x: np.ndarray, rows: np.ndarray, n: int,
+                       iters: int, below: float, solve, clip: float | None = None,
+                       limit: float = sys.float_info.max) -> np.ndarray:
+    """Up to ``iters`` Newton iterations for V^n(x) = x on each of the
+    ``rows`` of x, in place; returns the rows that made all of them.
 
-    The unit-sum constraint eliminates the last coordinate, whose increment
-    is minus the sum of the others.  ``solve(a, b)`` solves the reduced
-    system; ``np.linalg.solve`` raises LinAlgError if it is singular.
+    A row stops at max|r| < ``below``, and at an increment whose largest
+    entry is above ``limit`` or not finite; an increment larger than
+    ``clip`` is scaled down to it.  The increment solves ``solve(a, b)`` in
+    the first m-1 coordinates: the unit-sum constraint eliminates the last
+    coordinate, whose increment is minus the sum of the others.
     """
-    m = t.m
-    jn = _compose_jacobian(t, x, n_compose)
-    mred = jn[: m - 1, : m - 1] - np.eye(m - 1) - jn[: m - 1, m - 1:m]
-    dy = solve(mred, -r[: m - 1])
-    return dy if np.all(np.isfinite(dy)) else None
-
-
-# Phases of a Newton start.  The compiled kernel runs a start until numpy
-# would call lstsq and hands it back in that phase, or ends it (_DONE).
-_SEARCH, _CORRECT, _DONE = 0, 1, 2
-
-
-def _newton_periodic(t: CoefficientTensor, x0: np.ndarray, n_compose: int,
-                     tol: float, max_iter: int = 80, kernel=None):
-    """Newton for V^n(x) = x on the affine hull, projected to the simplex.
-
-    Steps are solved in the first m-1 coordinates (see ``_newton_step``).
-    Singular systems fall back to least squares, and persistent
-    non-convergence to a damped picard sweep.  Returns
-    ``(x, residual, converged)``.
-
-    With the compiled ``kernel`` (n_compose == 1 only), the start runs in C,
-    bit for bit as below, except where numpy calls lstsq.  At a search
-    iteration whose system is singular the kernel hands x back; the loop
-    below makes that iteration and resumes the kernel at the next one.  At
-    the least-squares correction after the damped sweeps, the loops below
-    finish the start.
-    """
-    x = _project(np.asarray(x0, dtype=float).copy())
-    if x.shape != (t.m,):  # the kernel takes m from the tensor
-        raise DimensionMismatch(f"start has shape {x.shape}, tensor has m={t.m}")
-
-    def resid(pt: np.ndarray) -> np.ndarray:
-        return _compose(t, pt, n_compose) - pt
-
-    phase, it = _SEARCH, 0
-    while True:
-        if kernel is not None:
-            phase, it, rmax = kernel.newton(t.p, x, tol, it, max_iter)
-            if phase != _SEARCH:
+    m, xs, eye = t.m, x[rows], np.eye(t.m - 1)
+    for _ in range(iters):
+        r = run_batch(t, xs, n) - xs
+        stop = np.abs(r).max(axis=1) < below
+        if stop.any():
+            x[rows[stop]] = xs[stop]
+            rows, xs, r = rows[~stop], xs[~stop], r[~stop]
+            if not rows.size:
                 break
-        elif it >= max_iter:
-            # damped picard fallback reaches attracting solutions Newton missed
+        j = _compose_jacobian_rows(t, xs, n)
+        a = j[:, :m - 1, :m - 1] - eye
+        a -= j[:, :m - 1, m - 1:]
+        dy = solve(a, -r[:, :m - 1])
+        size = np.abs(dy).max(axis=1)
+        stop = ~(size <= limit)
+        if stop.any():
+            x[rows[stop]] = xs[stop]
+            rows, xs, dy, size = rows[~stop], xs[~stop], dy[~stop], size[~stop]
+            if not rows.size:
+                break
+        if clip is not None:  # the trust region: quadratic maps can throw Newton far out
+            dy *= (clip / np.maximum(size, clip))[:, None]
+        v = xs.copy()
+        v[:, :m - 1] += dy
+        v[:, m - 1] -= dy.sum(axis=1)
+        xs = _project(v)
+    x[rows] = xs
+    return rows
+
+
+def _newton(t: CoefficientTensor, x0s, n_compose: int, tol: float, max_iter: int = 80):
+    """Newton for V^n(x) = x on the affine hull, projected to the simplex,
+    from each row of ``x0s``; all starts run as rows of one array, and no
+    row's bits depend on the others.
+
+    Each start searches with a trust region, solving singular systems by
+    least squares.  One that is still searching after ``max_iter``
+    iterations gets 500 damped sweeps x <- (x + V^n(x)) / 2, which reach
+    attracting solutions Newton missed, then up to 6 least-squares
+    corrections.  Every start ends with up to two plain Newton steps of at
+    most 1e-3, which stop at a singular system.  Returns
+    ``(xs, residuals, converged)``, one row or entry per start.
+    """
+    x = _project(np.array(x0s, dtype=float))
+    if x.ndim != 2 or x.shape[1] != t.m:
+        raise DimensionMismatch(f"starts have shape {x.shape}, expected (n, {t.m})")
+    every = np.arange(len(x))
+    out = _newton_iterations(t, x, every, n_compose, max_iter, tol, _solve_or_lstsq_rows,
+                             clip=0.5)
+    if out.size:
+        if n_compose == 1:
+            # (V + id) / 2 is the map of p / 2 + e / 2, e[i, j, k] = (d_ik + d_jk) / 2
+            eye = np.eye(t.m)
+            e = (eye[:, None, :] + eye[None]) / 2
+            lazy = CoefficientTensor(t.m, 0.5 * t.p + 0.5 * e)
+            x[out] = run_batch(lazy, x[out], 500)
+        else:
+            xs = x[out]
             for _ in range(500):
-                x = _project(0.5 * x + 0.5 * _compose(t, x, n_compose))
-            phase = _CORRECT
-            break
-        r = resid(x)
-        if float(np.max(np.abs(r))) < tol:
-            break
-        dy = _newton_step(t, x, r, n_compose, _solve_or_lstsq)
-        if dy is None:
-            break
-        step = np.max(np.abs(dy))
-        if step > 0.5:  # trust region: quadratic maps can throw Newton far out
-            dy *= 0.5 / step
-        x = _project(x + np.append(dy, -dy.sum()))
-        it += 1
-    if phase == _CORRECT:
-        for _ in range(6):
-            r = resid(x)
-            if np.max(np.abs(r)) < tol:
-                break
-            dy = _newton_step(t, x, r, n_compose, _lstsq)
-            if dy is None:
-                break
-            x = _project(x + np.append(dy, -dy.sum()))
-    if phase != _DONE:
-        # polish with two plain Newton steps from the converged point
-        for _ in range(2):
-            r = resid(x)
-            if np.max(np.abs(r)) == 0.0:
-                break
-            try:
-                dy = _newton_step(t, x, r, n_compose)
-            except np.linalg.LinAlgError:
-                break
-            if dy is None or np.max(np.abs(dy)) > 1e-3:
-                break
-            x = _project(x + np.append(dy, -dy.sum()))
-        rmax = float(np.max(np.abs(resid(x))))
+                xs = _project(0.5 * xs + 0.5 * run_batch(t, xs, n_compose))
+            x[out] = xs
+        _newton_iterations(t, x, out, n_compose, 6, tol, _lstsq_rows)
+    # polish; below the least positive float, only an exact zero residual stops
+    _newton_iterations(t, x, every, n_compose, 2, np.nextafter(0.0, 1.0), _solve_rows,
+                       limit=1e-3)
+    rmax = np.abs(run_batch(t, x, n_compose) - x).max(axis=1)
     return x, rmax, rmax < max(tol * 100.0, 1e-10)
 
 
@@ -305,14 +303,10 @@ def find_fixed_points(t: CoefficientTensor, starts: int = 24, tol: float = 1e-12
     _check_count("starts", starts, 0)
     _check_tolerance("tol", tol, positive=True)
     _check_tolerance("band", band)
-    x0s = _default_starts(t, starts, seed)
-    found = np.empty((len(x0s), t.m))  # the first len(resids) rows
+    xs, rmax, ok = _newton(t, _default_starts(t, starts, seed), 1, tol)
+    found = np.empty_like(xs)  # the first len(resids) rows
     resids: list[float] = []
-    kernel = _kernel_for(t.p)
-    for x0 in x0s:
-        x, resid, ok = _newton_periodic(t, x0, 1, tol, kernel=kernel)
-        if not ok:
-            continue
+    for x, resid in zip(xs[ok], rmax[ok].tolist()):
         n = len(resids)
         near = np.flatnonzero(np.max(np.abs(found[:n] - x), axis=1) < DEDUP_RADIUS)
         if near.size == 0:
@@ -349,10 +343,8 @@ def periodic_absence_search(m: int, perm: Permutation, n: int, starts: int = 40,
     s = perm.order
     solutions: list[tuple[SimplexPoint, float, str]] = []
     kept: list[np.ndarray] = []
-    for x0 in _default_starts(t, starts, seed):
-        x, resid, ok = _newton_periodic(t, x0, n, tol)
-        if not ok:
-            continue
+    xs, rmax, ok = _newton(t, _default_starts(t, starts, seed), n, tol)
+    for x, resid in zip(xs[ok], rmax[ok].tolist()):
         if any(np.max(np.abs(x - y)) < DEDUP_RADIUS for y in kept):
             continue
         kept.append(x)
@@ -368,7 +360,7 @@ def _categorize_solution(t: CoefficientTensor, x: np.ndarray, s: int) -> str:
         return "fixed_point"
     if abs(x[-1] - 0.5) < 1e-8:
         for d in range(1, s + 1):
-            if s % d == 0 and np.max(np.abs(_compose(t, x, d) - x)) < 1e-8:
+            if s % d == 0 and np.max(np.abs(run(t, x, d) - x)) < 1e-8:
                 return "periodic_s"
     return "other"
 

@@ -168,11 +168,9 @@ def cmd_trajectory(args) -> int:
     # one CSV file per start, numbered: the format holds a single trajectory
     if not args.out or args.out == "-":
         raise QsoError("--random-starts K > 1 needs --out; files are numbered per start")
-    stem, dot, ext = args.out.rpartition(".")
-    if not dot:
-        stem, ext = args.out, "csv"
+    stem, ext = os.path.splitext(args.out)
     for k, x0 in enumerate(starts, start=1):
-        path = f"{stem}.{k}.{ext}"
+        path = f"{stem}.{k}{ext or '.csv'}"
         _write(path, _trajectory_csv(t, x0, args.steps, args.stride))
         _write(None, path + "\n")
     return 0

@@ -187,11 +187,6 @@ def _step(flat: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y / y.sum()
 
 
-def _apply_arr(t: CoefficientTensor, x: np.ndarray) -> np.ndarray:
-    """One renormalized application on a raw coordinate array."""
-    return _step(t._flat, x)
-
-
 def apply_raw(t: CoefficientTensor, x) -> np.ndarray:
     """The quadratic form itself, without renormalization.
 
@@ -208,7 +203,7 @@ def apply(t: CoefficientTensor, x: SimplexPoint) -> SimplexPoint:
     """Apply the operator to a simplex point (renormalized)."""
     if x.m != t.m:
         raise DimensionMismatch(f"point has {x.m} coordinates, tensor has m={t.m}")
-    return SimplexPoint(tuple(_apply_arr(t, x.array).tolist()))
+    return SimplexPoint(tuple(_step(t._flat, x.array).tolist()))
 
 
 def apply_batch(t: CoefficientTensor, xs: np.ndarray) -> np.ndarray:
@@ -362,34 +357,28 @@ _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
 # Each function starts on a 64-byte line, so that the speed of a loop does
 # not depend on the size of the code before it.
 _KERNEL_CFLAGS = ("-O2", "-ffp-contract=off", "-falign-functions=64", "-shared", "-fPIC")
-# numpy's cblas_dgemv and LAPACK dgesv with 64-bit integers, as exported by
-# scipy-openblas64
+# numpy's cblas_dgemv with 64-bit integers, as exported by scipy-openblas64
 _NUMPY_DGEMV = "scipy_cblas_dgemv64_"
-_NUMPY_DGESV = "scipy_dgesv_64_"
 
 
 class _Kernel:
     """The loops of ``_kernel.c``, the single-orbit one bound to numpy's own
-    BLAS dgemv and the Newton loop also to its LAPACK dgesv.
+    BLAS dgemv.
 
     Callers pass C-contiguous float64 arrays of matching sizes, increasing
-    int64 marks >= 0, m <= 64 and n_steps >= 0; the callers of ``_walk``,
-    ``run_batch`` and ``analysis._newton_periodic`` check all of it.  ``x``
-    and ``xs`` are advanced in place.
+    int64 marks >= 0, m <= 64 and n_steps >= 0; the callers of ``_walk``
+    and ``run_batch`` check all of it.  ``x`` and ``xs`` are advanced in
+    place.
     """
 
-    def __init__(self, lib: ctypes.CDLL, dgemv: int, dgesv: int):
-        ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+    def __init__(self, lib: ctypes.CDLL, dgemv: int):
+        ptr, i64 = ctypes.c_void_p, ctypes.c_int64
         lib.orbit.argtypes = [ptr, ptr, i64, ptr, ptr, i64, ptr, ptr]
         lib.batch.argtypes = [ptr, i64, ptr, i64, i64]
-        lib.newton.argtypes = [ptr, ptr, ptr, i64, ptr, f64, i64, i64,
-                               ctypes.POINTER(i64), ctypes.POINTER(f64)]
         for fn in (lib.orbit, lib.batch):
             fn.restype = None
-        lib.newton.restype = ctypes.c_int
         self._lib = lib
         self._dgemv = dgemv
-        self._dgesv = dgesv
 
     def orbit(self, flat, x, marks, states, sums=None):
         self._lib.orbit(self._dgemv, flat.ctypes.data, len(x), x.ctypes.data,
@@ -399,20 +388,6 @@ class _Kernel:
     def batch(self, p, xs, n_steps):
         rows, m = xs.shape
         self._lib.batch(p.ctypes.data, m, xs.ctypes.data, rows, n_steps)
-
-    def newton(self, p, x, tol, first, max_iter):
-        """A Newton start of ``analysis._newton_periodic`` for the map
-        itself, from the projected start ``x`` at search iteration ``first``.
-
-        Returns ``(phase, iteration, rmax)``: the phase in which numpy goes
-        on, with the search iteration whose system is singular, or the
-        final residual.
-        """
-        at, rmax = ctypes.c_int64(first), ctypes.c_double(0.0)
-        phase = self._lib.newton(self._dgemv, self._dgesv, p.ctypes.data, len(p),
-                                 x.ctypes.data, tol, first, max_iter,
-                                 ctypes.byref(at), ctypes.byref(rmax))
-        return phase, at.value, rmax.value
 
 
 def _build_kernel() -> Path:
@@ -444,26 +419,15 @@ def _build_kernel() -> Path:
     return lib
 
 
-def _numpy_symbol(extension, name: str) -> int:
-    """Address of the BLAS or LAPACK function ``name`` that numpy calls,
-    looked up through numpy's ``extension`` module, which links the library."""
-    return ctypes.cast(getattr(ctypes.CDLL(extension.__file__), name), ctypes.c_void_p).value
-
-
 def _numpy_dgemv() -> int:
-    """Address of the BLAS dgemv that numpy's matmul calls."""
+    """Address of the BLAS dgemv that numpy's matmul calls, looked up
+    through numpy's extension module, which links the library."""
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:  # numpy < 2
         from numpy.core import _multiarray_umath as umath
-    return _numpy_symbol(umath, _NUMPY_DGEMV)
-
-
-def _numpy_dgesv() -> int:
-    """Address of the LAPACK dgesv that ``np.linalg.solve`` calls."""
-    from numpy.linalg import _umath_linalg
-
-    return _numpy_symbol(_umath_linalg, _NUMPY_DGESV)
+    symbol = getattr(ctypes.CDLL(umath.__file__), _NUMPY_DGEMV)
+    return ctypes.cast(symbol, ctypes.c_void_p).value
 
 
 def _kernel_agrees(kernel: _Kernel) -> bool:
@@ -471,12 +435,8 @@ def _kernel_agrees(kernel: _Kernel) -> bool:
     m below and an m above numpy's 8-term pairwise-sum block: the states and
     running sums of one orbit at steps 0 to 5 against ``_step``, five steps
     of 51 rows against ``apply_batch`` (an odd count, so that the last row is
-    paired with itself), and Newton starts against
-    ``analysis._newton_periodic``."""
-    from .analysis import _newton_periodic  # analysis imports this module
-
+    paired with itself)."""
     rng = np.random.default_rng(0)
-    newton_starts = []
     marks = np.arange(6, dtype=np.int64)
     for m in (3, 9):
         t = random_tensor(rng, m)
@@ -493,23 +453,6 @@ def _kernel_agrees(kernel: _Kernel) -> bool:
         if not (np.array_equal(got, want) and np.array_equal(got_sums, want_sums)
                 and np.array_equal(got_rows, want_rows)):
             return False
-        newton_starts += [(t, np.eye(m)[0], 1e-12, 80), (t, xs[1], 1e-12, 80)]
-    # These run to convergence.  One more makes one Newton iteration, the
-    # damped sweeps and a rejected polish step on the m=3 tensor blended into
-    # the identity map, whose sweeps are too slow to converge: one iteration
-    # more or less changes the result.
-    t = newton_starts[0][0]
-    idx = np.arange(3)
-    ident = np.zeros((3, 3, 3))
-    ident[idx, :, idx] += 0.5
-    ident[:, idx, idx] += 0.5
-    slow = CoefficientTensor(3, 3e-3 * t.p + (1.0 - 3e-3) * ident)
-    newton_starts.append((slow, np.eye(3)[0], 1e-3, 1))
-    for u, x0, tol, max_iter in newton_starts:
-        got = _newton_periodic(u, x0, 1, tol, max_iter, kernel)
-        want = _newton_periodic(u, x0, 1, tol, max_iter)
-        if not (np.array_equal(got[0], want[0]) and got[1:] == want[1:]):
-            return False
     return True
 
 
@@ -517,12 +460,11 @@ def _kernel_agrees(kernel: _Kernel) -> bool:
 def _kernel() -> _Kernel | None:
     """The compiled loops, built and self-tested on first use.
 
-    None when there is no C compiler, numpy's BLAS or LAPACK does not export
-    the dgemv or dgesv symbol, or the self-test disagrees: the numpy loops
-    then run.
+    None when there is no C compiler, numpy's BLAS does not export the
+    dgemv symbol, or the self-test disagrees: the numpy loops then run.
     """
     try:
-        kernel = _Kernel(ctypes.CDLL(str(_build_kernel())), _numpy_dgemv(), _numpy_dgesv())
+        kernel = _Kernel(ctypes.CDLL(str(_build_kernel())), _numpy_dgemv())
     except (OSError, AttributeError):
         return None
     return kernel if _kernel_agrees(kernel) else None

@@ -249,6 +249,22 @@ def test_random_starts_trajectories(capsys, tmp_path):
     assert len(firsts) == 3
 
 
+@pytest.mark.parametrize("out,numbered", [
+    ("run.d/traj", ["run.d/traj.1.csv", "run.d/traj.2.csv"]),
+    ("run.d/traj.v2.csv", ["run.d/traj.v2.1.csv", "run.d/traj.v2.2.csv"]),
+])
+def test_random_starts_number_the_file_name_not_the_directory(capsys, tmp_path, out, numbered):
+    (tmp_path / "run.d").mkdir()
+    code, printed, _ = run_cli(
+        capsys, "trajectory", "--family", "REGULAR", "--m", "4",
+        "--random-starts", "2", "--seed", "11", "--steps", "5",
+        "--out", str(tmp_path / out),
+    )
+    assert code == 0
+    assert printed.splitlines() == [str(tmp_path / name) for name in numbered]
+    assert sorted(p.name for p in (tmp_path / "run.d").iterdir()) == [Path(n).name for n in numbered]
+
+
 def test_random_starts_require_seed(capsys):
     code, _, err = run_cli(
         capsys, "trajectory", "--family", "REGULAR", "--m", "3",

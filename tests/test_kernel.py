@@ -2,9 +2,9 @@
 
 Every comparison is exact (``np.array_equal``): the single-orbit loops make
 the numpy step's own BLAS call, the batched loop sums in the order of
-einsum's three-operand contraction, the Newton loop makes numpy's Jacobian
-sums and its own LAPACK call, and all sum in numpy's pairwise order, so any
-difference is a bug.  The numpy loops are selected by replacing the loader
+einsum's three-operand contraction, and both sum in numpy's pairwise order,
+so any difference is a bug.  The Newton search, which runs all its starts
+as rows of one array, is held to a per-start oracle in the same way.  The numpy loops are selected by replacing the loader
 ``tensor._kernel``.
 """
 
@@ -25,14 +25,10 @@ from hypothesis import strategies as st
 
 from qsodyn import cli, errors, tensor
 from qsodyn.analysis import (
-    _CORRECT,
-    _DONE,
-    _SEARCH,
     _default_starts,
     _greedy_linkage,
-    _newton_periodic,
+    _newton,
     ergodicity_probe,
-    find_fixed_points,
     max_norm_check,
     omega_estimate,
 )
@@ -295,13 +291,12 @@ def test_loader_builds_into_pycache(tmp_path, monkeypatch, kernel):
 
 
 def test_kernel_loads_where_it_can():
-    # a compiler and numpy's BLAS and LAPACK symbols are there: a kernel
-    # that fails its self-test must not pass unnoticed as a silent fallback
+    # a compiler and numpy's BLAS symbol are there: a kernel that fails its
+    # self-test must not pass unnoticed as a silent fallback
     try:
         tensor._numpy_dgemv()
-        tensor._numpy_dgesv()
     except (OSError, AttributeError):
-        pytest.skip("numpy's BLAS or LAPACK does not export the dgemv or dgesv symbol")
+        pytest.skip("numpy's BLAS does not export the dgemv symbol")
     if shutil.which("cc") is None:
         pytest.skip("no C compiler")
     assert tensor._kernel() is not None
@@ -525,52 +520,123 @@ def test_max_norm_check_uses_the_batched_step():
 # --- Newton fixed-point search ---------------------------------------------------------
 
 
-def newton_both(kernel, t, x0, tol, max_iter=80):
-    """``_newton_periodic`` through the kernel and in numpy, and the phases
-    in which the kernel handed the start back, one per kernel call."""
-    phases = []
+def oracle_newton(t, x0, n, tol, max_iter=80):
+    """One start of the Newton search for V^n(x) = x, alone: the per-start
+    control flow that ``_newton`` runs for every row, with the one-row step
+    ``apply_batch(t, x[None])[0]`` and ``tensor.jacobian``."""
+    m = t.m
 
-    def newton(*args):
-        out = kernel.newton(*args)
-        phases.append(out[0])
-        return out
+    def project(v):
+        y = np.clip(v, 0.0, None)
+        s = y.sum()
+        if s <= 0.0:
+            y, s = np.full_like(v, 1.0 / m), 1.0
+        return y / s
 
-    spy = mock.Mock(wraps=kernel)
-    spy.newton = newton
-    fast = _newton_periodic(t, x0, 1, tol, max_iter, spy)
-    ref = _newton_periodic(t, x0, 1, tol, max_iter)
-    return fast, ref, phases
+    def compose(x, k=n):
+        for _ in range(k):
+            x = apply_batch(t, x[None])[0]
+        return x
+
+    def newton_step(x, r, solve):
+        j = tensor.jacobian(t, x)
+        for _ in range(n - 1):
+            x = compose(x, 1)
+            j = tensor.jacobian(t, x) @ j
+        dy = solve(j[:m - 1, :m - 1] - np.eye(m - 1) - j[:m - 1, m - 1:m], -r[:m - 1])
+        return dy if np.all(np.isfinite(dy)) else None
+
+    def lstsq(a, b):
+        return np.linalg.lstsq(a, b, rcond=None)[0]
+
+    def solve_or_lstsq(a, b):
+        try:
+            return np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:
+            return lstsq(a, b)
+
+    x = project(np.asarray(x0, dtype=float))
+    for _ in range(max_iter):
+        r = compose(x) - x
+        if np.max(np.abs(r)) < tol:
+            break
+        dy = newton_step(x, r, solve_or_lstsq)
+        if dy is None:
+            break
+        size = np.max(np.abs(dy))
+        if size > 0.5:
+            dy *= 0.5 / size
+        x = project(x + np.append(dy, -dy.sum()))
+    else:
+        # the search ran out: damped sweeps, then least-squares corrections
+        if n == 1:
+            eye = np.eye(m)
+            lazy = tensor.CoefficientTensor(m, 0.5 * t.p + 0.25 * (eye[:, None, :] + eye[None]))
+        for _ in range(500):
+            x = apply_batch(lazy, x[None])[0] if n == 1 else project(0.5 * x + 0.5 * compose(x))
+        for _ in range(6):
+            r = compose(x) - x
+            if np.max(np.abs(r)) < tol:
+                break
+            dy = newton_step(x, r, lstsq)
+            if dy is None:
+                break
+            x = project(x + np.append(dy, -dy.sum()))
+    for _ in range(2):
+        r = compose(x) - x
+        if np.max(np.abs(r)) == 0.0:
+            break
+        try:
+            dy = newton_step(x, r, np.linalg.solve)
+        except np.linalg.LinAlgError:
+            break
+        if dy is None or np.max(np.abs(dy)) > 1e-3:
+            break
+        x = project(x + np.append(dy, -dy.sum()))
+    rmax = float(np.max(np.abs(compose(x) - x)))
+    return x, rmax, rmax < max(tol * 100.0, 1e-10)
 
 
-def same_newton(fast, ref):
-    return np.array_equal(fast[0], ref[0]) and fast[1:] == ref[1:]
+def newton_against_oracle(t, x0s, n, tol, max_iter=80):
+    """``_newton`` on the stack and the oracle on each start, bit for bit;
+    returns the lstsq calls of each."""
+    with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
+        xs, rmax, ok = _newton(t, x0s, n, tol, max_iter)
+        rows_calls = lstsq.call_count
+        for k, x0 in enumerate(x0s):
+            x, r, converged = oracle_newton(t, x0, n, tol, max_iter)
+            assert np.array_equal(xs[k], x) and rmax[k] == r and ok[k] == converged, k
+    return rows_calls, lstsq.call_count - rows_calls
+
+
+def drawn_start(draw, m):
+    kind = draw(st.sampled_from(["vertex", "edge", "interior", "boundary"]))
+    if kind == "vertex":
+        return np.eye(m)[draw(st.integers(0, m - 1))]
+    if kind == "edge":
+        i, j = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+        x = np.zeros(m)
+        x[[i, j]] = 0.5
+        return x
+    x = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=m, max_size=m)))
+    if kind == "boundary":
+        x[draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m - 1))] = 0.0
+    return x / x.sum()
 
 
 @st.composite
 def newton_cases(draw):
     m = draw(st.integers(2, 12))
     t = random_tensor(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), m)
-    kind = draw(st.sampled_from(["vertex", "edge", "interior", "boundary"]))
-    if kind == "vertex":
-        x = np.eye(m)[draw(st.integers(0, m - 1))]
-    elif kind == "edge":
-        i, j = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
-        x = np.zeros(m)
-        x[[i, j]] = 0.5
-    else:
-        x = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=m, max_size=m)))
-        if kind == "boundary":
-            x[draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m - 1))] = 0.0
-        x /= x.sum()
-    return t, x, draw(st.sampled_from([1e-12, 1e-8])), draw(st.sampled_from([80, 80, 2, 0]))
+    x0s = [drawn_start(draw, m) for _ in range(draw(st.integers(1, 4)))]
+    return (t, x0s, draw(st.sampled_from([1, 2, 3])), draw(st.sampled_from([1e-12, 1e-8])),
+            draw(st.sampled_from([80, 80, 2, 0])))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(newton_cases())
-def test_newton_kernel_matches_numpy(kernel, case):
-    t, x0, tol, max_iter = case
-    fast, ref, _ = newton_both(kernel, t, x0, tol, max_iter)
-    assert same_newton(fast, ref)
+def test_newton_rows_match_the_per_start_oracle(case):
+    newton_against_oracle(*case)
 
 
 def slow_blend(m, seed=0):
@@ -584,37 +650,56 @@ def slow_blend(m, seed=0):
                                     + (1.0 - 3e-3) * ident)
 
 
-@pytest.mark.parametrize("t,x0,tol,max_iter,phases", [
-    # converges in the search, or after the damped sweeps
-    (random_tensor(np.random.default_rng(1), 5), np.eye(5)[2], 1e-12, 80, [_DONE]),
-    (slow_blend(3), np.eye(3)[0], 1e-3, 1, [_DONE]),
-    # a singular system at the first iteration: numpy makes that iteration
-    # with lstsq, then the kernel goes on, into the damped sweeps if that was
-    # the last iteration
-    (make("ZAKHAREVICH"), np.array([0.5, 0.5, 0.0]), 1e-12, 80, [_SEARCH, _DONE]),
-    (make("ZAKHAREVICH"), np.array([0.5, 0.5, 0.0]), 1e-12, 1, [_SEARCH, _DONE]),
-    (make("REGULAR", 6), np.array([0.5, 0.5, 0, 0, 0, 0]), 1e-8, 80, [_SEARCH, _DONE]),
-    # still off tol after the sweeps: the lstsq correction
-    (slow_blend(3), np.eye(3)[0], 1e-3, 0, [_CORRECT]),
-    (slow_blend(7, 2), np.full(7, 1 / 7), 1e-12, 2, [_CORRECT]),
+ZAK_EDGES = [np.array([0.5, 0.5, 0.0]), np.array([0.5, 0.0, 0.5]), np.array([0.0, 0.5, 0.5])]
+
+
+@pytest.mark.parametrize("t,x0s,tol,max_iter,lstsq_calls", [
+    # every row converges in the search
+    (random_tensor(np.random.default_rng(1), 5), [np.eye(5)[2], np.eye(5)[0], np.full(5, 0.2)],
+     1e-12, 80, 0),
+    # the first system of ZAKHAREVICH's edge midpoints is singular: one
+    # stacked solve raises, the regular rows are solved, the others go to lstsq
+    (make("ZAKHAREVICH"), _default_starts(make("ZAKHAREVICH"), 10, 4), 1e-12, 80, 3),
+    (make("ZAKHAREVICH"), [ZAK_EDGES[0], np.eye(3)[1], np.full(3, 1 / 3)], 1e-12, 1, 1),
+    (make("REGULAR", 6), [np.array([0.5, 0.5, 0, 0, 0, 0]), np.eye(6)[3]], 1e-8, 80, 1),
+    # every row singular at once
+    (make("ZAKHAREVICH"), ZAK_EDGES, 1e-12, 80, 3),
+    # rows that reach the damped sweeps: converged after them, or still off
+    # tol and on to the least-squares corrections
+    (slow_blend(3), [np.eye(3)[0], np.eye(3)[1], np.full(3, 1 / 3)], 1e-3, 1, 0),
+    (slow_blend(3), [np.eye(3)[0], np.array([0.2, 0.3, 0.5])], 1e-3, 0, 1),
+    (slow_blend(7, 2), [np.full(7, 1 / 7), np.eye(7)[6]], 1e-12, 2, 4),
 ])
-def test_newton_kernel_hands_back_where_numpy_calls_lstsq(kernel, t, x0, tol, max_iter, phases):
-    with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
-        fast, ref, handed_back = newton_both(kernel, t, x0, tol, max_iter)
-    assert handed_back == phases
-    assert same_newton(fast, ref)
-    # a start the kernel ends alone is one on which numpy never calls lstsq
-    assert lstsq.called == (phases != [_DONE])
+def test_newton_rows_match_the_oracle_on_fixed_stacks(t, x0s, tol, max_iter, lstsq_calls):
+    # least squares on exactly the systems where the oracle takes it
+    assert newton_against_oracle(t, x0s, 1, tol, max_iter) == (lstsq_calls, lstsq_calls)
 
 
 def test_singular_system_reaches_lstsq_on_the_numpy_path():
     # the first reduced system at this edge midpoint is singular
-    t, x0 = make("ZAKHAREVICH"), np.array([0.5, 0.5, 0.0])
+    t = make("ZAKHAREVICH")
     with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
-        x, resid, ok = _newton_periodic(t, x0, 1, 1e-12)
+        xs, resid, ok = _newton(t, ZAK_EDGES[:1], 1, 1e-12)
     assert lstsq.called
     assert np.linalg.matrix_rank(lstsq.call_args_list[0].args[0]) < t.m - 1
-    assert ok
+    assert ok.all()
+
+
+def test_sweeps_run_the_lazy_operator_in_one_batch():
+    # n_compose == 1: the 500 damped sweeps are one run_batch call
+    t = slow_blend(3)
+    with mock.patch("qsodyn.analysis.run_batch", wraps=tensor.run_batch) as spy:
+        _newton(t, [np.eye(3)[0], np.eye(3)[1]], 1, 1e-3, 0)
+    sweeps = [c for c in spy.call_args_list if c.args[2] == 500]
+    assert len(sweeps) == 1 and len(sweeps[0].args[1]) == 2
+    lazy = sweeps[0].args[0].p
+    assert np.allclose(lazy.sum(axis=2), 1.0) and np.array_equal(lazy, lazy.transpose(1, 0, 2))
+
+
+def test_newton_start_of_the_wrong_size_rejected_before_the_kernel():
+    with mock.patch("qsodyn.analysis.run_batch") as spy, pytest.raises(errors.DimensionMismatch):
+        _newton(make("KHUKR"), [np.full(4, 0.25)], 1, 1e-12)
+    spy.assert_not_called()
 
 
 PERM6 = "(1 2)(3 4 5)"
@@ -651,39 +736,6 @@ def test_fixed_points_reports_identical_without_kernel(kernel, family, seed):
     with numpy_loops():
         ref = cli_report(argv)
     assert fast[0] == 0 and fast == ref
-
-
-def test_fixed_points_resume_the_kernel_only_after_a_singular_system(kernel):
-    t = make("ZAKHAREVICH")
-    phases = []
-
-    def newton(*args):
-        out = kernel.newton(*args)
-        phases.append(out[0])
-        return out
-
-    spy = mock.Mock(wraps=kernel)
-    spy.newton = newton
-    with mock.patch.object(tensor, "_kernel", lambda: spy):
-        find_fixed_points(t, starts=10, seed=4)
-    # one call per start, and one more after each singular search iteration
-    assert _SEARCH in phases
-    assert len(phases) == len(_default_starts(t, 10, 4)) + phases.count(_SEARCH)
-
-
-def test_newton_start_of_the_wrong_size_rejected_before_the_kernel(kernel):
-    spy = mock.Mock(wraps=kernel)
-    with pytest.raises(errors.DimensionMismatch):
-        _newton_periodic(make("KHUKR"), np.full(4, 0.25), 1, 1e-12, kernel=spy)
-    spy.newton.assert_not_called()
-
-
-def test_self_test_checks_the_newton_loop(kernel):
-    short = mock.Mock(wraps=kernel)
-    # one Newton iteration short of what was asked
-    short.newton = lambda p, x, tol, first, max_iter: kernel.newton(p, x, tol, first,
-                                                                    max_iter - 1)
-    assert not tensor._kernel_agrees(short)
 
 
 # --- limit-set clustering ----------------------------------------------------------

@@ -43,7 +43,7 @@ from qsodyn.analysis import (
 from qsodyn.errors import InapplicableFunction, InapplicableSet, NeverEntersRegion, QsoError
 from qsodyn.families import make, make_alpha_combination, make_quasi_strict, make_s2
 from qsodyn.simplex import Permutation, SimplexPoint, parse_cycles, validate_point
-from qsodyn.tensor import CoefficientTensor, _apply_arr, iterate, random_tensor, run_collect
+from qsodyn.tensor import CoefficientTensor, _step, iterate, random_tensor, run_collect
 from qsodyn.verification import _blend_config, _interior_points
 
 PERM6 = "(1 2)(3 4 5)"
@@ -395,7 +395,7 @@ def test_cesaro_means_match_the_per_checkpoint_loop(m):
     acc, x, want = np.zeros(m), x0.copy(), []
     for n in range(1, cps[-1] + 1):
         acc += x
-        x = _apply_arr(t, x)
+        x = _step(t._flat, x)
         if n in cps:
             mean = acc / n
             want.append(mean / mean.sum())
@@ -468,7 +468,7 @@ def old_contraction_report(m, perm, alpha, x0, blocks=64, diff_floor=1e-6,
         if x[-1] < 0.5:
             entered = n
             break
-        x = _apply_arr(t, x)
+        x = _step(t._flat, x)
     if entered < 0:
         raise NeverEntersRegion(
             f"last coordinate stayed >= 1/2 for {max_entry_steps} steps"
@@ -624,7 +624,7 @@ def old_check_invariant_set(t, spec, samples, horizon, seed):
             raise InapplicableSet(f"sampler produced defect {d0!r} > 1e-12")
         max_initial = max(max_initial, d0)
         for _ in range(horizon):
-            x = _apply_arr(t, x)
+            x = _step(t._flat, x)
             max_defect = max(max_defect, spec.defect(x))
     return analysis.InvariantSetReport(spec.id, samples, horizon, max_initial, max_defect)
 
