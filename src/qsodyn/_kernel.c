@@ -9,6 +9,17 @@
    of step marks: tensor.run is one mark, run_collect and iterate one mark
    per recorded step, and cesaro one per checkpoint with the sums.
 
+   Once a step of orbit returns its input bit for bit, orbit makes no more
+   steps.  The step is a function of the bits of x alone, so every later
+   step would return the same bits: the rest of the orbit is known, and
+   skipping it changes no result.  The running sum still adds x once per
+   remaining step, in the same order, so the sums keep their bits; without
+   sums orbit goes straight to the next mark.  The test compares bits
+   (memcmp), not values (==), for which -0.0 and 0.0 are the same although
+   they are different inputs.  Converging orbits reach such a state: at
+   the seed of verify, the Cesaro orbit of ZAKHAREVICH within about 100
+   of its 10^6 steps.  batch steps every row all the way.
+
    The batched loop (batch) makes the step of tensor.apply_batch for any
    number of rows, `np.einsum('ijk,nj,ni->nk', p, xs, xs)` then
    `ys / ys.sum(axis=1)`: each y_k starts at 0.0 and adds
@@ -95,21 +106,30 @@ static void step(dgemv_fn gemv, const double *flat, int64_t m, double *x)
 
 /* For each mark c: states[c] = x^(marks[c]) and, unless sums is NULL,
    sums[c] = x^(0) + ... + x^(marks[c] - 1).  Marks are increasing and
-   start at 0 or later; x is left at x^(marks[n_marks - 1]). */
+   start at 0 or later; x is left at x^(marks[n_marks - 1]).  Once a step
+   returns its input bit for bit, no step is made again: see the header. */
 void orbit(dgemv_fn gemv, const double *flat, int64_t m, double *x,
            const int64_t *marks, int64_t n_marks, double *states, double *sums)
 {
-    double acc[MAX_M] = {0.0};
+    double acc[MAX_M] = {0.0}, prev[MAX_M];
+    size_t bytes = m * sizeof *x;
     int64_t n = 0;
+    int fixed = 0;
     for (int64_t c = 0; c < n_marks; c++) {
-        for (; n < marks[c]; n++) {
+        for (; n < marks[c] && !fixed; n++) {
             for (int64_t k = 0; k < m; k++)
                 acc[k] += x[k];
+            memcpy(prev, x, bytes);
             step(gemv, flat, m, x);
+            fixed = memcmp(prev, x, bytes) == 0;
         }
-        memcpy(states + c * m, x, m * sizeof *x);
         if (sums)
-            memcpy(sums + c * m, acc, m * sizeof *acc);
+            for (; n < marks[c]; n++)
+                for (int64_t k = 0; k < m; k++)
+                    acc[k] += x[k];
+        memcpy(states + c * m, x, bytes);
+        if (sums)
+            memcpy(sums + c * m, acc, bytes);
     }
 }
 

@@ -79,17 +79,21 @@ def tangent_basis(m: int) -> np.ndarray:
     return b
 
 
+def _tangent_spectra(j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``tangent_eigenvalues`` of each Jacobian of an (n, m, m) stack: an
+    (n, m-1) array of eigenvalues and an (n,) array of transversal values."""
+    b = tangent_basis(j.shape[-1])
+    return np.linalg.eigvals(b.T @ j @ b), j.sum(axis=1).mean(axis=1)
+
+
 def tangent_eigenvalues(t: CoefficientTensor, x) -> tuple[np.ndarray, float]:
     """Eigenvalues of the Jacobian restricted to the tangent space.
 
     Returns ``(m-1 complex eigenvalues, transversal eigenvalue)`` where the
     transversal value is the common Jacobian column sum (2 for unit-sum x).
     """
-    j = jacobian(t, x)
-    b = tangent_basis(t.m)
-    eigs = np.linalg.eigvals(b.T @ j @ b)
-    transversal = float(j.sum(axis=0).mean())
-    return eigs, transversal
+    eigs, transversal = _tangent_spectra(jacobian(t, x)[None])
+    return eigs[0], float(transversal[0])
 
 
 @dataclass(frozen=True)
@@ -122,28 +126,38 @@ def classify_fixed_point(t: CoefficientTensor, x: SimplexPoint,
                          band: float = DEFAULT_BAND) -> FixedPointReport:
     """Spectral classification of a fixed point on the tangent space."""
     _check_tolerance("band", band)
-    residual = float(np.max(np.abs(run(t, x.array, 1) - x.array)))
-    if residual >= FIXED_POINT_RESIDUAL:
-        raise NotAFixedPoint(f"residual {residual!r} >= {FIXED_POINT_RESIDUAL}")
-    eigs, transversal = tangent_eigenvalues(t, x)
+    return _classify_points(t, [x], band)[0]
+
+
+def _classify_points(t: CoefficientTensor, points: list[SimplexPoint],
+                     band: float) -> list[FixedPointReport]:
+    """``classify_fixed_point`` of each point, with one stacked spectrum;
+    the first point that is not fixed raises."""
+    if not points:
+        return []
+    xs = np.array([x.array for x in points])
+    residuals = [float(np.max(np.abs(run(t, x, 1) - x))) for x in xs]
+    for residual in residuals:
+        if residual >= FIXED_POINT_RESIDUAL:
+            raise NotAFixedPoint(f"residual {residual!r} >= {FIXED_POINT_RESIDUAL}")
+    eigs, transversal = _tangent_spectra(_compose_jacobian_rows(t, xs, 1))
     moduli = np.abs(eigs)
-    if np.any(np.abs(moduli - 1.0) <= band):
-        cls = NON_HYPERBOLIC
-    elif np.all(moduli < 1.0 - band):
-        cls = ATTRACTING
-    elif np.all(moduli > 1.0 + band):
-        cls = REPELLING
-    else:
-        cls = SADDLE
-    order = np.lexsort((eigs.imag, eigs.real))
-    return FixedPointReport(
-        point=x,
-        residual=residual,
-        tangent_eigenvalues=tuple(complex(v) for v in eigs[order]),
-        classification=cls,
-        transversal_eigenvalue=transversal,
-        on_boundary=bool(np.min(x.array) <= 1e-9),
-    )
+    cls = np.select([np.any(np.abs(moduli - 1.0) <= band, axis=1),
+                     np.all(moduli < 1.0 - band, axis=1), np.all(moduli > 1.0 + band, axis=1)],
+                    [NON_HYPERBOLIC, ATTRACTING, REPELLING], SADDLE)
+    eigs = np.take_along_axis(eigs, np.lexsort((eigs.imag, eigs.real), axis=-1), axis=-1)
+    return [
+        FixedPointReport(
+            point=x,
+            residual=residual,
+            tangent_eigenvalues=tuple(complex(v) for v in row),
+            classification=str(c),
+            transversal_eigenvalue=float(tv),
+            on_boundary=bool(low <= 1e-9),
+        )
+        for x, residual, row, c, tv, low in zip(points, residuals, eigs, cls, transversal,
+                                                xs.min(axis=1))
+    ]
 
 
 # --- multistart Newton solving ------------------------------------------------
@@ -315,10 +329,8 @@ def find_fixed_points(t: CoefficientTensor, starts: int = 24, tol: float = 1e-12
         elif resid < resids[near[0]]:
             found[near[0]] = x
             resids[near[0]] = resid
-    return [
-        classify_fixed_point(t, SimplexPoint(tuple(_project(np.array(x)).tolist())), band)
-        for x in sorted(map(tuple, found[:len(resids)].tolist()))
-    ]
+    rows = _project(np.array(sorted(map(tuple, found[:len(resids)].tolist()))).reshape(-1, t.m))
+    return _classify_points(t, [SimplexPoint(tuple(x)) for x in rows.tolist()], band)
 
 
 @dataclass(frozen=True)

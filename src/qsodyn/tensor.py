@@ -256,12 +256,17 @@ def _walk(t: CoefficientTensor, x0, marks: np.ndarray, sums: np.ndarray | None =
     if kernel is not None:
         kernel.orbit(flat, x, marks, states, sums)
         return states
-    acc, done = np.zeros(t.m), 0
+    acc, done, fixed = np.zeros(t.m), 0, False
     for c, mark in enumerate(marks.tolist()):
-        for _ in range(mark - done):
+        while done < mark and not fixed:
             if sums is not None:
                 acc += x
-            x = _step(flat, x)
+            y = _step(flat, x)
+            # a step that returns its input bit for bit returns it ever after
+            fixed, x, done = y.tobytes() == x.tobytes(), y, done + 1
+        if sums is not None:
+            for _ in range(mark - done):
+                acc += x
         done = mark
         states[c] = x
         if sums is not None:
@@ -433,26 +438,35 @@ def _numpy_dgemv() -> int:
 def _kernel_agrees(kernel: _Kernel) -> bool:
     """Bitwise comparison of the compiled loops with the numpy ones, for an
     m below and an m above numpy's 8-term pairwise-sum block: the states and
-    running sums of one orbit at steps 0 to 5 against ``_step``, five steps
+    running sums of two orbits at steps 0 to 5 against ``_step``, five steps
     of 51 rows against ``apply_batch`` (an odd count, so that the last row is
-    paired with itself)."""
+    paired with itself).  The tensor's (1, 1) row is e_1, so the vertex e_1
+    is a fixed point from step 0: the second orbit and row 1 start there,
+    next to the first orbit and the rows that keep moving."""
     rng = np.random.default_rng(0)
     marks = np.arange(6, dtype=np.int64)
     for m in (3, 9):
-        t = random_tensor(rng, m)
+        p = random_tensor(rng, m).p.copy()
+        p[0, 0] = np.eye(m)[0]
+        t = CoefficientTensor(m, p)
         xs = rng.exponential(size=(51, m))
         xs /= xs.sum(axis=1, keepdims=True)
-        want, want_sums, want_rows = [xs[0]], [np.zeros(m)], xs
+        xs[1] = p[0, 0]
+        want_rows, got_rows = xs, xs.copy()
         for _ in range(5):
-            want_sums.append(want_sums[-1] + want[-1])
-            want.append(_step(t._flat, want[-1]))
             want_rows = apply_batch(t, want_rows)
-        got, got_sums, got_rows = np.empty((6, m)), np.empty((6, m)), xs.copy()
-        kernel.orbit(t._flat, xs[0].copy(), marks, got, got_sums)
         kernel.batch(t.p, got_rows, 5)
-        if not (np.array_equal(got, want) and np.array_equal(got_sums, want_sums)
-                and np.array_equal(got_rows, want_rows)):
+        if not np.array_equal(got_rows, want_rows):
             return False
+        for x0 in xs[:2]:
+            want, want_sums = [x0], [np.zeros(m)]
+            for _ in range(5):
+                want_sums.append(want_sums[-1] + want[-1])
+                want.append(_step(t._flat, want[-1]))
+            got, got_sums = np.empty((6, m)), np.empty((6, m))
+            kernel.orbit(t._flat, x0.copy(), marks, got, got_sums)
+            if not (np.array_equal(got, want) and np.array_equal(got_sums, want_sums)):
+                return False
     return True
 
 

@@ -276,6 +276,38 @@ def test_self_test_checks_the_odd_last_row(kernel):
     assert not tensor._kernel_agrees(odd)
 
 
+def test_self_test_checks_the_fixed_orbit(kernel):
+    # a shortcut that stops adding to the running sums once the orbit is fixed
+    frozen = mock.Mock(wraps=kernel)
+
+    def orbit_sums_frozen_from_a_vertex(flat, x, marks, states, sums=None):
+        start = x.copy()
+        kernel.orbit(flat, x, marks, states, sums)
+        if sums is not None and start.max() == 1.0:
+            sums[2:] = sums[1]
+
+    frozen.orbit = orbit_sums_frozen_from_a_vertex
+    assert not tensor._kernel_agrees(frozen)
+
+
+@pytest.mark.parametrize("right,wrong", [
+    # stops after the first step, whatever it returned
+    ("fixed = memcmp(prev, x, bytes) == 0;", "fixed = 1;"),
+    # stops adding to the running sums once the orbit is fixed
+    ("        if (sums)\n            for (; n < marks[c]; n++)",
+     "        if (0)\n            for (; n < marks[c]; n++)"),
+])
+def test_self_test_refuses_a_wrong_fixed_point_shortcut(tmp_path, monkeypatch, kernel, right,
+                                                        wrong):
+    source = tensor._KERNEL_SOURCE.read_text()
+    assert source.count(right) == 1
+    src = tmp_path / "_kernel.c"
+    src.write_text(source.replace(right, wrong))
+    monkeypatch.setattr(tensor, "_KERNEL_SOURCE", src)
+    assert tensor._kernel.__wrapped__() is None
+    assert len(list(tmp_path.glob("__pycache__/_kernel-*.so"))) == 1  # it built, and was refused
+
+
 def test_loader_builds_into_pycache(tmp_path, monkeypatch, kernel):
     src = tmp_path / "_kernel.c"
     src.write_bytes(tensor._KERNEL_SOURCE.read_bytes())
@@ -515,6 +547,118 @@ def test_max_norm_check_uses_the_batched_step():
         rep = max_norm_check(500, 7)
     assert spy.call_count == 1 and spy.call_args.args[2] == 1
     assert rep.violations == 0 and rep.checked + rep.excluded == 500
+
+
+# --- orbits that reach a fixed point of the step ----------------------------------------
+
+
+def plain_orbit(t, x0, n_steps):
+    """x^(0..n_steps) and the running sums x^(0) + ... + x^(n-1), by a loop
+    of ``_step`` that makes every step."""
+    rows, sums = [np.array(x0, dtype=float)], [np.zeros(t.m)]
+    for _ in range(n_steps):
+        sums.append(sums[-1] + rows[-1])
+        rows.append(tensor._step(t._flat, rows[-1]))
+    return np.array(rows), np.array(sums)
+
+
+def plain_batch(t, xs, n_steps):
+    for _ in range(n_steps):
+        xs = apply_batch(t, xs)
+    return xs
+
+
+def first_fixed_step(rows):
+    """The first n at which x^(n+1) has the bits of x^(n)."""
+    same = (rows[1:].view(np.uint64) == rows[:-1].view(np.uint64)).all(axis=1)
+    assert same.any()
+    return int(np.argmax(same))
+
+
+def vertex_fixed(m):
+    """A random tensor whose (1, 1) row is e_1: the vertex e_1 is fixed."""
+    p = random_tensor(np.random.default_rng(m), m).p.copy()
+    p[0, 0] = np.eye(m)[0]
+    return tensor.CoefficientTensor(m, p)
+
+
+def toward_vertex(m):
+    """x -> 0.1 x + 0.9 e_1: every orbit lands on e_1 exactly, after about
+    320 steps."""
+    eye = np.eye(m)
+    return tensor.CoefficientTensor(m, 0.1 * (eye[:, None, :] + eye[None]) / 2 + 0.9 * eye[0])
+
+
+def vertex(m, zero=0.0):
+    x = np.full(m, zero)
+    x[0] = 1.0
+    return x
+
+
+def spread(m):
+    return np.linspace(1.0, 2.0, m) / np.linspace(1.0, 2.0, m).sum()
+
+
+FIXED_ORBITS = {
+    # (tensor, start, first fixed step)
+    "vertex m=3": (lambda: vertex_fixed(3), lambda: vertex(3), 0),
+    "vertex m=9": (lambda: vertex_fixed(9), lambda: vertex(9), 0),
+    # the first step turns -0.0 into 0.0: fixed only from step 1
+    "vertex m=9 with -0.0": (lambda: vertex_fixed(9), lambda: vertex(9, -0.0), 1),
+    "REGULAR m=3": (lambda: make("REGULAR", 3), lambda: np.array([0.5, 0.3, 0.2]), 7),
+    "REGULAR m=8": (lambda: make("REGULAR", 8), lambda: spread(8), 6),
+    "ZAKHAREVICH": (lambda: make("ZAKHAREVICH"), lambda: np.array([0.3, 0.3, 0.4]), 99),
+    "toward e_1 m=9": (lambda: toward_vertex(9), lambda: spread(9), 323),
+}
+
+
+def loops(kind):
+    """The compiled loops or the numpy ones."""
+    if kind == "numpy":
+        return numpy_loops()
+    if tensor._kernel() is None:
+        pytest.skip("compiled kernel unavailable")
+    return contextlib.nullcontext()
+
+
+@pytest.mark.parametrize("kind", ["kernel", "numpy"])
+@pytest.mark.parametrize("name", sorted(FIXED_ORBITS))
+def test_walk_matches_a_plain_loop_around_the_fixed_step(kind, name):
+    make_tensor, make_start, fixed_at = FIXED_ORBITS[name]
+    t, x0 = make_tensor(), make_start()
+    n = fixed_at
+    rows, sums = plain_orbit(t, x0, n + 3000)
+    assert first_fixed_step(rows) == n
+    mark_sets = [
+        [n], [n + 1], [n, n + 1, n + 2],              # the fixed step on a mark
+        [n // 2, n + 7], [max(n - 1, 0), n + 3000],   # between two marks
+        [0], [0, 1, 2, 3], [n + 1 + n // 3], [2 * n + 500],
+    ]
+    with loops(kind):
+        for marks in mark_sets:
+            marks = np.array(sorted(set(marks)), dtype=np.int64)
+            got_sums = np.empty((len(marks), t.m))
+            got = tensor._walk(t, x0, marks, got_sums)
+            assert got.tobytes() == rows[marks].tobytes(), marks
+            assert got_sums.tobytes() == sums[marks].tobytes(), marks
+            assert tensor._walk(t, x0, marks).tobytes() == rows[marks].tobytes(), marks
+
+
+@pytest.mark.parametrize("kind", ["kernel", "numpy"])
+@pytest.mark.parametrize("rows", [1, 7, 50])
+@pytest.mark.parametrize("m", [3, 9])
+@pytest.mark.parametrize("make_tensor,n_steps", [(vertex_fixed, 30), (toward_vertex, 400)])
+def test_run_batch_matches_a_plain_loop_with_fixed_rows(kind, rows, m, make_tensor, n_steps):
+    t = make_tensor(m)
+    xs = np.random.default_rng(rows).exponential(size=(rows, m))
+    xs /= xs.sum(axis=1, keepdims=True)
+    # every third row starts fixed, so that some lane pairs hold one fixed
+    # row and one that moves, and an odd last row is fixed
+    xs[::3] = vertex(m)
+    want = plain_batch(t, xs, n_steps)
+    with loops(kind):
+        got = run_batch(t, xs, n_steps)
+    assert got.tobytes() == want.tobytes()
 
 
 # --- Newton fixed-point search ---------------------------------------------------------
