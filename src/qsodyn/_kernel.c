@@ -10,15 +10,11 @@
    per recorded step, and cesaro one per checkpoint with the sums.
 
    Once a step of orbit returns its input bit for bit, orbit makes no more
-   steps.  The step is a function of the bits of x alone, so every later
-   step would return the same bits: the rest of the orbit is known, and
-   skipping it changes no result.  The running sum still adds x once per
-   remaining step, in the same order, so the sums keep their bits; without
-   sums orbit goes straight to the next mark.  The test compares bits
-   (memcmp), not values (==), for which -0.0 and 0.0 are the same although
-   they are different inputs.  Converging orbits reach such a state: at
-   the seed of verify, the Cesaro orbit of ZAKHAREVICH within about 100
-   of its 10^6 steps.  batch steps every row all the way.
+   steps: the step is a function of the bits of x alone, so every later one
+   would return the same bits.  The running sum still adds x once per step,
+   so the sums keep their bits.  The test is memcmp, not ==, for which -0.0
+   and 0.0 are equal although they are different inputs.  (ZAKHAREVICH's
+   Cesaro orbit in verify gets there within about 100 of its 10^6 steps.)
 
    The batched loop (batch) makes the step of tensor.apply_batch for any
    number of rows, `np.einsum('ijk,nj,ni->nk', p, xs, xs)` then
@@ -106,8 +102,7 @@ static void step(dgemv_fn gemv, const double *flat, int64_t m, double *x)
 
 /* For each mark c: states[c] = x^(marks[c]) and, unless sums is NULL,
    sums[c] = x^(0) + ... + x^(marks[c] - 1).  Marks are increasing and
-   start at 0 or later; x is left at x^(marks[n_marks - 1]).  Once a step
-   returns its input bit for bit, no step is made again: see the header. */
+   start at 0 or later; x is left at x^(marks[n_marks - 1]). */
 void orbit(dgemv_fn gemv, const double *flat, int64_t m, double *x,
            const int64_t *marks, int64_t n_marks, double *states, double *sums)
 {
