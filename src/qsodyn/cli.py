@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 
@@ -105,14 +106,16 @@ def _write(out: str | None, payload: str) -> None:
             raise QsoError(f"cannot write to stdout: {exc.strerror}") from None
 
 
-def _operator_params(args) -> dict:
-    return {
-        "family": args.family,
-        "tensor_file": args.tensor_file,
-        "m": args.m,
-        "perm": args.perm,
-        "param": args.param,
-    }
+def _write_report(args, t: CoefficientTensor, tolerances: dict, results) -> None:
+    """Write the report of an operator subcommand: its results in the envelope."""
+    _write(args.out, reports.dumps({
+        "operator": t.name,
+        "parameters": {"family": args.family, "tensor_file": args.tensor_file,
+                       "m": args.m, "perm": args.perm, "param": args.param},
+        "seed": getattr(args, "seed", None),
+        "tolerances": tolerances,
+        "results": results,
+    }))
 
 
 # --- subcommand handlers -----------------------------------------------------
@@ -180,22 +183,15 @@ def cmd_fixed_points(args) -> int:
     t = _resolve_operator(args)
     found = analysis.find_fixed_points(t, starts=args.starts, tol=args.tol,
                                        seed=args.seed, band=args.band)
-    doc = reports.report_document(
-        t.name, _operator_params(args), args.seed,
-        {"tol": args.tol, "band": args.band, "dedup_radius": analysis.DEDUP_RADIUS},
-        found,
-    )
-    _write(args.out, reports.dumps(doc))
+    _write_report(args, t, {"tol": args.tol, "band": args.band,
+                            "dedup_radius": analysis.DEDUP_RADIUS}, found)
     return 0
 
 
 def cmd_classify(args) -> int:
     t = _resolve_operator(args)
     rep = analysis.classify_fixed_point(t, _parse_x0(args.x0), band=args.band)
-    doc = reports.report_document(
-        t.name, _operator_params(args), None, {"band": args.band}, rep,
-    )
-    _write(args.out, reports.dumps(doc))
+    _write_report(args, t, {"band": args.band}, rep)
     return 0
 
 
@@ -224,11 +220,7 @@ def cmd_lyapunov(args) -> int:
     fn = _resolve_lyapunov(args, t)
     rep = analysis.check_lyapunov(t, fn, args.samples, args.horizon, args.seed,
                                   slack=args.slack)
-    doc = reports.report_document(
-        t.name, _operator_params(args), args.seed,
-        {"slack": rep.slack, "n0": rep.n0}, rep,
-    )
-    _write(args.out, reports.dumps(doc))
+    _write_report(args, t, {"slack": rep.slack, "n0": rep.n0}, rep)
     return 0 if rep.violations == 0 else FAILURE
 
 
@@ -242,12 +234,8 @@ def cmd_omega(args) -> int:
             period_tol=args.period_tol)}
         for x0 in starts
     ]
-    doc = reports.report_document(
-        t.name, _operator_params(args), args.seed,
-        {"cluster_tol": args.cluster_tol, "period_tol": args.period_tol},
-        results[0]["omega"] if args.x0 is not None else results,
-    )
-    _write(args.out, reports.dumps(doc))
+    _write_report(args, t, {"cluster_tol": args.cluster_tol, "period_tol": args.period_tol},
+                  results[0]["omega"] if args.x0 is not None else results)
     return 0
 
 
@@ -262,11 +250,7 @@ def cmd_ergodic(args) -> int:
         {"start": x0, "probe": analysis.ergodicity_probe(t, x0, checkpoints)}
         for x0 in starts
     ]
-    doc = reports.report_document(
-        t.name, _operator_params(args), args.seed, {},
-        results[0]["probe"] if args.x0 is not None else results,
-    )
-    _write(args.out, reports.dumps(doc))
+    _write_report(args, t, {}, results[0]["probe"] if args.x0 is not None else results)
     return 0
 
 
@@ -302,9 +286,13 @@ def cmd_scalar(args) -> int:
         rhs = scalarmaps.logistic2(scalarmaps.conjugacy_h(args.m, args.param, grid))
         results["conjugacy_check"] = {"grid": 1000,
                                       "max_dev": float(np.max(np.abs(lhs - rhs)))}
-    doc = reports.report_document(f"scalar:{args.map}", {"m": args.m, "alpha": args.param},
-                                  None, {}, results)
-    _write(args.out, reports.dumps(doc))
+    _write(args.out, reports.dumps({
+        "operator": f"scalar:{args.map}",
+        "parameters": {"m": args.m, "alpha": args.param},
+        "seed": None,
+        "tolerances": {},
+        "results": results,
+    }))
     return 0
 
 
@@ -422,6 +410,9 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise QsoError(f"--seed must be >= 0, got {args.seed}")
+        # every alias of the parameter (--alpha, --theta, ...) shares dest="param"
+        if getattr(args, "param", None) is not None and not math.isfinite(args.param):
+            raise QsoError(f"--param must be finite, got {args.param}")
         # refused before any work; other failures to write show at the write
         out = getattr(args, "out", None) or "-"
         if out != "-" and os.path.isdir(out):

@@ -1,5 +1,7 @@
+import contextlib
 import errno
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,9 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsodyn import cli, tensor
 from qsodyn.cli import main
+from qsodyn.families import make_regular
 
 
 def run_cli(capsys, *argv):
@@ -380,10 +385,19 @@ BAD_TENSOR_FILES = {
     ["scalar", "--map", "F", "--iterate", "0.3", "2.5"],
     ["scalar", "--map", "F", "--iterate", "0.3", "nan"],
     ["scalar", "--map", "F", "--iterate", "0.3", "inf"],
+    # a parameter that is not finite, also where the operator does not read it
+    ["scalar", "--map", "F", "--alpha", "nan", "--eval", "0.3"],
+    ["scalar", "--map", "F_ALPHA", "--m", "4", "--alpha", "inf", "--eval", "0.3"],
+    ["fixed-points", "--tensor-file", "{tmp}/regular3.tsv", "--param", "nan"],
+    ["classify", "--tensor-file", "{tmp}/regular3.tsv", "--param", "inf", "--x0", "1,0,0"],
+    ["omega", "--family", "GANIKHODJAEV_LAMBDA", "--lambda=-inf", "--x0", "0.3,0.3,0.4"],
+    ["lyapunov", "--family", "ALPHA_COMBINATION", "--m", "4", "--perm", "(1 2 3)",
+     "--alpha", "nan", "--fn", "LAST_COORD", "--seed", "1"],
 ])
 def test_bad_search_parameters_exit_2(capsys, tmp_path, argv):
     for name, data in BAD_TENSOR_FILES.items():
         (tmp_path / name).write_bytes(data)
+    tensor.save_tensor(make_regular(3), str(tmp_path / "regular3.tsv"))
     argv = [a.format(tmp=tmp_path) for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
@@ -473,8 +487,9 @@ def test_scalar_iterate_takes_a_whole_float_count(capsys):
     assert json.loads(zero)["results"]["iterate"]["value"] == 0.3
 
 
-# sha256 of outputs at the commit before the Lyapunov check and the trajectory
-# CSV were evaluated over whole arrays; both must stay byte-identical
+# sha256 of outputs recorded before a rewrite of the code that makes them: the
+# trajectory CSV and the lyapunov reports before they were evaluated over whole
+# arrays, the other reports before the serializer became one walk
 PINNED_OUTPUTS = [
     (["trajectory", "--family", "REGULAR", "--m", "5", "--x0", "0.4,0.3,0.2,0.05,0.05",
       "--steps", "20000"],
@@ -486,12 +501,77 @@ PINNED_OUTPUTS = [
     (["lyapunov", "--family", "ALPHA_COMBINATION", "--m", "4", "--perm", "(1 2 3)",
       "--alpha", "0.3", "--fn", "LAST_COORD", "--n0", "0", "--samples", "100", "--seed", "5"],
      1, "3770903e02f922248119feac5d1ac3b7a477ce20a1ff59ab7750ab9518e2d73a"),
+    (["fixed-points", "--family", "ALPHA_COMBINATION", "--m", "4", "--perm", "(1 2 3)",
+      "--alpha", "0.3", "--starts", "24", "--seed", "3"],
+     0, "e1ae9c83846414cc830965d6a319cb95e9283c6a0cf03ce45f2a8662a83a153d"),
+    # the interior fixed point found above: a pair of complex eigenvalues
+    (["classify", "--family", "ALPHA_COMBINATION", "--m", "4", "--perm", "(1 2 3)",
+      "--alpha", "0.3",
+      "--x0", "0.18518518518518517,0.18518518518518517,0.18518518518518517,0.44444444444444442"],
+     0, "c877bcfbb45f3114dbbc6af807fcdf3cb8b3a3a74541ca58a39dd2995c82fb81"),
+    (["omega", "--family", "QUASI_STRICT", "--m", "3", "--perm", "(1 2)",
+      "--x0", "0.3,0.2,0.5", "--burn-in", "200", "--window", "20", "--s-max", "6"],
+     0, "1ce314c7e08665d3385434e5364fb7c0dac09993b919c44a40139a21c0db7755"),
+    (["omega", "--family", "KHUKR", "--random-starts", "3", "--seed", "4",
+      "--burn-in", "200", "--window", "20", "--s-max", "6"],
+     0, "7c38b2a945401661398eb2e4c51d7442c1135affd60a29b1cf9a83da3f9ec79c"),
+    (["ergodic", "--family", "ZAKHAREVICH", "--x0", "0.3,0.3,0.4",
+      "--checkpoints", "100,1000,10000"],
+     0, "f80c1e214b732758a535e33a3528b911f04dad157cd24d4cc4bdbadd361e3d4f"),
+    (["scalar", "--map", "F_ALPHA", "--m", "4", "--alpha", "0.3", "--eval", "0.3",
+      "--iterate", "0.3", "5", "--fixed-point", "--scan-period", "2", "--grid", "2000",
+      "--conjugacy-check"],
+     0, "6120a24b10942d191d167ec936830d8cb9be9c8e93eabed653b94299bdded467"),
+    (["families", "--json"],
+     0, "687cb4ee519cb04fbd59407c082999dc5fd417db79bbe260f8a6459e21c9b639"),
 ]
 
 
 @pytest.mark.parametrize("argv,exit_code,digest", PINNED_OUTPUTS,
-                         ids=["trajectory", "lyapunov", "lyapunov_violations"])
+                         ids=["trajectory", "lyapunov", "lyapunov_violations", "fixed_points",
+                              "classify", "omega", "omega_random_starts", "ergodic",
+                              "scalar", "families_json"])
 def test_pinned_output_bytes(capsys, argv, exit_code, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# one cheap, fixed-size call per float option; the option's value is drawn
+FLOAT_OPTION_CALLS = [
+    ("--param", ["fixed-points", "--family", "ALPHA_COMBINATION", "--m", "3", "--perm", "(1 2)",
+                 "--starts", "2"]),
+    ("--param", ["omega", "--family", "GANIKHODJAEV_LAMBDA", "--x0", "0.3,0.3,0.4",
+                 "--burn-in", "10", "--window", "10", "--s-max", "4"]),
+    ("--param", ["scalar", "--map", "F_ALPHA", "--m", "3", "--eval", "0.3"]),
+    ("--param", ["scalar", "--map", "F", "--eval", "0.3"]),
+    ("--tol", ["fixed-points", "--family", "KHUKR", "--starts", "2"]),
+    ("--band", ["fixed-points", "--family", "KHUKR", "--starts", "2"]),
+    ("--band", ["classify", "--family", "KHUKR", "--x0", "0.5,0.25,0.25"]),
+    ("--cluster-tol", ["omega", "--family", "KHUKR", "--x0", "0.4,0.36,0.24",
+                       "--burn-in", "10", "--window", "10", "--s-max", "4"]),
+    ("--period-tol", ["omega", "--family", "KHUKR", "--x0", "0.4,0.36,0.24",
+                      "--burn-in", "10", "--window", "10", "--s-max", "4"]),
+    ("--slack", ["lyapunov", "--family", "REGULAR", "--m", "3", "--fn", "CYCLIC_PRODUCT",
+                 "--samples", "2", "--horizon", "5", "--seed", "1"]),
+    ("--eval", ["scalar", "--map", "F_ALPHA", "--m", "3", "--alpha", "0.5"]),
+    ("--scan-tol", ["scalar", "--map", "F", "--scan-period", "2", "--grid", "1000"]),
+]
+
+FLOAT_VALUES = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "-0.0", "0", "1e308", "-1e308", "5e-324", "-1",
+                     "0.5", "1", "1e-12"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(call=st.sampled_from(FLOAT_OPTION_CALLS), value=FLOAT_VALUES)
+def test_any_float_option_value_exits_cleanly(call, value):
+    option, argv = call
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, f"{option}={value}"])
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue())
