@@ -11,7 +11,8 @@ which the orbit is absorbed near a vertex; the means then crawl toward that
 vertex at rate 1/n, which still keeps the checkpoint-to-checkpoint
 fluctuation orders of magnitude above anything a regular operator produces.
 
-This script runs the probe once with an extra 10^7-step checkpoint and
+This script runs the probe once with an extra 10^7-step checkpoint (the
+means at the standard checkpoints are the first ones of that run) and
 freezes delta = (minimum pairwise sup-distance between the Cesaro means at
 the standard checkpoints) / 2 into calibration/zakharevich_cesaro.json.
 The verification suite asserts that every checkpoint pair differs by more
@@ -29,13 +30,13 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from qsodyn import make, make_regular, validate_point  # noqa: E402
 from qsodyn.analysis import ergodicity_probe, sample_interior  # noqa: E402
+from qsodyn.verification import ERGODIC_CONTROL_SEED  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 STANDARD_CHECKPOINTS = [10_000, 100_000, 1_000_000]
 CALIBRATION_CHECKPOINTS = [10_000, 100_000, 1_000_000, 10_000_000]
 START = [0.3, 0.3, 0.4]
-CONTROL_SEED = 10  # seeded interior start for the m=5 regular control
 
 
 def pairwise_distances(means) -> list[float]:
@@ -50,12 +51,11 @@ def main() -> None:
     report = ergodicity_probe(t, x0, CALIBRATION_CHECKPOINTS)
 
     # distances over the standard checkpoints only (what the suite asserts)
-    standard = ergodicity_probe(t, x0, STANDARD_CHECKPOINTS)
-    pair_dists = pairwise_distances(standard.cesaro)
+    pair_dists = pairwise_distances(report.cesaro[:len(STANDARD_CHECKPOINTS)])
     delta = min(pair_dists) / 2.0
 
     control = make_regular(5)
-    rng = np.random.default_rng(CONTROL_SEED)
+    rng = np.random.default_rng(ERGODIC_CONTROL_SEED)
     c0 = validate_point(sample_interior(rng, 5, 1)[0].tolist())
     control_report = ergodicity_probe(control, c0, STANDARD_CHECKPOINTS)
 
@@ -67,14 +67,14 @@ def main() -> None:
         "cesaro_means": [list(p.coords) for p in report.cesaro],
         "min_coordinate_at_checkpoints": list(report.min_coordinate),
         "fluctuation_with_1e7": report.fluctuation,
-        "fluctuation_standard": standard.fluctuation,
+        "fluctuation_standard": max(pair_dists),
         "pairwise_distances_standard": pair_dists,
         "delta": delta,
         "delta_rule": "half the minimum pairwise distance between the "
                       "standard-checkpoint Cesaro means",
         "control": {
             "operator": "REGULAR(m=5)",
-            "seed": CONTROL_SEED,
+            "seed": ERGODIC_CONTROL_SEED,
             "start": list(c0.coords),
             "fluctuation": control_report.fluctuation,
         },

@@ -323,14 +323,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("families", help="list the operator family registry")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None)
 
     p = sub.add_parser("trajectory", help="iterate an operator and write CSV")
     _add_operator_options(p)
     _add_start_options(p)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--stride", type=int, default=1)
-    p.add_argument("--out", default=None)
 
     p = sub.add_parser("fixed-points", help="multistart fixed-point search")
     _add_operator_options(p)
@@ -338,13 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--band", type=float, default=analysis.DEFAULT_BAND)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
 
     p = sub.add_parser("classify", help="spectral classification of a fixed point")
     _add_operator_options(p)
     p.add_argument("--x0", required=True)
     p.add_argument("--band", type=float, default=analysis.DEFAULT_BAND)
-    p.add_argument("--out", default=None)
 
     p = sub.add_parser("lyapunov", help="check monotonicity along random orbits")
     _add_operator_options(p)
@@ -352,13 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CYCLIC_PRODUCT | CYCLE_PRODUCT | CYCLE_SUM | LAST_COORD |"
                         " ABS_DIFF_PRODUCT | COORD_PRODUCT")
     p.add_argument("--cycle-index", type=int, default=1)
-    p.add_argument("--n0", type=int, default=verification.LAST_COORD_N0,
+    p.add_argument("--n0", type=int, default=analysis.LAST_COORD_N0,
                    help="burn-in before LAST_COORD monotonicity is asserted")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--horizon", type=int, default=100)
     p.add_argument("--slack", type=float, default=analysis.LYAPUNOV_SLACK)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", default=None)
 
     p = sub.add_parser("omega", help="estimate the limit set of orbits")
     _add_operator_options(p)
@@ -368,13 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cluster-tol", type=float, default=analysis.DEFAULT_CLUSTER_TOL)
     p.add_argument("--period-tol", type=float, default=analysis.DEFAULT_PERIOD_TOL)
     p.add_argument("--s-max", type=int, default=None)
-    p.add_argument("--out", default=None)
 
     p = sub.add_parser("ergodic", help="Cesaro-average fluctuation probe")
     _add_operator_options(p)
     _add_start_options(p)
     p.add_argument("--checkpoints", default="10000,100000,1000000")
-    p.add_argument("--out", default=None)
 
     p = sub.add_parser("scalar", help="evaluate and analyze the scalar maps")
     p.add_argument("--map", choices=("F", "F_ALPHA"), required=True)
@@ -387,14 +380,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=100_000)
     p.add_argument("--scan-tol", type=float, default=1e-10)
     p.add_argument("--conjugacy-check", action="store_true")
-    p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify", help="run the built-in verification suites")
     p.add_argument("--suite", required=True,
                    help="regular | quasi_strict | alpha | s2_theorems | scalar |"
                         " core_properties | all")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--out", default=None)
+
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None)
     return top
 
 
@@ -414,7 +408,7 @@ def main(argv=None) -> int:
         if getattr(args, "param", None) is not None and not math.isfinite(args.param):
             raise QsoError(f"--param must be finite, got {args.param}")
         # refused before any work; other failures to write show at the write
-        out = getattr(args, "out", None) or "-"
+        out = args.out or "-"
         if out != "-" and os.path.isdir(out):
             raise QsoError(f"cannot open {out!r}: Is a directory")
         if out != "-" and not os.path.isdir(os.path.dirname(out) or "."):

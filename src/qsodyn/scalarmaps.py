@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _check_count, _check_tolerance
 from .errors import DimensionTooSmall, DomainViolation, MissingParameter, WeightOutOfRange
+from .tensor import _check_count, _check_tolerance
 
 # Points further than this outside [0, 1] are rejected; closer ones clamped.
 DOMAIN_SLACK = 1e-12

@@ -29,6 +29,7 @@ from .errors import (
     DimensionMismatch,
     MalformedSyntax,
     NegativeCoefficient,
+    QsoError,
     RowSumNotOne,
     WeightOutOfRange,
 )
@@ -214,20 +215,31 @@ def apply_batch(t: CoefficientTensor, xs: np.ndarray) -> np.ndarray:
 
 
 def jacobian(t: CoefficientTensor, x) -> np.ndarray:
-    """Jacobian of the raw (unrenormalized) map at ``x``.
+    """Jacobian of the raw (unrenormalized) map at ``x``, for each point
+    along the last axis of ``x``: an (..., m, m) array.
 
-    Entry ``[k, j]`` is the partial derivative of coordinate k with respect
-    to x_j: 2 * sum_i p[i, j, k] x_i.  Every column sums to 2 * sum(x).
+    Entry ``[..., k, j]`` is the partial derivative of coordinate k with
+    respect to x_j: 2 * sum_i p[i, j, k] x_i.  Every column sums to
+    2 * sum(x).  A stack gives each point's Jacobian bit for bit.
     """
     arr = x.array if isinstance(x, SimplexPoint) else np.asarray(x, dtype=float)
-    if arr.shape != (t.m,):
-        raise DimensionMismatch(f"point has {arr.shape[0]} coordinates, tensor has m={t.m}")
-    return 2.0 * np.einsum("ijk,i->kj", t.p, arr)
+    if arr.shape[-1:] != (t.m,):
+        raise DimensionMismatch(f"point has shape {arr.shape}, tensor has m={t.m}")
+    return 2.0 * np.einsum("ijk,...i->...kj", t.p, arr)
 
 
-def _check_steps(n_steps) -> None:
-    if not isinstance(n_steps, numbers.Integral) or n_steps < 0:
-        raise DimensionMismatch(f"n_steps must be an integer >= 0, got {n_steps!r}")
+def _check_count(name: str, value, least: int) -> None:
+    """An integer ``value`` >= ``least``."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise DimensionMismatch(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_tolerance(name: str, value, positive: bool = False) -> None:
+    """A finite real ``value`` >= 0, or > 0 if ``positive``."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)
+            and (value > 0.0 if positive else value >= 0.0)):
+        bound = ">" if positive else ">="
+        raise QsoError(f"{name} must be a finite number {bound} 0, got {value!r}")
 
 
 def _kernel_for(coeffs: np.ndarray):
@@ -278,7 +290,7 @@ def _collect(t: CoefficientTensor, x0, n_steps: int, stride: int
              ) -> tuple[np.ndarray, np.ndarray]:
     """The steps 0, stride, 2 * stride, ..., n_steps (the last one after a
     partial stride) and the rows x^(n) at them."""
-    _check_steps(n_steps)
+    _check_count("n_steps", n_steps, 0)
     marks = np.arange(0, n_steps + stride, stride, dtype=np.int64)
     marks[-1] = n_steps
     return marks, _walk(t, x0, marks)
@@ -286,7 +298,7 @@ def _collect(t: CoefficientTensor, x0, n_steps: int, stride: int
 
 def run(t: CoefficientTensor, x0: np.ndarray, n_steps: int) -> np.ndarray:
     """Final raw coordinate array after ``n_steps`` renormalized steps."""
-    _check_steps(n_steps)
+    _check_count("n_steps", n_steps, 0)
     return _walk(t, x0, np.array([n_steps], dtype=np.int64))[0]
 
 
@@ -299,7 +311,7 @@ def run_batch(t: CoefficientTensor, xs: np.ndarray, n_steps: int) -> np.ndarray:
     """Advance every row of an (n, m) array by ``n_steps`` steps of
     ``apply_batch``, all in one call of the compiled ``batch`` where it
     loads, bit for bit.  A single orbit belongs in ``run``."""
-    _check_steps(n_steps)
+    _check_count("n_steps", n_steps, 0)
     x = np.array(xs, dtype=float, order="C")
     if x.ndim != 2 or x.shape[1] != t.m:
         raise DimensionMismatch(f"points have shape {x.shape}, expected (n, {t.m})")
@@ -318,8 +330,7 @@ def iterate(t: CoefficientTensor, x0: SimplexPoint, n_steps: int, stride: int = 
     Renormalization divides by the coordinate sum after every application so
     that million-step runs cannot drift off the simplex.
     """
-    if not isinstance(stride, numbers.Integral) or stride < 1:
-        raise DimensionMismatch(f"stride must be an integer >= 1, got {stride!r}")
+    _check_count("stride", stride, 1)
     steps, rows = _collect(t, x0.array, n_steps, stride)
     # only rows this pass cannot clear are built as points, so the first bad
     # row raises; np.sum is within m * 2**-52 of math.fsum, inside TAU_SUM / 2

@@ -18,6 +18,7 @@ import numpy as np
 
 from .analysis import (
     ATTRACTING,
+    LAST_COORD_N0,
     NON_HYPERBOLIC,
     check_lyapunov,
     classify_fixed_point,
@@ -54,13 +55,6 @@ from .tensor import apply_raw, jacobian, random_tensor, run, run_batch, run_coll
 ZAKHAREVICH_DELTA = 0.0003558293140881741
 # Seeded start used for the regular-operator control of the same probe.
 ERGODIC_CONTROL_SEED = 10
-
-# Lyapunov burn-in for the last-coordinate function of the blended operator:
-# orbits approach the limiting last coordinate from below after lopsided
-# transients, with increases decaying at the squared contraction rate.  At
-# m = 4 and alpha in {0.3, 0.7} a 3000-start scan shows no increase above
-# 1e-12 beyond step 34; 50 leaves margin.
-LAST_COORD_N0 = 50
 
 
 @dataclass(frozen=True)

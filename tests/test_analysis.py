@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsodyn import errors
+from qsodyn import analysis, errors, verification
 from qsodyn.analysis import (
     ATTRACTING,
     NON_HYPERBOLIC,
@@ -154,6 +154,15 @@ def test_lyapunov_last_coord_blend():
     perm = parse_cycles("(1 2 3)", 3)
     t = make_alpha_combination(4, perm, 0.3)
     assert check_lyapunov(t, last_coord(50), 50, 100, seed=5).violations == 0
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.7])
+def test_lyapunov_last_coord_default_burn_in_covers_the_transient(alpha):
+    # the documented burn-in is the default: a shorter one counts the early
+    # increases of lopsided starts as violations
+    t = make_alpha_combination(4, parse_cycles("(1 2 3)", 3), alpha)
+    assert last_coord().n0 == analysis.LAST_COORD_N0 == verification.LAST_COORD_N0 == 50
+    assert check_lyapunov(t, last_coord(), 100, 100, 7).violations == 0
 
 
 def test_lyapunov_last_coord_counts_transient_violations():
@@ -409,6 +418,13 @@ def test_ergodicity_validates_checkpoints():
         ergodicity_probe(make_regular(3), center(3), [100, 50])
 
 
+@pytest.mark.parametrize("checkpoints", [[], [0, 10], [10, 10], [10, 10_000_001]],
+                         ids=["empty", "zero", "not-increasing", "over-1e7"])
+def test_ergodicity_probe_refuses_bad_checkpoints(checkpoints):
+    with pytest.raises(errors.DimensionMismatch, match="checkpoints must be"):
+        ergodicity_probe(make_regular(3), center(3), checkpoints)
+
+
 def test_psi_bound_samples_and_center():
     for m in (5, 8):
         rep = psi_bound_check(m, 2000, seed=16)
@@ -548,7 +564,7 @@ def test_check_lyapunov_rejects_bad_sample_counts(samples):
         "psi-m-str", "psi-m-float",
         "max_norm-samples-0", "lyapunov-horizon-str"])
 def test_api_counts_are_checked(name, call):
-    with pytest.raises(errors.QsoError, match=f"{name} must be an integer >= 1"):
+    with pytest.raises(errors.DimensionMismatch, match=f"{name} must be an integer >= 1"):
         call()
 
 

@@ -472,6 +472,16 @@ def test_fixed_point_search_parameters_at_their_bounds(capsys):
     assert code == 0 and json.loads(out)["results"]["samples"] == 1
 
 
+@pytest.mark.parametrize("tol", ["1e-2", "0.1", "0.5"])
+def test_a_loose_newton_tolerance_reports_only_fixed_points(capsys, tol):
+    # Newton's acceptance is the classifier's: a row that stopped at a
+    # residual below --tol but not below 1e-8 is dropped, not refused
+    code, out, err = run_cli(capsys, "fixed-points", "--family", "KHUKR", "--tol", tol)
+    assert code == 0, err
+    found = json.loads(out)["results"]
+    assert found and all(rep["residual"] < 1e-8 for rep in found)
+
+
 def test_seed_zero_is_accepted(capsys):
     code, out, _ = run_cli(capsys, "fixed-points", "--family", "KHUKR", "--starts", "2",
                            "--seed", "0")
@@ -489,7 +499,9 @@ def test_scalar_iterate_takes_a_whole_float_count(capsys):
 
 # sha256 of outputs recorded before a rewrite of the code that makes them: the
 # trajectory CSV and the lyapunov reports before they were evaluated over whole
-# arrays, the other reports before the serializer became one walk
+# arrays, the other reports before the serializer became one walk, the
+# one-row omega window and the help texts (argparse's layout under Python
+# 3.11, at 80 columns) before the argument checks and --out got one home each
 PINNED_OUTPUTS = [
     (["trajectory", "--family", "REGULAR", "--m", "5", "--x0", "0.4,0.3,0.2,0.05,0.05",
       "--steps", "20000"],
@@ -524,15 +536,42 @@ PINNED_OUTPUTS = [
      0, "6120a24b10942d191d167ec936830d8cb9be9c8e93eabed653b94299bdded467"),
     (["families", "--json"],
      0, "687cb4ee519cb04fbd59407c082999dc5fd417db79bbe260f8a6459e21c9b639"),
+    (["omega", "--family", "KHUKR", "--x0", "0.4,0.36,0.24", "--burn-in", "200",
+      "--window", "1"],
+     0, "f91ea45c98e839fd198387c69913bd2cc7263f804001d30d4132e1904ceb8e63"),
+    (["--help"], 0, "2dd508b6ec83a61302c8367f523ad9c59f40b4808681c4cf72f5ec7f41ac7bcf"),
+    (["families", "--help"],
+     0, "92d041809a625229730853a44fdcc758799aef3105252c3bbfbfe711ec670466"),
+    (["trajectory", "--help"],
+     0, "f2df54528c4fece07ec4141fb6ecd43073a99aaa136813632784ac6513cf5591"),
+    (["fixed-points", "--help"],
+     0, "08de304612f250851f1c8d52c6c22ee2d20822dd19e7d3f68a49695b965dc3e5"),
+    (["classify", "--help"],
+     0, "1cc8fc6f8cbe8bc48c0d800ed0dcfea2c2488d5a1a84f34bcf8de2971c9a0fd8"),
+    (["lyapunov", "--help"],
+     0, "4c1cd0c2ca526c7d60f5eb357ed7dd0d35cb3d8fd033cd55b7cf6036ec5acb56"),
+    (["omega", "--help"],
+     0, "c69108f7e27ee16186fcb55bc3a9826fa77c12bf60e9475a1fae6fc6f47f0bd2"),
+    (["ergodic", "--help"],
+     0, "1cde8c1556e3ba13b283ce2c69b01258757a979825599b229747d730cf220108"),
+    (["scalar", "--help"],
+     0, "2c356704a41d75d977e517f80b76255c68c2d140eb46525e76becec2b78099c2"),
+    (["verify", "--help"],
+     0, "2ecfbbd84095984c67746e8553bcfa93516a3c18eb8d8d536a28332c4bf38108"),
 ]
 
 
 @pytest.mark.parametrize("argv,exit_code,digest", PINNED_OUTPUTS,
                          ids=["trajectory", "lyapunov", "lyapunov_violations", "fixed_points",
                               "classify", "omega", "omega_random_starts", "ergodic",
-                              "scalar", "families_json"])
-def test_pinned_output_bytes(capsys, argv, exit_code, digest):
-    code, out, _ = run_cli(capsys, *argv)
+                              "scalar", "families_json", "omega_window_1", "help",
+                              *(f"{argv[0]}_help" for argv, _, _ in PINNED_OUTPUTS[-9:])])
+def test_pinned_output_bytes(capsys, monkeypatch, argv, exit_code, digest):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    try:
+        code, out, _ = run_cli(capsys, *argv)
+    except SystemExit as exc:  # --help prints, then exits
+        code, out = exc.code, capsys.readouterr().out
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -575,3 +614,61 @@ def test_any_float_option_value_exits_cleanly(call, value):
     assert code in (0, 1, 2), err.getvalue()
     if code == 0:
         json.loads(out.getvalue())
+
+
+# one cheap call per integer option; the option's value is drawn
+INT_OPTION_CALLS = [
+    ("--steps", ["trajectory", "--family", "KHUKR", "--x0", "0.4,0.36,0.24"]),
+    ("--stride", ["trajectory", "--family", "KHUKR", "--x0", "0.4,0.36,0.24", "--steps", "5"]),
+    ("--starts", ["fixed-points", "--family", "KHUKR"]),
+    ("--seed", ["fixed-points", "--family", "KHUKR", "--starts", "2"]),
+    ("--samples", ["lyapunov", "--family", "REGULAR", "--m", "3", "--fn", "CYCLIC_PRODUCT",
+                   "--horizon", "5", "--seed", "1"]),
+    ("--horizon", ["lyapunov", "--family", "REGULAR", "--m", "3", "--fn", "CYCLIC_PRODUCT",
+                   "--samples", "2", "--seed", "1"]),
+    ("--n0", ["lyapunov", "--family", "ALPHA_COMBINATION", "--m", "4", "--perm", "(1 2 3)",
+              "--alpha", "0.3", "--fn", "LAST_COORD", "--samples", "2", "--horizon", "8",
+              "--seed", "1"]),
+    ("--cycle-index", ["lyapunov", "--family", "QUASI_STRICT", "--m", "6", "--perm",
+                       "(1 2)(3 4 5)", "--fn", "CYCLE_SUM", "--samples", "2", "--horizon", "5",
+                       "--seed", "1"]),
+    ("--burn-in", ["omega", "--family", "KHUKR", "--x0", "0.4,0.36,0.24", "--window", "10",
+                   "--s-max", "4"]),
+    ("--window", ["omega", "--family", "KHUKR", "--x0", "0.4,0.36,0.24", "--burn-in", "10",
+                  "--s-max", "4"]),
+    ("--s-max", ["omega", "--family", "KHUKR", "--x0", "0.4,0.36,0.24", "--burn-in", "10",
+                 "--window", "10"]),
+    ("--random-starts", ["omega", "--family", "KHUKR", "--seed", "1", "--burn-in", "10",
+                         "--window", "10", "--s-max", "4"]),
+    ("--grid", ["scalar", "--map", "F", "--scan-period", "2"]),
+    ("--scan-period", ["scalar", "--map", "F", "--grid", "1000"]),
+    ("--m", ["trajectory", "--family", "REGULAR", "--random-starts", "1", "--seed", "1",
+             "--steps", "3"]),
+    ("--m", ["scalar", "--map", "F_ALPHA", "--alpha", "0.5", "--eval", "0.3"]),
+]
+# options that size no array or loop also draw values past the int64 range
+UNSIZED_INT_OPTIONS = {"--seed", "--cycle-index", "--n0", "--s-max"}
+
+
+@st.composite
+def int_option_calls(draw):
+    option, argv = draw(st.sampled_from(INT_OPTION_CALLS))
+    values = st.integers(-3, 12)
+    if option in UNSIZED_INT_OPTIONS:
+        values = st.one_of(values, st.sampled_from([2**63, -2**63]))
+    return option, argv, draw(values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(call=int_option_calls())
+def test_any_integer_option_value_exits_cleanly(call):
+    option, argv, value = call
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, f"{option}={value}"])
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 0:
+        if argv[0] == "trajectory":
+            assert out.getvalue().startswith("n,x1,")
+        else:
+            json.loads(out.getvalue())

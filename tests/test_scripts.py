@@ -1,5 +1,6 @@
 """Smoke tests of the scripts under scripts/, run as a user runs them."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -20,3 +21,17 @@ def test_contraction_sweep_writes_its_table(tmp_path):
     assert len(lines) == 25
     assert lines[0] == "m,alpha,s,bound,worst_factor,worst_single_pair_factor,margin"
     assert all(len(line.split(",")) == 7 for line in lines[1:])
+
+
+def test_calibration_rerun_reproduces_the_committed_file(tmp_path):
+    # the script writes next to its own directory: run a copy in tmp_path
+    (tmp_path / "scripts").mkdir()
+    script = tmp_path / "scripts" / "calibrate_nonergodicity.py"
+    script.write_bytes((SCRIPTS / "calibrate_nonergodicity.py").read_bytes())
+    src = SCRIPTS.parent / "src"
+    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+    committed = SCRIPTS.parent / "calibration" / "zakharevich_cesaro.json"
+    assert (tmp_path / "calibration" / "zakharevich_cesaro.json").read_bytes() \
+        == committed.read_bytes()

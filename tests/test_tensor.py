@@ -232,6 +232,30 @@ def test_jacobian_matches_central_differences():
             assert np.max(np.abs(j[:, col] - fd)) < 1e-6
 
 
+@pytest.mark.parametrize("m", [*range(2, 17), 24, 33, 64])
+def test_stacked_jacobian_is_each_point_jacobian_bit_for_bit(m):
+    rng = np.random.default_rng(m)
+    for _ in range(10):
+        t = random_tensor(rng, m)
+        xs = rng.exponential(size=(6, m))
+        xs /= xs.sum(axis=1, keepdims=True)
+        xs[1, 0] = 0.0
+        xs[2, -1] = -0.0
+        xs[3, ::2] = -0.0
+        xs[4, 1::2] = 0.0
+        stacked = jacobian(t, xs)
+        assert stacked.shape == (6, m, m)
+        for x, j in zip(xs, stacked):
+            assert jacobian(t, x).tobytes() == j.tobytes()
+        assert jacobian(t, xs.reshape(2, 3, m)).tobytes() == stacked.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(), (4,), (2,), (3, 4), (3, 1), (3, 3, 1)])
+def test_jacobian_refuses_a_wrong_last_axis(shape):
+    with pytest.raises(errors.DimensionMismatch, match="tensor has m=3"):
+        jacobian(make_regular(3), np.full(shape, 0.25))
+
+
 def test_iterate_zero_steps():
     t = make_regular(3)
     traj = iterate(t, center(3), 0)
