@@ -30,12 +30,12 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from qsodyn import make, make_regular, validate_point  # noqa: E402
 from qsodyn.analysis import ergodicity_probe, sample_interior  # noqa: E402
-from qsodyn.verification import ERGODIC_CONTROL_SEED  # noqa: E402
+from qsodyn.verification import CESARO_CHECKPOINTS, ERGODIC_CONTROL_SEED  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-STANDARD_CHECKPOINTS = [10_000, 100_000, 1_000_000]
-CALIBRATION_CHECKPOINTS = [10_000, 100_000, 1_000_000, 10_000_000]
+STANDARD_CHECKPOINTS = CESARO_CHECKPOINTS
+CALIBRATION_CHECKPOINTS = [*CESARO_CHECKPOINTS, 10_000_000]
 START = [0.3, 0.3, 0.4]
 
 

@@ -40,20 +40,16 @@ def main() -> None:
         rng = np.random.default_rng(args.seed + m)
         starts = sample_interior(rng, m, args.starts)
         for alpha in GRID_ALPHA:
-            worst = None
-            worst_pair = None
-            s = perm.order
-            for row in starts:
-                rep = contraction_report(m, perm, alpha, SimplexPoint(tuple(row.tolist())),
-                                         blocks=args.blocks)
-                if rep.worst_factor is not None and (worst is None or rep.worst_factor > worst):
-                    worst = rep.worst_factor
-                if rep.worst_single_pair_factor is not None and (
-                        worst_pair is None or rep.worst_single_pair_factor > worst_pair):
-                    worst_pair = rep.worst_single_pair_factor
-            bound = 1.0 - alpha + alpha ** s
+            reps = [contraction_report(m, perm, alpha, SimplexPoint(tuple(row.tolist())),
+                                       blocks=args.blocks) for row in starts]
+            # the first factor, replaced by each later one that is greater
+            worst = max((r.worst_factor for r in reps if r.worst_factor is not None),
+                        default=None)
+            worst_pair = max((r.worst_single_pair_factor for r in reps
+                              if r.worst_single_pair_factor is not None), default=None)
+            bound = reps[0].bound
             margin = bound - worst if worst is not None else float("nan")
-            rows.append(f"{m},{alpha},{s},{bound:.17g},{worst:.17g},"
+            rows.append(f"{m},{alpha},{perm.order},{bound:.17g},{worst:.17g},"
                         f"{worst_pair:.17g},{margin:.17g}")
             print(rows[-1])
     pathlib.Path(args.out).write_text("\n".join(rows) + "\n")

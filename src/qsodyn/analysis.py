@@ -29,6 +29,7 @@ from .errors import (
 from .families import make_alpha_combination, make_quasi_strict, make_regular
 from .simplex import TAU_ZERO, Permutation, SimplexPoint
 from .tensor import (
+    MAX_STEPS,
     CoefficientTensor,
     Trajectory,
     _check_count,
@@ -300,34 +301,38 @@ def _default_starts(t: CoefficientTensor, extra: int, seed) -> list[np.ndarray]:
     return starts
 
 
-def find_fixed_points(t: CoefficientTensor, starts: int = 24, tol: float = 1e-12,
-                      seed: int = 0, band: float = DEFAULT_BAND) -> list[FixedPointReport]:
-    """Multistart Newton on V(x) = x, deduplicated and classified.
-
-    Starts are the vertices, the center, the edge midpoints, and ``starts``
-    seeded interior points.  Converged solutions within ``DEDUP_RADIUS`` of
-    each other collapse to the representative with the smallest residual.
-    Non-converged starts are dropped silently (never fatal), and so are
-    those whose residual is not below ``FIXED_POINT_RESIDUAL``, which
-    classification requires.
-    """
-    _check_count("starts", starts, 0)
-    _check_tolerance("tol", tol, positive=True)
-    _check_tolerance("band", band)
-    xs, rmax, ok = _newton(t, _default_starts(t, starts, seed), 1, tol)
+def _search(t: CoefficientTensor, starts: int, seed, n: int, tol: float):
+    """Multistart Newton on V^n(x) = x from the vertices, the center, the
+    edge midpoints and ``starts`` seeded interior points.  Returns the
+    solutions below ``FIXED_POINT_RESIDUAL`` (the others are dropped, never
+    fatal), of those within ``DEDUP_RADIUS`` the one with the smallest
+    residual, as sorted rows projected onto the simplex, and their residuals."""
+    xs, rmax, ok = _newton(t, _default_starts(t, starts, seed), n, tol)
     ok &= rmax < FIXED_POINT_RESIDUAL
     found = np.empty_like(xs)  # the first len(resids) rows
     resids: list[float] = []
     for x, resid in zip(xs[ok], rmax[ok].tolist()):
-        n = len(resids)
-        near = np.flatnonzero(np.max(np.abs(found[:n] - x), axis=1) < DEDUP_RADIUS)
+        k = len(resids)
+        near = np.flatnonzero(np.max(np.abs(found[:k] - x), axis=1) < DEDUP_RADIUS)
         if near.size == 0:
-            found[n] = x
+            found[k] = x
             resids.append(resid)
         elif resid < resids[near[0]]:
             found[near[0]] = x
             resids[near[0]] = resid
-    rows = _project(np.array(sorted(map(tuple, found[:len(resids)].tolist()))).reshape(-1, t.m))
+    order = sorted(range(len(resids)), key=lambda k: tuple(found[k].tolist()))
+    return _project(found[order]), [resids[k] for k in order]
+
+
+def find_fixed_points(t: CoefficientTensor, starts: int = 24, tol: float = 1e-12,
+                      seed: int = 0, band: float = DEFAULT_BAND) -> list[FixedPointReport]:
+    """Multistart Newton on V(x) = x, classified: the solutions that
+    ``_search`` keeps from ``starts`` seeded interior points and the fixed
+    starts, each below ``FIXED_POINT_RESIDUAL`` as classification requires."""
+    _check_count("starts", starts, 0)
+    _check_tolerance("tol", tol, positive=True)
+    _check_tolerance("band", band)
+    rows, _ = _search(t, starts, seed, 1, tol)
     return _classify_points(t, [SimplexPoint(tuple(x)) for x in rows.tolist()], band)
 
 
@@ -341,25 +346,19 @@ class PeriodicSearchReport:
 
 def periodic_absence_search(m: int, perm: Permutation, n: int, starts: int = 40,
                             tol: float = 1e-12, seed: int = 0) -> PeriodicSearchReport:
-    """Multistart Newton on V^n(x) = x for the permutation-driven operator.
+    """The solutions of V^n(x) = x that ``_search`` finds for the
+    permutation-driven operator, each with its residual and category.
 
-    Every converged solution must be (within ``FIXED_POINT_RESIDUAL``) either
-    a fixed point or a point with last coordinate 1/2 whose period divides s,
-    the permutation order.  Anything else lands in ``counterexamples``
-    (expected empty).
+    Every solution must be (within ``FIXED_POINT_RESIDUAL``) either a fixed
+    point or a point with last coordinate 1/2 whose period divides s, the
+    permutation order.  Anything else lands in ``counterexamples`` (expected
+    empty).
     """
     t = make_quasi_strict(m, perm)
     s = perm.order
-    solutions: list[tuple[SimplexPoint, float, str]] = []
-    kept: list[np.ndarray] = []
-    xs, rmax, ok = _newton(t, _default_starts(t, starts, seed), n, tol)
-    for x, resid in zip(xs[ok], rmax[ok].tolist()):
-        if any(np.max(np.abs(x - y)) < DEDUP_RADIUS for y in kept):
-            continue
-        kept.append(x)
-        category = _categorize_solution(t, x, s)
-        solutions.append((SimplexPoint(tuple(_project(x).tolist())), resid, category))
-    solutions.sort(key=lambda rec: rec[0].coords)
+    rows, resids = _search(t, starts, seed, n, tol)
+    solutions = [(SimplexPoint(tuple(x.tolist())), resid, _categorize_solution(t, x, s))
+                 for x, resid in zip(rows, resids)]
     counter = tuple(pt for pt, _, cat in solutions if cat == "other")
     return PeriodicSearchReport(n=n, s=s, solutions=tuple(solutions), counterexamples=counter)
 
@@ -636,7 +635,7 @@ def omega_estimate(t: CoefficientTensor, x0: SimplexPoint, burn_in: int,
     Clustering is greedy sup-norm linkage at ``cluster_tol``; the detected
     period of the window tail is attached when the window is long enough.
     """
-    _check_count("burn_in", burn_in, 1)
+    _check_count("burn_in", burn_in, 1, MAX_STEPS)
     _check_count("window", window, 1)
     _check_tolerance("cluster_tol", cluster_tol)
     _check_tolerance("period_tol", period_tol)
@@ -886,17 +885,17 @@ def ergodicity_probe(t: CoefficientTensor, x0: SimplexPoint, checkpoints) -> Erg
     Divergent time averages show up as a fluctuation that stays large as the
     checkpoints grow; a regular operator drives it to zero at rate 1/n.
     """
-    cps = [int(n) for n in checkpoints]
-    # cesaro refuses checkpoints that are not positive and increasing
-    if not cps or cps[-1] > 10_000_000:
-        raise DimensionMismatch("checkpoints must be positive, increasing, <= 1e7")
+    cps = list(checkpoints)
+    # cesaro refuses checkpoints that are not increasing integers in 1..MAX_STEPS
+    if not cps:
+        raise DimensionMismatch("checkpoints must be non-empty")
     means, states = cesaro(t, x0.array, cps)
     fluct = 0.0
     for a in range(len(means)):
         for b in range(a + 1, len(means)):
             fluct = max(fluct, float(np.max(np.abs(means[a] - means[b]))))
     return ErgodicityReport(
-        checkpoints=tuple(cps),
+        checkpoints=tuple(map(int, cps)),
         cesaro=tuple(SimplexPoint(tuple(mu)) for mu in means.tolist()),
         min_coordinate=tuple(states.min(axis=1).tolist()),
         fluctuation=fluct,

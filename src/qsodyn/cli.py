@@ -195,29 +195,33 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _resolve_lyapunov(args, t: CoefficientTensor) -> analysis.LyapunovFn:
-    name = args.fn.upper()
-    needs_perm = name in ("CYCLE_PRODUCT", "CYCLE_SUM")
-    if needs_perm:
-        if args.perm is None or args.m is None:
-            raise QsoError(f"{name} requires --perm and --m")
-        perm = parse_cycles(args.perm, args.m - 1)
-        ctor = analysis.cycle_product if name == "CYCLE_PRODUCT" else analysis.cycle_sum
-        return ctor(perm, args.cycle_index)
-    if name == "CYCLIC_PRODUCT":
-        return analysis.cyclic_product()
-    if name == "LAST_COORD":
-        return analysis.last_coord(args.n0)
-    if name == "ABS_DIFF_PRODUCT":
-        return analysis.abs_diff_product()
-    if name == "COORD_PRODUCT":
-        return analysis.coord_product()
-    raise QsoError(f"unknown Lyapunov function {args.fn!r}")
+def _cycle_perm(args):
+    if args.perm is None or args.m is None:
+        raise QsoError(f"{args.fn.upper()} requires --perm and --m")
+    return parse_cycles(args.perm, args.m - 1)
+
+
+# Each --fn name, and how its Lyapunov function is built from the arguments.
+_LYAPUNOV_FNS = {
+    "CYCLIC_PRODUCT": lambda args: analysis.cyclic_product(),
+    "CYCLE_PRODUCT": lambda args: analysis.cycle_product(_cycle_perm(args), args.cycle_index),
+    "CYCLE_SUM": lambda args: analysis.cycle_sum(_cycle_perm(args), args.cycle_index),
+    "LAST_COORD": lambda args: analysis.last_coord(args.n0),
+    "ABS_DIFF_PRODUCT": lambda args: analysis.abs_diff_product(),
+    "COORD_PRODUCT": lambda args: analysis.coord_product(),
+}
+
+
+def _resolve_lyapunov(args) -> analysis.LyapunovFn:
+    build = _LYAPUNOV_FNS.get(args.fn.upper())
+    if build is None:
+        raise QsoError(f"unknown Lyapunov function {args.fn!r}")
+    return build(args)
 
 
 def cmd_lyapunov(args) -> int:
     t = _resolve_operator(args)
-    fn = _resolve_lyapunov(args, t)
+    fn = _resolve_lyapunov(args)
     rep = analysis.check_lyapunov(t, fn, args.samples, args.horizon, args.seed,
                                   slack=args.slack)
     _write_report(args, t, {"slack": rep.slack, "n0": rep.n0}, rep)
@@ -281,11 +285,9 @@ def cmd_scalar(args) -> int:
     if args.conjugacy_check:
         if args.map != "F_ALPHA":
             raise QsoError("--conjugacy-check applies to --map F_ALPHA")
-        grid = np.linspace(0.0, 1.0, 1000)
-        lhs = scalarmaps.conjugacy_h(args.m, args.param, scalarmaps.eval_map(spec, grid))
-        rhs = scalarmaps.logistic2(scalarmaps.conjugacy_h(args.m, args.param, grid))
-        results["conjugacy_check"] = {"grid": 1000,
-                                      "max_dev": float(np.max(np.abs(lhs - rhs)))}
+        results["conjugacy_check"] = {
+            "grid": scalarmaps.CONJUGACY_GRID,
+            "max_dev": scalarmaps.conjugacy_defect(args.m, args.param)}
     _write(args.out, reports.dumps({
         "operator": f"scalar:{args.map}",
         "parameters": {"m": args.m, "alpha": args.param},
@@ -344,9 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lyapunov", help="check monotonicity along random orbits")
     _add_operator_options(p)
-    p.add_argument("--fn", required=True,
-                   help="CYCLIC_PRODUCT | CYCLE_PRODUCT | CYCLE_SUM | LAST_COORD |"
-                        " ABS_DIFF_PRODUCT | COORD_PRODUCT")
+    p.add_argument("--fn", required=True, help=" | ".join(_LYAPUNOV_FNS))
     p.add_argument("--cycle-index", type=int, default=1)
     p.add_argument("--n0", type=int, default=analysis.LAST_COORD_N0,
                    help="burn-in before LAST_COORD monotonicity is asserted")
@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ergodic", help="Cesaro-average fluctuation probe")
     _add_operator_options(p)
     _add_start_options(p)
-    p.add_argument("--checkpoints", default="10000,100000,1000000")
+    p.add_argument("--checkpoints", default=",".join(map(str, verification.CESARO_CHECKPOINTS)))
 
     p = sub.add_parser("scalar", help="evaluate and analyze the scalar maps")
     p.add_argument("--map", choices=("F", "F_ALPHA"), required=True)
@@ -382,9 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conjugacy-check", action="store_true")
 
     p = sub.add_parser("verify", help="run the built-in verification suites")
-    p.add_argument("--suite", required=True,
-                   help="regular | quasi_strict | alpha | s2_theorems | scalar |"
-                        " core_properties | all")
+    p.add_argument("--suite", required=True, help=" | ".join([*verification.SUITES, "all"]))
     p.add_argument("--seed", type=int, default=7)
 
     for p in sub.choices.values():

@@ -14,10 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionTooSmall, DomainViolation, MissingParameter, WeightOutOfRange
-from .tensor import _check_count, _check_tolerance
+from .tensor import MAX_STEPS, _check_count, _check_tolerance
 
 # Points further than this outside [0, 1] are rejected; closer ones clamped.
 DOMAIN_SLACK = 1e-12
+# Evenly spaced points of [0, 1] on which conjugacy_defect compares.
+CONJUGACY_GRID = 1000
 
 
 def f(x):
@@ -73,8 +75,8 @@ def eval_map(spec: ScalarMapSpec, x):
 
 
 def iterate_scalar(spec: ScalarMapSpec, x0, n: int):
-    """n-fold composition of the map applied to ``x0``."""
-    _check_count("n", n, 0)
+    """n-fold composition of the map applied to ``x0``, n <= ``MAX_STEPS``."""
+    _check_count("n", n, 0, MAX_STEPS)
     x = _check_domain(x0)
     for _ in range(n):
         x = eval_map(spec, x)
@@ -104,6 +106,13 @@ def conjugacy_h(m: int, alpha: float, x):
     slope = ((m - 2) * alpha - 2.0 * (m - 1)) / (2.0 * (m - 1))
     intercept = (4.0 * (m - 1) - 2.0 * (m - 2) * alpha) / (4.0 * (m - 1))
     return slope * np.asarray(x, dtype=float) + intercept
+
+
+def conjugacy_defect(m: int, alpha: float) -> float:
+    """Largest |h(f_alpha(x)) - logistic2(h(x))| over CONJUGACY_GRID points of [0, 1]."""
+    grid = np.linspace(0.0, 1.0, CONJUGACY_GRID)
+    lhs = conjugacy_h(m, alpha, eval_map(ScalarMapSpec("F_ALPHA", m=m, alpha=alpha), grid))
+    return float(np.max(np.abs(lhs - logistic2(conjugacy_h(m, alpha, grid)))))
 
 
 def low_period_scan(spec: ScalarMapSpec, n: int, grid: int = 100_000,

@@ -228,10 +228,17 @@ def jacobian(t: CoefficientTensor, x) -> np.ndarray:
     return 2.0 * np.einsum("ijk,...i->...kj", t.p, arr)
 
 
-def _check_count(name: str, value, least: int) -> None:
-    """An integer ``value`` >= ``least``."""
+# The most steps a count that sizes a loop but no array may ask for: 10^7
+# steps of one orbit take about a second, a larger count runs until killed.
+MAX_STEPS = 10_000_000
+
+
+def _check_count(name: str, value, least: int, most: int | None = None) -> None:
+    """An integer ``value`` >= ``least``, and <= ``most`` if given."""
     if not isinstance(value, numbers.Integral) or value < least:
         raise DimensionMismatch(f"{name} must be an integer >= {least}, got {value!r}")
+    if most is not None and value > most:
+        raise DimensionMismatch(f"{name} must be <= {most}, got {value!r}")
 
 
 def _check_tolerance(name: str, value, positive: bool = False) -> None:
@@ -345,10 +352,12 @@ def cesaro(t: CoefficientTensor, x0: np.ndarray, checkpoints) -> tuple[np.ndarra
 
     Row c of the first array is the running average (1/n) sum_{k<n} x^(k),
     renormalized; row c of the second is x^(n).  Single pass with an O(m)
-    running sum, so checkpoints up to 10^7 are fine.
+    running sum; each checkpoint is an integer of at most ``MAX_STEPS``.
     """
-    cps = [int(n) for n in checkpoints]
-    if any(b <= a for a, b in zip(cps, cps[1:])) or (cps and cps[0] < 1):
+    cps = list(checkpoints)
+    for n in cps:
+        _check_count("checkpoints", n, 1, MAX_STEPS)
+    if any(b <= a for a, b in zip(cps, cps[1:])):
         raise DimensionMismatch("checkpoints must be strictly increasing positive integers")
     marks = np.array(cps, dtype=np.int64)
     sums = np.empty((len(cps), t.m))

@@ -418,8 +418,8 @@ def test_ergodicity_validates_checkpoints():
         ergodicity_probe(make_regular(3), center(3), [100, 50])
 
 
-@pytest.mark.parametrize("checkpoints", [[], [0, 10], [10, 10], [10, 10_000_001]],
-                         ids=["empty", "zero", "not-increasing", "over-1e7"])
+@pytest.mark.parametrize("checkpoints", [[], [0, 10], [10, 10], [10, 10_000_001], [10.7, 100.2]],
+                         ids=["empty", "zero", "not-increasing", "over-1e7", "non-integer"])
 def test_ergodicity_probe_refuses_bad_checkpoints(checkpoints):
     with pytest.raises(errors.DimensionMismatch, match="checkpoints must be"):
         ergodicity_probe(make_regular(3), center(3), checkpoints)
@@ -533,6 +533,25 @@ def test_periodic_absence_m4_after_s():
     rep = periodic_absence_search(4, perm, 4, starts=30, seed=20)
     assert rep.counterexamples == ()
     assert all(cat == "fixed_point" for _, _, cat in rep.solutions)
+
+
+@pytest.mark.parametrize("tol", [0.1, 0.5])
+def test_a_loose_newton_tolerance_finds_no_periods_beyond_s(tol):
+    # Newton's acceptance is the categories': a row that stopped at a
+    # residual below tol but not below 1e-8 is dropped, not a counterexample
+    rep = periodic_absence_search(4, parse_cycles("(1 2 3)", 3), 4, starts=40, seed=39,
+                                  tol=tol)
+    assert rep.solutions and rep.counterexamples == ()
+    assert all(resid < analysis.FIXED_POINT_RESIDUAL for _, resid, _ in rep.solutions)
+
+
+@pytest.mark.parametrize("m,cycles", [(3, "(1 2)"), (4, "(1 2 3)"), (6, "(1 2)(3 4 5)")])
+def test_both_searches_share_one_search(m, cycles):
+    perm = parse_cycles(cycles, m - 1)
+    fixed = find_fixed_points(make_quasi_strict(m, perm), starts=20, seed=3)
+    rep = periodic_absence_search(m, perm, 1, starts=20, seed=3)
+    assert [pt for pt, _, _ in rep.solutions] == [r.point for r in fixed]
+    assert {cat for _, _, cat in rep.solutions} == {"fixed_point"}
 
 
 @pytest.mark.parametrize("kwargs", [{"starts": 2.5}, {"starts": "3"}, {"starts": None},

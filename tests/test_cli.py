@@ -482,6 +482,27 @@ def test_a_loose_newton_tolerance_reports_only_fixed_points(capsys, tol):
     assert found and all(rep["residual"] < 1e-8 for rep in found)
 
 
+@pytest.mark.parametrize("argv", [
+    ["omega", "--family", "KHUKR", "--x0", "0.4,0.36,0.24", "--burn-in", "10000001",
+     "--window", "2"],
+    ["scalar", "--map", "F", "--iterate", "0.3", "10000001"],
+    ["ergodic", "--family", "KHUKR", "--x0", "0.4,0.36,0.24", "--checkpoints", "10,10000001"],
+], ids=["omega-burn-in", "scalar-iterate", "ergodic-checkpoints"])
+def test_a_step_count_over_the_cap_exits_2_at_once(argv):
+    # one step over tensor.MAX_STEPS: refused before the loop, not run
+    proc = subprocess.run([sys.executable, "-m", "qsodyn", *argv],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.endswith(f"must be <= {tensor.MAX_STEPS}, got 10000001\n")
+
+
+@pytest.mark.parametrize("name", list(cli._LYAPUNOV_FNS))
+def test_each_fn_name_builds_its_lyapunov_function(name):
+    args = cli._parser().parse_args(["lyapunov", "--family", "QUASI_STRICT", "--m", "4",
+                                     "--perm", "(1 2 3)", "--fn", name.lower(), "--seed", "1"])
+    assert cli._resolve_lyapunov(args).id.startswith(name)
+
+
 def test_seed_zero_is_accepted(capsys):
     code, out, _ = run_cli(capsys, "fixed-points", "--family", "KHUKR", "--starts", "2",
                            "--seed", "0")

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from qsodyn import errors
 from qsodyn.scalarmaps import (
     ScalarMapSpec,
+    conjugacy_defect,
     conjugacy_h,
     eval_map,
     f,
@@ -98,6 +99,7 @@ def test_conjugacy_identity_on_grid():
             lhs = conjugacy_h(m, alpha, eval_map(spec, grid))
             rhs = logistic2(conjugacy_h(m, alpha, grid))
             assert np.max(np.abs(lhs - rhs)) < 1e-12, (m, alpha)
+            assert conjugacy_defect(m, alpha) == np.max(np.abs(lhs - rhs))
 
 
 def test_conjugacy_sends_fixed_point_to_half():

@@ -1,9 +1,12 @@
 """Smoke tests of the scripts under scripts/, run as a user runs them."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from qsodyn import cli, verification
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -21,6 +24,17 @@ def test_contraction_sweep_writes_its_table(tmp_path):
     assert len(lines) == 25
     assert lines[0] == "m,alpha,s,bound,worst_factor,worst_single_pair_factor,margin"
     assert all(len(line.split(",")) == 7 for line in lines[1:])
+    # every measured factor is within verify's slack of the bound
+    assert all(float(line.split(",")[6]) >= -1e-9 for line in lines[1:])
+
+
+def test_the_probe_checkpoints_are_the_calibrated_ones():
+    # the calibrated delta holds only at the checkpoints it was calibrated at
+    committed = SCRIPTS.parent / "calibration" / "zakharevich_cesaro.json"
+    standard = json.loads(committed.read_text())["standard_checkpoints"]
+    assert standard == list(verification.CESARO_CHECKPOINTS)
+    default = cli.build_parser().parse_args(["ergodic"]).checkpoints
+    assert [int(v) for v in default.split(",")] == standard
 
 
 def test_calibration_rerun_reproduces_the_committed_file(tmp_path):
