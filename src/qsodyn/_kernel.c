@@ -16,12 +16,16 @@
    and 0.0 are equal although they are different inputs.  (ZAKHAREVICH's
    Cesaro orbit in verify gets there within about 100 of its 10^6 steps.)
 
-   The batched loop (batch) makes the step of tensor.apply_batch for any
-   number of rows, `np.einsum('ijk,nj,ni->nk', p, xs, xs)` then
-   `ys / ys.sum(axis=1)`: each y_k starts at 0.0 and adds
-   (p[i,j,k] * x_j) * x_i with i as the outer and j as the inner index,
-   then the same pairwise sum and division.  It advances two rows at once,
-   one in each lane of an SSE2 vector, with the same operations per lane.
+   The batched loop (batch2, batch4 and batch8, one body built for 2, 4 and
+   8 lanes) makes the step of tensor.apply_batch for any number of rows,
+   `np.einsum('ijk,nj,ni->nk', p, xs, xs)` then `ys / ys.sum(axis=1)`: each
+   y_k starts at 0.0 and adds (p[i,j,k] * x_j) * x_i with i as the outer and
+   j as the inner index, then the same pairwise sum and division.  It
+   advances L rows at once, one in each lane of a vector of L doubles, with
+   the same operations per lane: 2 lanes in 16 bytes on every CPU (SSE2 on
+   x86-64), and on x86-64 4 lanes in AVX2's 32 bytes and 8 in AVX-512's 64,
+   in functions built for those targets alone.  batch_lanes names the widest
+   loop the CPU runs, which the loader calls.
 
    No result depends on an order chosen here, so every loop reproduces its
    numpy loop bit for bit.  Build with -O2 -ffp-contract=off and without
@@ -128,62 +132,89 @@ void orbit(dgemv_fn gemv, const double *flat, int64_t m, double *x,
     }
 }
 
-/* Two rows, one in each lane of an SSE2 register.  Each operation on a v2d
-   is one IEEE multiply, add or divide per lane, so each lane has the bits
-   of the same loop on doubles. */
-typedef double v2d __attribute__((vector_size(16)));
+/* batch<L>: each of the rows of the (rows, m) array xs <- its x^(n_steps),
+   L rows at a time, one per lane of a vector of L doubles, so that their
+   state stays in L1; the spare lanes of a partial last group repeat its
+   last row.  p is the (m, m, m) tensor, attr the target the loop is built
+   for.  Each operation on a vector is one IEEE multiply, add or divide per
+   lane, so each lane has the bits of the same loop on doubles, whatever L
+   and whichever rows share its vector.
 
-/* y[k .. k + w - 1], each summed over (i, j) in einsum's order, for both
-   rows.  w is a constant at every call, so the w sums stay in registers. */
-static inline void contract(const double *p, int64_t m, const v2d *x,
-                            int64_t k, int w, v2d *y)
-{
-    v2d acc[2] = {{0.0, 0.0}, {0.0, 0.0}};
-    const double *q = p + k;
-    for (int64_t i = 0; i < m; i++)
-        for (int64_t j = 0; j < m; j++, q += m)
-            for (int b = 0; b < w; b++)
-                acc[b] += (q[b] * x[j]) * x[i];
-    for (int b = 0; b < w; b++)
-        y[k + b] = acc[b];
+   contract<L> sets y[k .. k + w - 1], each summed over (i, j) in einsum's
+   order; w is a constant at every call, so the w sums stay in registers.
+   The row sum is numpy's pairwise one, in each lane: below 8 terms one by
+   one from 0.0, from 8 on eight accumulators over the whole blocks of 8,
+   their tree, then the rest one by one.  add.reduce's 0.0 in front of it
+   would change no bit, since no y_k is -0.0. */
+#define BATCH(L, attr)                                                         \
+typedef double vec##L __attribute__((vector_size(8 * L)));                     \
+                                                                               \
+attr static inline void contract##L(const double *p, int64_t m, const vec##L *x, \
+                                    int64_t k, int w, vec##L *y)               \
+{                                                                              \
+    vec##L acc[2] = {{0.0}, {0.0}};                                            \
+    const double *q = p + k;                                                   \
+    for (int64_t i = 0; i < m; i++)                                            \
+        for (int64_t j = 0; j < m; j++, q += m)                                \
+            for (int b = 0; b < w; b++)                                        \
+                acc[b] += (q[b] * x[j]) * x[i];                                \
+    for (int b = 0; b < w; b++)                                                \
+        y[k + b] = acc[b];                                                     \
+}                                                                              \
+                                                                               \
+attr void batch##L(const double *p, int64_t m, double *xs, int64_t rows,       \
+                   int64_t n_steps)                                            \
+{                                                                              \
+    vec##L x[MAX_M], y[MAX_M];                                                 \
+    for (int64_t g = 0; g < rows; g += L) {                                    \
+        double *row[L];                                                        \
+        for (int l = 0; l < L; l++)                                            \
+            row[l] = xs + (g + l < rows ? g + l : rows - 1) * m;               \
+        for (int64_t k = 0; k < m; k++)                                        \
+            for (int l = 0; l < L; l++)                                        \
+                x[k][l] = row[l][k];                                           \
+        for (int64_t n = 0; n < n_steps; n++) {                                \
+            int64_t k = 0;                                                     \
+            for (; k + 2 <= m; k += 2)                                         \
+                contract##L(p, m, x, k, 2, y);                                 \
+            if (k < m)                                                         \
+                contract##L(p, m, x, k, 1, y);                                 \
+            vec##L s = {0.0};                                                  \
+            k = 0;                                                             \
+            if (m >= 8) {                                                      \
+                vec##L r[8];                                                   \
+                for (int j = 0; j < 8; j++)                                    \
+                    r[j] = y[j];                                               \
+                for (k = 8; k + 8 <= m; k += 8)                                \
+                    for (int j = 0; j < 8; j++)                                \
+                        r[j] += y[k + j];                                      \
+                s = ((r[0] + r[1]) + (r[2] + r[3]))                            \
+                    + ((r[4] + r[5]) + (r[6] + r[7]));                         \
+            }                                                                  \
+            for (; k < m; k++)                                                 \
+                s += y[k];                                                     \
+            for (k = 0; k < m; k++)                                            \
+                x[k] = y[k] / s;                                               \
+        }                                                                      \
+        for (int l = 0; l < L; l++)                                            \
+            for (int64_t k = 0; k < m; k++)                                    \
+                row[l][k] = x[k][l];                                           \
+    }                                                                          \
 }
 
-/* Each of the rows of the (rows, m) array xs <- its x^(n_steps), two rows
-   at a time, one per lane, so that their state stays in L1; an odd last
-   row is paired with itself.  p is the (m, m, m) tensor. */
-void batch(const double *p, int64_t m, double *xs, int64_t rows, int64_t n_steps)
+BATCH(2, )
+#if defined(__x86_64__)
+BATCH(4, __attribute__((target("avx2"))))
+BATCH(8, __attribute__((target("avx512f"))))
+#endif
+
+/* The widest batch<L> this CPU runs: the loader's batch. */
+int batch_lanes(void)
 {
-    v2d x[MAX_M], y[MAX_M];
-    double lane[MAX_M];
-    for (int64_t r = 0; r < rows; r += 2) {
-        double *row[2] = {xs + r * m, xs + (r + 1 < rows ? r + 1 : r) * m};
-        for (int64_t k = 0; k < m; k++)
-            x[k] = (v2d){row[0][k], row[1][k]};
-        for (int64_t n = 0; n < n_steps; n++) {
-            int64_t k = 0;
-            for (; k + 2 <= m; k += 2)
-                contract(p, m, x, k, 2, y);
-            if (k < m)
-                contract(p, m, x, k, 1, y);
-            /* renormalize, lane by lane: below 8 terms numpy's pairwise sum
-               is this sequential one; from 8 on, each lane is copied out */
-            v2d s = {0.0, 0.0};
-            if (m < 8) {
-                for (k = 0; k < m; k++)
-                    s += y[k];
-            } else {
-                for (int l = 0; l < 2; l++) {
-                    for (k = 0; k < m; k++)
-                        lane[k] = y[k][l];
-                    s[l] = pairwise_sum(lane, m);
-                }
-            }
-            s = 0.0 + s;
-            for (k = 0; k < m; k++)
-                x[k] = y[k] / s;
-        }
-        for (int l = 0; l < 2; l++)
-            for (int64_t k = 0; k < m; k++)
-                row[l][k] = x[k][l];
-    }
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512f") ? 8 : __builtin_cpu_supports("avx2") ? 4 : 2;
+#else
+    return 2;
+#endif
 }

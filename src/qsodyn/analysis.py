@@ -307,6 +307,9 @@ def _search(t: CoefficientTensor, starts: int, seed, n: int, tol: float):
     solutions below ``FIXED_POINT_RESIDUAL`` (the others are dropped, never
     fatal), of those within ``DEDUP_RADIUS`` the one with the smallest
     residual, as sorted rows projected onto the simplex, and their residuals."""
+    _check_count("starts", starts, 0)
+    _check_count("n", n, 1)
+    _check_tolerance("tol", tol, positive=True)
     xs, rmax, ok = _newton(t, _default_starts(t, starts, seed), n, tol)
     ok &= rmax < FIXED_POINT_RESIDUAL
     found = np.empty_like(xs)  # the first len(resids) rows
@@ -329,8 +332,6 @@ def find_fixed_points(t: CoefficientTensor, starts: int = 24, tol: float = 1e-12
     """Multistart Newton on V(x) = x, classified: the solutions that
     ``_search`` keeps from ``starts`` seeded interior points and the fixed
     starts, each below ``FIXED_POINT_RESIDUAL`` as classification requires."""
-    _check_count("starts", starts, 0)
-    _check_tolerance("tol", tol, positive=True)
     _check_tolerance("band", band)
     rows, _ = _search(t, starts, seed, 1, tol)
     return _classify_points(t, [SimplexPoint(tuple(x)) for x in rows.tolist()], band)

@@ -317,7 +317,8 @@ def run_collect(t: CoefficientTensor, x0: np.ndarray, n_steps: int) -> np.ndarra
 def run_batch(t: CoefficientTensor, xs: np.ndarray, n_steps: int) -> np.ndarray:
     """Advance every row of an (n, m) array by ``n_steps`` steps of
     ``apply_batch``, all in one call of the compiled ``batch`` where it
-    loads, bit for bit.  A single orbit belongs in ``run``."""
+    loads, bit for bit at any of its lane widths.  A single orbit belongs
+    in ``run``."""
     _check_count("n_steps", n_steps, 0)
     x = np.array(xs, dtype=float, order="C")
     if x.ndim != 2 or x.shape[1] != t.m:
@@ -387,8 +388,8 @@ _NUMPY_DGEMV = "scipy_cblas_dgemv64_"
 
 
 class _Kernel:
-    """The loops of ``_kernel.c``, the single-orbit one bound to numpy's own
-    BLAS dgemv.
+    """The loops of ``_kernel.c``: the single-orbit one bound to numpy's own
+    BLAS dgemv, and the batched one of the most ``lanes`` this CPU runs.
 
     Callers pass C-contiguous float64 arrays of matching sizes, increasing
     int64 marks >= 0, m <= 64 and n_steps >= 0; the callers of ``_walk``
@@ -398,9 +399,11 @@ class _Kernel:
 
     def __init__(self, lib: ctypes.CDLL, dgemv: int):
         ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+        self.lanes = lib.batch_lanes()
+        self._batch = getattr(lib, f"batch{self.lanes}")
         lib.orbit.argtypes = [ptr, ptr, i64, ptr, ptr, i64, ptr, ptr]
-        lib.batch.argtypes = [ptr, i64, ptr, i64, i64]
-        for fn in (lib.orbit, lib.batch):
+        self._batch.argtypes = [ptr, i64, ptr, i64, i64]
+        for fn in (lib.orbit, self._batch):
             fn.restype = None
         self._lib = lib
         self._dgemv = dgemv
@@ -412,7 +415,7 @@ class _Kernel:
 
     def batch(self, p, xs, n_steps):
         rows, m = xs.shape
-        self._lib.batch(p.ctypes.data, m, xs.ctypes.data, rows, n_steps)
+        self._batch(p.ctypes.data, m, xs.ctypes.data, rows, n_steps)
 
 
 def _build_kernel() -> Path:
@@ -459,10 +462,11 @@ def _kernel_agrees(kernel: _Kernel) -> bool:
     """Bitwise comparison of the compiled loops with the numpy ones, for an
     m below and an m above numpy's 8-term pairwise-sum block: the states and
     running sums of two orbits at steps 0 to 5 against ``_step``, five steps
-    of 51 rows against ``apply_batch`` (an odd count, so that the last row is
-    paired with itself).  The tensor's (1, 1) row is e_1, so the vertex e_1
-    is a fixed point from step 0: the second orbit and row 1 start there,
-    next to the first orbit and the rows that keep moving."""
+    of 51 rows against ``apply_batch`` (a partial last group at 2, 4 and 8
+    lanes, whose spare lanes repeat its last row).  The tensor's (1, 1) row
+    is e_1, so the vertex e_1 is a fixed point from step 0: the second orbit
+    and row 1 start there, next to the first orbit and the rows that keep
+    moving."""
     rng = np.random.default_rng(0)
     marks = np.arange(6, dtype=np.int64)
     for m in (3, 9):

@@ -561,6 +561,18 @@ def test_find_fixed_points_rejects_bad_parameters(kwargs):
         find_fixed_points(make_regular(3), **kwargs)
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    # V^0 is the identity, which every start solves
+    ({"n": 0}, "n must be an integer >= 1"),
+    ({"starts": -1}, "starts must be an integer >= 0"),
+    ({"starts": 2.5}, "starts must be an integer >= 0"),
+    ({"tol": -1.0}, "tol must be a finite number > 0"),
+], ids=["n-0", "starts-negative", "starts-float", "tol-negative"])
+def test_periodic_absence_search_rejects_bad_parameters(kwargs, message):
+    with pytest.raises(errors.QsoError, match=message):
+        periodic_absence_search(4, parse_cycles("(1 2 3)", 3), **{"n": 4, "seed": 0, **kwargs})
+
+
 @pytest.mark.parametrize("samples", [0, -1, 1.5])
 def test_check_lyapunov_rejects_bad_sample_counts(samples):
     with pytest.raises(errors.QsoError, match="samples"):

@@ -11,6 +11,7 @@ as rows of one array, is held to a per-start oracle in the same way.  The numpy 
 """
 
 import contextlib
+import ctypes
 import io
 import math
 import os
@@ -265,17 +266,21 @@ def test_self_test_checks_the_batched_loop(kernel):
     assert not tensor._kernel_agrees(short)
 
 
-def test_self_test_checks_the_odd_last_row(kernel):
-    # the last row of an odd count shares its vector with itself alone
-    odd = mock.Mock(wraps=kernel)
+@pytest.mark.parametrize("lanes", [2, 4, 8])
+def test_self_test_checks_the_last_row_of_a_partial_lane_group(kernel, lanes):
+    # the last row of a partial group also fills the group's spare lanes;
+    # the self-test's row count leaves such a group at every width
+    off, partial = mock.Mock(wraps=kernel), []
 
-    def batch_odd_row_one_ulp_off(p, xs, n_steps):
+    def batch_partial_group_one_ulp_off(p, xs, n_steps):
         kernel.batch(p, xs, n_steps)
-        if len(xs) % 2:
+        partial.append(len(xs) % lanes)
+        if partial[-1]:
             xs[-1, 0] = np.nextafter(xs[-1, 0], np.inf)
 
-    odd.batch = batch_odd_row_one_ulp_off
-    assert not tensor._kernel_agrees(odd)
+    off.batch = batch_partial_group_one_ulp_off
+    assert not tensor._kernel_agrees(off)
+    assert partial[0] > 0
 
 
 @pytest.mark.parametrize("right,wrong", [
@@ -486,6 +491,82 @@ def test_batch_bytes_do_not_depend_on_the_blas_kernel(default_batch_digest, core
     if missing:
         pytest.skip(f"this CPU lacks {', '.join(sorted(missing))} for {core_type}")
     assert batch_digest(core_type) == default_batch_digest
+
+
+# --- lane widths ------------------------------------------------------------------
+
+# The instructions each lane width of the compiled batched loop needs, as named
+# in the flags of /proc/cpuinfo.
+LANE_FLAGS = {2: set(), 4: {"avx2"}, 8: {"avx512f"}}
+
+
+@pytest.fixture(scope="module", params=sorted(LANE_FLAGS))
+def width_batch(request, kernel):
+    """``run_batch`` through the exported loop of one lane width."""
+    lanes = request.param
+    missing = LANE_FLAGS[lanes] - host_cpu_flags()
+    if missing:
+        pytest.skip(f"this CPU lacks {', '.join(sorted(missing))} for {lanes} lanes")
+    fn = getattr(kernel._lib, f"batch{lanes}")
+
+    def batch(t, xs, n_steps):
+        x = np.array(xs, dtype=float, order="C")
+        fn(ctypes.c_void_p(t.p.ctypes.data), ctypes.c_int64(t.m), ctypes.c_void_p(x.ctypes.data),
+           ctypes.c_int64(len(x)), ctypes.c_int64(n_steps))
+        return x
+
+    batch.lanes = lanes
+    return batch
+
+
+def numpy_batch(t, xs, n_steps):
+    for _ in range(n_steps):
+        xs = apply_batch(t, xs)
+    return xs
+
+
+def test_the_loader_picks_the_widest_width_the_cpu_has(kernel):
+    flags = host_cpu_flags()
+    if not flags:
+        pytest.skip("no CPU flags to read")
+    assert kernel.lanes == max(lanes for lanes, need in LANE_FLAGS.items() if need <= flags)
+
+
+@settings(max_examples=25, deadline=None)
+@given(batch_cases())
+def test_each_width_matches_numpy_loop(width_batch, case):
+    assert np.array_equal(width_batch(*case), numpy_batch(*case))
+
+
+@pytest.mark.parametrize("family", sorted(REGISTRY))
+def test_each_width_matches_numpy_on_catalog(width_batch, family):
+    t = catalog_tensor(family)
+    xs = np.random.default_rng(t.m).exponential(size=(1000, t.m))
+    xs /= xs.sum(axis=1, keepdims=True)
+    assert np.array_equal(width_batch(t, xs, 20), numpy_batch(t, xs, 20))
+
+
+@pytest.mark.parametrize("m", [3, 8, 9])
+def test_each_width_runs_for_every_row_count(width_batch, m):
+    # whole and partial lane groups, one to two groups and a row
+    t = random_tensor(np.random.default_rng(m), m)
+    for rows in range(1, 2 * width_batch.lanes + 2):
+        xs = np.random.default_rng(rows).exponential(size=(rows, m))
+        xs /= xs.sum(axis=1, keepdims=True)
+        assert np.array_equal(width_batch(t, xs, 5), numpy_batch(t, xs, 5))
+
+
+def test_the_portable_build_runs_two_lanes(tmp_path, monkeypatch, kernel):
+    # with its x86-64 part compiled out, as on other CPUs, the kernel builds,
+    # passes its self-test and runs the two-lane loop
+    source = tensor._KERNEL_SOURCE.read_text()
+    assert source.count("#if defined(__x86_64__)") == 2
+    src = tmp_path / "_kernel.c"
+    src.write_text(source.replace("#if defined(__x86_64__)", "#if 0"))
+    monkeypatch.setattr(tensor, "_KERNEL_SOURCE", src)
+    portable = tensor._kernel.__wrapped__()
+    assert portable is not None and portable.lanes == 2
+    assert not hasattr(portable._lib, "batch8")
 
 
 @pytest.mark.parametrize("theta,x0,n_steps", [
