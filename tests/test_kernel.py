@@ -3,7 +3,8 @@
 Every comparison is exact (``np.array_equal``): the single-orbit loops make
 the numpy step's own BLAS call, the batched loop sums in the order of
 einsum's three-operand contraction, and both sum in numpy's pairwise order,
-so any difference is a bug.  Orbits that reach a fixed point of the step,
+so any difference is a bug, at every lane width of the batched loop that the
+CPU runs.  Orbits that reach a fixed point of the step,
 where the single-orbit loops stop stepping, are held to plain loops that
 make every step.  The Newton search, which runs all its starts
 as rows of one array, is held to a per-start oracle in the same way.  The numpy loops are selected by replacing the loader
@@ -519,12 +520,6 @@ def width_batch(request, kernel):
     return batch
 
 
-def numpy_batch(t, xs, n_steps):
-    for _ in range(n_steps):
-        xs = apply_batch(t, xs)
-    return xs
-
-
 def test_the_loader_picks_the_widest_width_the_cpu_has(kernel):
     flags = host_cpu_flags()
     if not flags:
@@ -535,7 +530,7 @@ def test_the_loader_picks_the_widest_width_the_cpu_has(kernel):
 @settings(max_examples=25, deadline=None)
 @given(batch_cases())
 def test_each_width_matches_numpy_loop(width_batch, case):
-    assert np.array_equal(width_batch(*case), numpy_batch(*case))
+    assert np.array_equal(width_batch(*case), plain_batch(*case))
 
 
 @pytest.mark.parametrize("family", sorted(REGISTRY))
@@ -543,7 +538,7 @@ def test_each_width_matches_numpy_on_catalog(width_batch, family):
     t = catalog_tensor(family)
     xs = np.random.default_rng(t.m).exponential(size=(1000, t.m))
     xs /= xs.sum(axis=1, keepdims=True)
-    assert np.array_equal(width_batch(t, xs, 20), numpy_batch(t, xs, 20))
+    assert np.array_equal(width_batch(t, xs, 20), plain_batch(t, xs, 20))
 
 
 @pytest.mark.parametrize("m", [3, 8, 9])
@@ -553,7 +548,7 @@ def test_each_width_runs_for_every_row_count(width_batch, m):
     for rows in range(1, 2 * width_batch.lanes + 2):
         xs = np.random.default_rng(rows).exponential(size=(rows, m))
         xs /= xs.sum(axis=1, keepdims=True)
-        assert np.array_equal(width_batch(t, xs, 5), numpy_batch(t, xs, 5))
+        assert np.array_equal(width_batch(t, xs, 5), plain_batch(t, xs, 5))
 
 
 def test_the_portable_build_runs_two_lanes(tmp_path, monkeypatch, kernel):
