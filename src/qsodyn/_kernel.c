@@ -1,13 +1,16 @@
 /* Compiled loops of the renormalized quadratic step.
 
-   The single-orbit loop (orbit) makes the numpy step of tensor.py,
-   `y = np.outer(x, x).ravel() @ flat` then `x = y / y.sum()`, the way numpy
-   does it: the exact products x_i x_j, the product by numpy's own BLAS
-   dgemv (passed in as a function pointer and called with the arguments
-   numpy's matmul uses), numpy's pairwise summation order, and one division
-   per coordinate.  It keeps the state and the running sum at each of a list
-   of step marks: tensor.run is one mark, run_collect and iterate one mark
-   per recorded step, and cesaro one per checkpoint with the sums.
+   Each loop makes the step of a numpy loop of tensor.py the way numpy does
+   it and ends the step with renormalize, `x = y / y.sum()`: numpy's
+   pairwise summation order, then one division per coordinate.
+
+   The single-orbit loop (orbit) makes the step of tensor._step,
+   `y = np.outer(x, x).ravel() @ flat`: the exact products x_i x_j, then the
+   product by numpy's own BLAS dgemv (passed in as a function pointer and
+   called with the arguments numpy's matmul uses).  It keeps the state and
+   the running sum at each of a list of step marks: tensor.run is one mark,
+   run_collect and iterate one mark per recorded step, and cesaro one per
+   checkpoint with the sums.
 
    Once a step of orbit returns its input bit for bit, orbit makes no more
    steps: the step is a function of the bits of x alone, so every later one
@@ -18,9 +21,8 @@
 
    The batched loop (batch2, batch4 and batch8, one body built for 2, 4 and
    8 lanes) makes the step of tensor.apply_batch for any number of rows,
-   `np.einsum('ijk,nj,ni->nk', p, xs, xs)` then `ys / ys.sum(axis=1)`: each
-   y_k starts at 0.0 and adds (p[i,j,k] * x_j) * x_i with i as the outer and
-   j as the inner index, then the same pairwise sum and division.  It
+   `np.einsum('ijk,nj,ni->nk', p, xs, xs)`: each y_k starts at 0.0 and adds
+   (p[i,j,k] * x_j) * x_i with i as the outer and j as the inner index.  It
    advances L rows at once, one in each lane of a vector of L doubles, with
    the same operations per lane: 2 lanes in 16 bytes on every CPU (SSE2 on
    x86-64), and on x86-64 4 lanes in AVX2's 32 bytes and 8 in AVX-512's 64,
@@ -48,49 +50,34 @@ typedef void (*dgemv_fn)(int order, int trans, int64_t rows, int64_t cols,
 
 enum { CBLAS_ROW_MAJOR = 101, CBLAS_TRANS = 112 };
 
-/* numpy's pairwise sum: sequential below 8 terms, eight accumulators up to
-   128 terms, halving above that.  The short case is inlined into every
-   caller; the rest is a call. */
-static double pairwise_sum_blocks(const double *a, int64_t n);
-
-static inline double pairwise_sum(const double *a, int64_t n)
-{
-    if (n < 8) {
-        double res = 0.0;
-        for (int64_t i = 0; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    return pairwise_sum_blocks(a, n);
+/* renormalize_<T>: x <- y / y.sum() for m <= MAX_M terms of type T, a
+   double or a vector of one double per lane, built for the target attr.
+   Up to 128 terms numpy's pairwise sum is: below 8 terms one by one from
+   0.0; from 8 on eight accumulators over the whole blocks of 8, their
+   tree, then the rest one by one.  add.reduce's 0.0 in front of it
+   changes no bit: the sum is -0.0 only if every y_k is, and then every
+   y_k / s is 0/0 whatever the sign of s. */
+#define RENORMALIZE(T, attr)                                                   \
+attr static inline void renormalize_##T(const T *y, int64_t m, T *x)           \
+{                                                                              \
+    T s = {0.0};                                                               \
+    int64_t k = 0;                                                             \
+    if (m >= 8) {                                                              \
+        T r[8];                                                                \
+        for (int j = 0; j < 8; j++)                                            \
+            r[j] = y[j];                                                       \
+        for (k = 8; k + 8 <= m; k += 8)                                        \
+            for (int j = 0; j < 8; j++)                                        \
+                r[j] += y[k + j];                                              \
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])); \
+    }                                                                          \
+    for (; k < m; k++)                                                         \
+        s += y[k];                                                             \
+    for (k = 0; k < m; k++)                                                    \
+        x[k] = y[k] / s;                                                       \
 }
 
-static double pairwise_sum_blocks(const double *a, int64_t n)
-{
-    if (n <= 128) {
-        double r[8], res;
-        int64_t i;
-        for (int j = 0; j < 8; j++)
-            r[j] = a[j];
-        for (i = 8; i < n - (n % 8); i += 8)
-            for (int j = 0; j < 8; j++)
-                r[j] += a[i + j];
-        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    int64_t n2 = n / 2;
-    n2 -= n2 % 8;
-    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
-}
-
-/* x <- y / y.sum() */
-static inline void renormalize(const double *y, int64_t m, double *x)
-{
-    double s = 0.0 + pairwise_sum(y, m);  /* add.reduce starts from its identity */
-    for (int64_t k = 0; k < m; k++)
-        x[k] = y[k] / s;
-}
+RENORMALIZE(double, )
 
 static void step(dgemv_fn gemv, const double *flat, int64_t m, double *x)
 {
@@ -101,7 +88,7 @@ static void step(dgemv_fn gemv, const double *flat, int64_t m, double *x)
     /* vector @ matrix: numpy's matmul calls dgemv on the transposed
        row-major (m*m, m) matrix */
     gemv(CBLAS_ROW_MAJOR, CBLAS_TRANS, m * m, m, 1.0, flat, m, outer, 1, 0.0, y, 1);
-    renormalize(y, m, x);
+    renormalize_double(y, m, x);
 }
 
 /* For each mark c: states[c] = x^(marks[c]) and, unless sums is NULL,
@@ -142,12 +129,10 @@ void orbit(dgemv_fn gemv, const double *flat, int64_t m, double *x,
 
    contract<L> sets y[k .. k + w - 1], each summed over (i, j) in einsum's
    order; w is a constant at every call, so the w sums stay in registers.
-   The row sum is numpy's pairwise one, in each lane: below 8 terms one by
-   one from 0.0, from 8 on eight accumulators over the whole blocks of 8,
-   their tree, then the rest one by one.  add.reduce's 0.0 in front of it
-   would change no bit, since no y_k is -0.0. */
+   renormalize_vec<L> is built for the same target, so no vector is split. */
 #define BATCH(L, attr)                                                         \
 typedef double vec##L __attribute__((vector_size(8 * L)));                     \
+RENORMALIZE(vec##L, attr)                                                      \
                                                                                \
 attr static inline void contract##L(const double *p, int64_t m, const vec##L *x, \
                                     int64_t k, int w, vec##L *y)               \
@@ -179,22 +164,7 @@ attr void batch##L(const double *p, int64_t m, double *xs, int64_t rows,       \
                 contract##L(p, m, x, k, 2, y);                                 \
             if (k < m)                                                         \
                 contract##L(p, m, x, k, 1, y);                                 \
-            vec##L s = {0.0};                                                  \
-            k = 0;                                                             \
-            if (m >= 8) {                                                      \
-                vec##L r[8];                                                   \
-                for (int j = 0; j < 8; j++)                                    \
-                    r[j] = y[j];                                               \
-                for (k = 8; k + 8 <= m; k += 8)                                \
-                    for (int j = 0; j < 8; j++)                                \
-                        r[j] += y[k + j];                                      \
-                s = ((r[0] + r[1]) + (r[2] + r[3]))                            \
-                    + ((r[4] + r[5]) + (r[6] + r[7]));                         \
-            }                                                                  \
-            for (; k < m; k++)                                                 \
-                s += y[k];                                                     \
-            for (k = 0; k < m; k++)                                            \
-                x[k] = y[k] / s;                                               \
+            renormalize_vec##L(y, m, x);                                       \
         }                                                                      \
         for (int l = 0; l < L; l++)                                            \
             for (int64_t k = 0; k < m; k++)                                    \

@@ -32,7 +32,7 @@ from .errors import (
     WeightOutOfRange,
 )
 from .simplex import Permutation
-from .tensor import CoefficientTensor, build_tensor, convex_combine
+from .tensor import CoefficientTensor, _check_dimension, build_tensor, convex_combine
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,7 @@ class FamilySpec:
         info = family_info(self.family)
         if self.m is None:
             raise MissingParameter(f"{self.family} requires m")
+        object.__setattr__(self, "m", _check_dimension(self.m))
         if info.m_fixed is not None and self.m != info.m_fixed:
             raise PermutationSizeMismatch(
                 f"{self.family} is defined on m={info.m_fixed}, got m={self.m}"

@@ -124,10 +124,8 @@ def low_period_scan(spec: ScalarMapSpec, n: int, grid: int = 100_000,
     covers tangencies and the endpoint root at 1), and bisection refines each
     bracketed root.  Results within 1e-9 of each other are merged.
     """
-    if n < 1:
-        raise DomainViolation(f"period {n} must be >= 1")
-    if grid < 1000:
-        raise DomainViolation(f"grid {grid} too coarse; need >= 1000")
+    _check_count("period n", n, 1, error=DomainViolation)
+    _check_count("grid", grid, 1000, error=DomainViolation)
     _check_tolerance("tol", tol)
 
     xs = np.linspace(0.0, 1.0, grid + 1)

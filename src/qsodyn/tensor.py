@@ -55,8 +55,7 @@ class CoefficientTensor:
     spec: FamilySpec | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if not (isinstance(self.m, int) and self.m >= 2):
-            raise DimensionMismatch(f"tensor dimension {self.m} must be an integer >= 2")
+        object.__setattr__(self, "m", _check_dimension(self.m))
         if self.p.shape != (self.m, self.m, self.m):
             raise DimensionMismatch(f"coefficient array shape {self.p.shape} != {(self.m,) * 3}")
         self.p.setflags(write=False)
@@ -233,12 +232,19 @@ def jacobian(t: CoefficientTensor, x) -> np.ndarray:
 MAX_STEPS = 10_000_000
 
 
-def _check_count(name: str, value, least: int, most: int | None = None) -> None:
-    """An integer ``value`` >= ``least``, and <= ``most`` if given."""
+def _check_count(name: str, value, least: int, most: int | None = None,
+                 error: type[QsoError] = DimensionMismatch) -> None:
+    """An integer ``value`` >= ``least``, and <= ``most`` if given; else ``error``."""
     if not isinstance(value, numbers.Integral) or value < least:
-        raise DimensionMismatch(f"{name} must be an integer >= {least}, got {value!r}")
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
     if most is not None and value > most:
-        raise DimensionMismatch(f"{name} must be <= {most}, got {value!r}")
+        raise error(f"{name} must be <= {most}, got {value!r}")
+
+
+def _check_dimension(m) -> int:
+    """A tensor dimension: an integer >= 2, as the equal Python int."""
+    _check_count("tensor dimension", m, 2)
+    return int(m)
 
 
 def _check_tolerance(name: str, value, positive: bool = False) -> None:
@@ -573,8 +579,7 @@ def load_tensor(f, name: str = "") -> CoefficientTensor:
 
 def random_tensor(rng: np.random.Generator, m: int, name: str = "") -> CoefficientTensor:
     """A random valid tensor: each pair row is an independent Dirichlet draw."""
-    if not (isinstance(m, int) and m >= 2):
-        raise DimensionMismatch(f"tensor dimension {m} must be an integer >= 2")
+    m = _check_dimension(m)
     # one draw: the rows (i, j), i <= j, in the order a draw per row takes them
     rows = rng.exponential(size=(m * (m + 1) // 2, m))
     rows /= rows.sum(axis=1, keepdims=True)

@@ -74,7 +74,9 @@ def both(fn, *args):
 
 @st.composite
 def orbit_cases(draw):
-    m = draw(st.integers(2, 12))
+    # every size up to 12, then 1 to 8 whole blocks of numpy's 8-term
+    # pairwise sum with tails of 0 to 7, up to the kernel's largest m
+    m = draw(st.one_of(st.integers(2, 12), st.sampled_from([16, 17, 24, 33, 63, 64])))
     t = random_tensor(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), m)
     x = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=m, max_size=m)))
     if draw(st.booleans()):
@@ -82,7 +84,7 @@ def orbit_cases(draw):
         zeros = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m - 1))
         x[zeros] = 0.0
     x = validate_point(x / x.sum())
-    return t, x, draw(st.integers(0, 2000))
+    return t, x, draw(st.integers(0, 2000 if m <= 12 else 200))
 
 
 @settings(max_examples=40, deadline=None)
@@ -285,14 +287,17 @@ def test_self_test_checks_the_last_row_of_a_partial_lane_group(kernel, lanes):
 
 
 @pytest.mark.parametrize("right,wrong", [
-    # stops after the first step, whatever it returned
-    ("fixed = memcmp(prev, x, bytes) == 0;", "fixed = 1;"),
-    # stops adding to the running sums once the orbit is fixed
-    ("        if (sums)\n            for (; n < marks[c]; n++)",
-     "        if (0)\n            for (; n < marks[c]; n++)"),
+    pytest.param("fixed = memcmp(prev, x, bytes) == 0;", "fixed = 1;",
+                 id="stops_after_the_first_step"),
+    pytest.param("        if (sums)\n            for (; n < marks[c]; n++)",
+                 "        if (0)\n            for (; n < marks[c]; n++)",
+                 id="stops_the_running_sums_once_fixed"),
+    # the pairwise sum's tree, which every loop shares, summed one by one
+    pytest.param("((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))",
+                 "((((((r[0] + r[1]) + r[2]) + r[3]) + r[4]) + r[5]) + r[6]) + r[7]",
+                 id="sums_the_blocks_in_sequence"),
 ])
-def test_self_test_refuses_a_wrong_fixed_point_shortcut(tmp_path, monkeypatch, kernel, right,
-                                                        wrong):
+def test_self_test_refuses_a_wrong_kernel_source(tmp_path, monkeypatch, kernel, right, wrong):
     source = tensor._KERNEL_SOURCE.read_text()
     assert source.count(right) == 1
     src = tmp_path / "_kernel.c"
@@ -300,6 +305,18 @@ def test_self_test_refuses_a_wrong_fixed_point_shortcut(tmp_path, monkeypatch, k
     monkeypatch.setattr(tensor, "_KERNEL_SOURCE", src)
     assert tensor._kernel.__wrapped__() is None
     assert len(list(tmp_path.glob("__pycache__/_kernel-*.so"))) == 1  # it built, and was refused
+
+
+@pytest.mark.parametrize("m", [3, 9, 17, 64])
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_a_zero_start_gives_the_numpy_nan_bits(kernel, m, zero):
+    # y is all zeros, so each y_k / sum(y) is 0/0, whatever the sign of the sum
+    t = random_tensor(np.random.default_rng(m), m)
+    x0 = np.full(m, zero)
+    with np.errstate(invalid="ignore"):
+        for fn, start in ((run, x0), (run_batch, np.tile(x0, (9, 1)))):
+            fast, ref = both(fn, t, start, 3)
+            assert np.isnan(fast).all() and fast.tobytes() == ref.tobytes()
 
 
 def test_loader_builds_into_pycache(tmp_path, monkeypatch, kernel):

@@ -147,6 +147,17 @@ def test_scan_rejects_coarse_grid():
         low_period_scan(F, 2, grid=10)
 
 
+@pytest.mark.parametrize("args,message", [
+    ((2, 1e4), "grid must be an integer >= 1000"),
+    ((2.0, 1000), "period n must be an integer >= 1"),
+    ((2.5, 1000), "period n must be an integer >= 1"),
+    ((0, 1000), "period n must be an integer >= 1"),
+], ids=["float_grid", "float_n", "fractional_n", "zero_n"])
+def test_scan_rejects_a_bad_period_or_grid(args, message):
+    with pytest.raises(errors.DomainViolation, match=message):
+        low_period_scan(F, *args)
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-10])
 def test_low_period_scan_rejects_bad_tolerance(tol):
     with pytest.raises(errors.QsoError, match="tol"):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsodyn import errors
-from qsodyn.families import make_quasi_strict, make_regular, make_s2
+from qsodyn.families import make, make_quasi_strict, make_regular, make_s2
 from qsodyn.simplex import center, parse_cycles, validate_point, vertex
 from qsodyn.tensor import (
     CoefficientTensor,
@@ -92,13 +92,32 @@ def test_validate_reports_the_first_fault(faults, error, message):
     assert type(info.value) is error and str(info.value) == message
 
 
-@pytest.mark.parametrize("m", [-1, 0, 1, 2.0, 3.5, "3", True, np.int64(3)])
+@pytest.mark.parametrize("m", [-1, 0, 1, 2.0, 3.5, "3", True, np.float64(3.0)])
 def test_random_tensor_rejects_a_bad_m_before_drawing(m):
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     with pytest.raises(errors.DimensionMismatch, match="must be an integer >= 2"):
         random_tensor(rng, m)
     assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("m", [np.int64(5), np.int32(5)], ids=["int64", "int32"])
+def test_a_numpy_integer_m_is_the_equal_int(m):
+    want = random_tensor(np.random.default_rng(0), 5)
+    drawn = random_tensor(np.random.default_rng(0), m)
+    made = make("REGULAR", m=m)
+    for t in (drawn, CoefficientTensor(m, want.p), made):
+        assert type(t.m) is int and t.m == 5
+    assert np.array_equal(drawn.p, want.p)
+    assert made.name == "REGULAR(m=5)" and np.array_equal(made.p, make("REGULAR", 5).p)
+
+
+@pytest.mark.parametrize("m", [np.float64(3.0), 3.0, 1], ids=["float64", "float", "one"])
+def test_a_bad_m_is_refused_by_every_builder(m):
+    with pytest.raises(errors.DimensionMismatch, match="must be an integer >= 2"):
+        CoefficientTensor(m, np.ones((3, 3, 3)))
+    with pytest.raises(errors.DimensionMismatch, match="must be an integer >= 2"):
+        make("REGULAR", m=m)
 
 
 def test_zakharevich_entries_valid():
