@@ -14,7 +14,6 @@ from .simplex import (
     center,
     identity_permutation,
     parse_cycles,
-    permutation_order,
     support,
     validate_point,
     vertex,
@@ -22,10 +21,8 @@ from .simplex import (
 from .tensor import (
     CoefficientTensor,
     Trajectory,
-    apply,
     apply_raw,
     build_tensor,
-    cesaro_means,
     convex_combine,
     is_volterra,
     iterate,
@@ -67,7 +64,6 @@ from .analysis import (
     cycle_product,
     cycle_sum,
     cyclic_product,
-    detect_period,
     detect_period_tail,
     ergodicity_probe,
     find_fixed_points,

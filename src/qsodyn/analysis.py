@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
@@ -31,7 +32,6 @@ from .simplex import TAU_ZERO, Permutation, SimplexPoint
 from .tensor import (
     MAX_STEPS,
     CoefficientTensor,
-    Trajectory,
     _check_count,
     _check_tolerance,
     cesaro,
@@ -301,6 +301,43 @@ def _default_starts(t: CoefficientTensor, extra: int, seed) -> list[np.ndarray]:
     return starts
 
 
+class _Reps:
+    """Representatives in slot order, as lists of floats, indexed by the sorted
+    (first coordinate, slot) pairs of those whose first coordinate is not NaN.
+    A match is within tol on that coordinate, so ``first`` tests only the keys
+    within 2 tol of the point's, and a NaN matches nothing."""
+
+    def __init__(self, tol: float):
+        self.tol, self.rows, self._keys = tol, [], []
+
+    def first(self, x: list[float], after: int = -1) -> int | None:
+        """The lowest slot past ``after`` whose row is within tol of ``x`` on
+        every coordinate, ``abs(r - v) <= tol`` as numpy computes it."""
+        tol, x0 = self.tol, x[0]
+        lo = bisect_left(self._keys, (x0 - 2.0 * tol,))
+        hi = bisect_right(self._keys, (x0 + 2.0 * tol, math.inf)) if x0 == x0 else lo
+        return min((s for _, s in self._keys[lo:hi] if s > after and all(
+            abs(r - v) <= tol for r, v in zip(self.rows[s], x))), default=None)
+
+    def add(self, x: list[float]) -> None:
+        if x[0] == x[0]:
+            insort(self._keys, (x[0], len(self.rows)))
+        self.rows.append(x)
+
+    def move(self, s: int, x: list[float]) -> None:
+        """Replace the row of slot ``s``."""
+        if self.rows[s][0] == self.rows[s][0]:
+            del self._keys[bisect_left(self._keys, (self.rows[s][0], s))]
+        if x[0] == x[0]:
+            insort(self._keys, (x[0], s))
+        self.rows[s] = x
+
+    def delete(self, s: int) -> None:
+        """Drop slot ``s``; the later slots move down by one."""
+        del self.rows[s]
+        self._keys = [(k, r - (r > s)) for k, r in self._keys if r != s]
+
+
 def _search(t: CoefficientTensor, starts: int, seed, n: int, tol: float):
     """Multistart Newton on V^n(x) = x from the vertices, the center, the
     edge midpoints and ``starts`` seeded interior points.  Returns the
@@ -312,19 +349,19 @@ def _search(t: CoefficientTensor, starts: int, seed, n: int, tol: float):
     _check_tolerance("tol", tol, positive=True)
     xs, rmax, ok = _newton(t, _default_starts(t, starts, seed), n, tol)
     ok &= rmax < FIXED_POINT_RESIDUAL
-    found = np.empty_like(xs)  # the first len(resids) rows
+    # d < DEDUP_RADIUS is d <= the float below it
+    found = _Reps(math.nextafter(DEDUP_RADIUS, 0.0))
     resids: list[float] = []
-    for x, resid in zip(xs[ok], rmax[ok].tolist()):
-        k = len(resids)
-        near = np.flatnonzero(np.max(np.abs(found[:k] - x), axis=1) < DEDUP_RADIUS)
-        if near.size == 0:
-            found[k] = x
+    for x, resid in zip(xs[ok].tolist(), rmax[ok].tolist()):
+        k = found.first(x)
+        if k is None:
+            found.add(x)
             resids.append(resid)
-        elif resid < resids[near[0]]:
-            found[near[0]] = x
-            resids[near[0]] = resid
-    order = sorted(range(len(resids)), key=lambda k: tuple(found[k].tolist()))
-    return _project(found[order]), [resids[k] for k in order]
+        elif resid < resids[k]:
+            found.move(k, x)
+            resids[k] = resid
+    order = sorted(range(len(resids)), key=found.rows.__getitem__)
+    return _project(np.array(found.rows).reshape(-1, t.m)[order]), [resids[k] for k in order]
 
 
 def find_fixed_points(t: CoefficientTensor, starts: int = 24, tol: float = 1e-12,
@@ -565,16 +602,6 @@ def detect_period_tail(tail: np.ndarray, s_max: int, tol: float = DEFAULT_PERIOD
     return None
 
 
-def detect_period(traj: Trajectory, s_max: int, tol: float = DEFAULT_PERIOD_TOL):
-    """Prime period of the trajectory tail, or None.
-
-    The trajectory must end in a stride-1 run of at least ``2 * s_max``
-    recorded points.  Returning s means every proper divisor failed at the
-    same tolerance, since candidates are scanned in increasing order.
-    """
-    return detect_period_tail(traj.tail_array(), s_max, tol)
-
-
 @dataclass(frozen=True)
 class OmegaSet:
     cluster_points: tuple[SimplexPoint, ...]
@@ -591,40 +618,30 @@ def _greedy_linkage(points: np.ndarray, tol: float) -> list[list[float]]:
     ``tol`` in the order a < b is merged into a, weighted by counts, and the
     scan restarts from a = 0 until no pair is within ``tol``.
     """
-    # column-major: each scan screens on the contiguous first coordinate, then
-    # takes the sup norm of the few left, which keeps the same first hit
-    reps = np.empty_like(points, order="F")
+    reps = _Reps(tol)
     counts: list[int] = []
-    for row in points:
-        k = len(counts)
-        hits = np.flatnonzero(np.abs(reps[:k, 0] - row[0]) <= tol)
-        if hits.size:
-            hits = hits[np.max(np.abs(reps[hits] - row), axis=1) <= tol]
-        if hits.size:
-            i = hits[0]
+    for row in points.tolist():
+        i = reps.first(row)
+        if i is None:
+            reps.add(row)
+            counts.append(1)
+        else:
             counts[i] += 1
             # running mean keeps the representative centered
-            reps[i] = reps[i] + (row - reps[i]) / counts[i]
-        else:
-            reps[k] = row
-            counts.append(1)
+            reps.move(i, [r + (v - r) / counts[i] for r, v in zip(reps.rows[i], row)])
     a = 0
     while a < len(counts) - 1:
-        k = len(counts)
-        hits = a + 1 + np.flatnonzero(np.abs(reps[a, 0] - reps[a + 1:k, 0]) <= tol)
-        if hits.size:
-            hits = hits[np.max(np.abs(reps[a] - reps[hits]), axis=1) <= tol]
-        if not hits.size:
+        b = reps.first(reps.rows[a], after=a)
+        if b is None:
             a += 1
             continue
-        b = hits[0]
-        total = counts[a] + counts[b]
-        reps[a] = (counts[a] * reps[a] + counts[b] * reps[b]) / total
-        counts[a] = total
-        reps[b:k - 1] = reps[b + 1:k]
+        ca, cb = counts[a], counts[b]
+        reps.move(a, [(ca * r + cb * v) / (ca + cb) for r, v in zip(reps.rows[a], reps.rows[b])])
+        counts[a] = ca + cb
+        reps.delete(b)
         del counts[b]
         a = 0
-    return sorted(reps[:len(counts)].tolist())
+    return sorted(reps.rows)
 
 
 def omega_estimate(t: CoefficientTensor, x0: SimplexPoint, burn_in: int,

@@ -9,6 +9,7 @@ conjugate to the logistic map ``y -> 2y(1-y)``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,14 @@ def f_alpha(x, m: int, alpha: float):
     return (2.0 - a) * x * x - 2.0 * (1.0 - a) * x + (1.0 - a)
 
 
+def _check_f_alpha(m, alpha) -> None:
+    """F_ALPHA's parameters: an integer m >= 3 and a finite real alpha in [0, 1]."""
+    _check_count("m", m, 3, error=DimensionTooSmall)
+    # written so that NaN, which fails every comparison, is rejected too
+    if not (isinstance(alpha, numbers.Real) and 0.0 <= alpha <= 1.0):
+        raise WeightOutOfRange(f"alpha must be a number in [0, 1], got {alpha!r}")
+
+
 def logistic2(y):
     """Logistic map at growth rate 2."""
     return 2.0 * y * (1.0 - y)
@@ -52,10 +61,7 @@ class ScalarMapSpec:
         if self.kind == "F_ALPHA":
             if self.m is None or self.alpha is None:
                 raise MissingParameter("F_ALPHA requires m and alpha")
-            if self.m < 3:
-                raise DimensionTooSmall(f"F_ALPHA needs m >= 3, got {self.m}")
-            if not 0.0 <= self.alpha <= 1.0:
-                raise WeightOutOfRange(f"alpha {self.alpha!r} outside [0, 1]")
+            _check_f_alpha(self.m, self.alpha)
 
 
 def _check_domain(x):
@@ -89,10 +95,7 @@ def scalar_fixed_point(m: int, alpha: float) -> float:
     It sits at the parabola vertex, so it is superattracting; at alpha = 0 it
     is 1/2 and at alpha = 1 it is 1/m.
     """
-    if m < 3:
-        raise DimensionTooSmall(f"need m >= 3, got {m}")
-    if not 0.0 <= alpha <= 1.0:
-        raise WeightOutOfRange(f"alpha {alpha!r} outside [0, 1]")
+    _check_f_alpha(m, alpha)
     return ((1.0 - alpha) * (m - 1) + alpha) / ((2.0 - alpha) * (m - 1) + alpha)
 
 

@@ -67,9 +67,6 @@ class SimplexPoint:
         """Coordinate access, 0-based like any Python sequence."""
         return self.coords[i]
 
-    def sup_dist(self, other: "SimplexPoint | np.ndarray") -> float:
-        o = other.array if isinstance(other, SimplexPoint) else np.asarray(other, dtype=float)
-        return float(np.max(np.abs(self.array - o)))
 
 
 def center(m: int) -> SimplexPoint:
@@ -205,11 +202,6 @@ def parse_cycles(text: str, n: int) -> Permutation:
         for a, b in zip(symbols, symbols[1:] + symbols[:1]):
             images[a - 1] = b
     return Permutation.from_images(images)
-
-
-def permutation_order(p: Permutation) -> int:
-    """Least s with p^s = identity (lcm of the cycle lengths)."""
-    return p.order
 
 
 def apply_permutation(p: Permutation, k: int) -> int:

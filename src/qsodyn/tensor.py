@@ -199,13 +199,6 @@ def apply_raw(t: CoefficientTensor, x) -> np.ndarray:
     return np.outer(x, x).ravel() @ t._flat
 
 
-def apply(t: CoefficientTensor, x: SimplexPoint) -> SimplexPoint:
-    """Apply the operator to a simplex point (renormalized)."""
-    if x.m != t.m:
-        raise DimensionMismatch(f"point has {x.m} coordinates, tensor has m={t.m}")
-    return SimplexPoint(tuple(_step(t._flat, x.array).tolist()))
-
-
 def apply_batch(t: CoefficientTensor, xs: np.ndarray) -> np.ndarray:
     """Renormalized application to each row of an (n, m) array, as one
     three-operand contraction: no path search and no BLAS call."""
@@ -373,12 +366,6 @@ def cesaro(t: CoefficientTensor, x0: np.ndarray, checkpoints) -> tuple[np.ndarra
     # the running sum accumulates round-off linearly in n; renormalize (each
     # row summed alone, in the order of a one-row sum)
     return means / means.sum(axis=1, keepdims=True), states
-
-
-def cesaro_means(t: CoefficientTensor, x0: SimplexPoint, checkpoints) -> list[SimplexPoint]:
-    """Running averages (1/n) sum_{k<n} x^(k) at each checkpoint."""
-    means, _ = cesaro(t, x0.array, checkpoints)
-    return [SimplexPoint(tuple(mu)) for mu in means.tolist()]
 
 
 # --- compiled kernel -----------------------------------------------------------

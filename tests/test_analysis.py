@@ -20,7 +20,6 @@ from qsodyn.analysis import (
     cycle_product,
     cycle_sum,
     cyclic_product,
-    detect_period,
     detect_period_tail,
     ergodicity_probe,
     find_fixed_points,
@@ -45,7 +44,7 @@ from qsodyn.families import (
     make_s2,
 )
 from qsodyn.simplex import SimplexPoint, center, parse_cycles, validate_point, vertex
-from qsodyn.tensor import apply, iterate, jacobian, random_tensor, run_batch
+from qsodyn.tensor import iterate, jacobian, random_tensor, run, run_batch
 
 
 # --- fixed points and classification -----------------------------------------
@@ -70,7 +69,7 @@ def test_find_fixed_points_alpha_blend():
     by_class = {r.classification: r for r in reps}
     assert by_class[REPELLING].point.coords == (0.0, 0.0, 1.0)
     interior = by_class[ATTRACTING].point
-    assert interior.sup_dist(np.array([2 / 7, 2 / 7, 3 / 7])) < 1e-10
+    assert np.max(np.abs(interior.array - np.array([2 / 7, 2 / 7, 3 / 7]))) < 1e-10
 
 
 def test_find_fixed_points_quasi_strict_m4():
@@ -218,7 +217,7 @@ def test_detect_period_constant_tail():
 def test_detect_period_via_trajectory():
     t = make_quasi_strict(3, parse_cycles("(1 2)", 2))
     traj = iterate(t, validate_point([0.3, 0.2, 0.5]), 40)
-    assert detect_period(traj, 8) == 2
+    assert detect_period_tail(traj.tail_array(), 8) == 2
 
 
 def test_detect_period_divisor_minimal():
@@ -239,20 +238,20 @@ def test_detect_period_insufficient_tail():
     t = make_regular(3)
     traj = iterate(t, center(3), 30, stride=10)
     with pytest.raises(errors.InsufficientTail):
-        detect_period(traj, 10)
+        detect_period_tail(traj.tail_array(), 10)
 
 
 def test_detect_period_none_when_aperiodic():
     t = make_s2("GANIKHODJAEV_LAMBDA", 0.1)
     traj = iterate(t, validate_point([0.5, 0.3, 0.2]), 3000)
-    assert detect_period(traj, 20) is None
+    assert detect_period_tail(traj.tail_array(), 20) is None
 
 
 def test_omega_regular_single_cluster_at_center():
     om = omega_estimate(make_regular(5), validate_point([0.4, 0.3, 0.2, 0.05, 0.05]),
                         burn_in=500, window=40)
     assert len(om.cluster_points) == 1
-    assert om.cluster_points[0].sup_dist(center(5)) < 1e-10
+    assert np.max(np.abs(om.cluster_points[0].array - center(5).array)) < 1e-10
     assert om.detected_period == 1
 
 
@@ -263,7 +262,7 @@ def test_omega_khukr_two_cycle():
     assert len(om.cluster_points) == 2
     targets = [np.array([0.5, 0.3, 0.2]), np.array([0.5, 0.2, 0.3])]
     for tgt in targets:
-        assert min(p.sup_dist(tgt) for p in om.cluster_points) < 1e-6
+        assert min(np.max(np.abs(p.array - tgt)) for p in om.cluster_points) < 1e-6
 
 
 def test_omega_quasi_strict_m6_orbit():
@@ -279,7 +278,7 @@ def test_omega_quasi_strict_m6_orbit():
     # the operator maps the cluster multiset onto itself
     pts = [p.array for p in om.cluster_points]
     for x in pts:
-        y = apply(t, SimplexPoint(tuple(x))).array
+        y = run(t, x, 1)
         assert min(np.max(np.abs(y - z)) for z in pts) < 1e-8
 
 
@@ -445,10 +444,10 @@ def test_psi_decay_equality_only_at_center():
 def test_max_norm_strict_decrease_examples():
     t = make_regular(4)
     x = validate_point([0.7, 0.1, 0.1, 0.1])
-    assert max(apply(t, x).coords) < 0.7
+    assert max(run(t, x.array, 1)) < 0.7
     # the five fixed points sit exactly on the equality case
-    assert max(apply(t, center(4)).coords) == pytest.approx(0.25, abs=1e-15)
-    assert max(apply(t, vertex(4, 1)).coords) == 1.0
+    assert max(run(t, center(4).array, 1)) == pytest.approx(0.25, abs=1e-15)
+    assert max(run(t, vertex(4, 1).array, 1)) == 1.0
     rep = max_norm_check(2000, seed=17)
     assert rep.violations == 0
     assert rep.min_margin > 0.0

@@ -48,6 +48,29 @@ def test_spec_validation():
         ScalarMapSpec("G")
 
 
+@pytest.mark.parametrize("m,alpha,error", [
+    (3.5, 0.5, errors.DimensionTooSmall),
+    (4.0, 0.5, errors.DimensionTooSmall),
+    ("4", 0.5, errors.DimensionTooSmall),
+    (2, 0.5, errors.DimensionTooSmall),
+    (4, "0.5", errors.WeightOutOfRange),
+    (4, float("nan"), errors.WeightOutOfRange),
+    (4, float("inf"), errors.WeightOutOfRange),
+    (4, -0.25, errors.WeightOutOfRange),
+])
+def test_f_alpha_parameters_checked_in_one_place(m, alpha, error):
+    with pytest.raises(error):
+        ScalarMapSpec("F_ALPHA", m=m, alpha=alpha)
+    with pytest.raises(error):
+        scalar_fixed_point(m, alpha)
+
+
+def test_numpy_integer_m_accepted():
+    spec = ScalarMapSpec("F_ALPHA", m=np.int64(4), alpha=np.float64(0.5))
+    assert eval_map(spec, 0.3) == eval_map(ScalarMapSpec("F_ALPHA", m=4, alpha=0.5), 0.3)
+    assert scalar_fixed_point(np.int64(4), 0.5) == scalar_fixed_point(4, 0.5)
+
+
 @given(st.floats(0.0, 1.0))
 @settings(max_examples=200)
 def test_f_image_sits_above_half(x):

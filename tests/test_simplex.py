@@ -13,7 +13,6 @@ from qsodyn.simplex import (
     center,
     identity_permutation,
     parse_cycles,
-    permutation_order,
     support,
     validate_point,
     vertex,
@@ -107,7 +106,7 @@ def test_parse_transposition():
 
 def test_parse_lcm_order():
     p = parse_cycles("(1 2)(3 4 5)", 5)
-    assert permutation_order(p) == 6
+    assert p.order == 6
 
 
 def test_parse_identity_spellings():
