@@ -9,13 +9,12 @@ conjugate to the logistic map ``y -> 2y(1-y)``.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionTooSmall, DomainViolation, MissingParameter, WeightOutOfRange
-from .tensor import MAX_STEPS, _check_count, _check_tolerance
+from .errors import DimensionTooSmall, DomainViolation, MissingParameter
+from .tensor import MAX_STEPS, _check_count, _check_tolerance, _check_weight
 
 # Points further than this outside [0, 1] are rejected; closer ones clamped.
 DOMAIN_SLACK = 1e-12
@@ -37,9 +36,7 @@ def f_alpha(x, m: int, alpha: float):
 def _check_f_alpha(m, alpha) -> None:
     """F_ALPHA's parameters: an integer m >= 3 and a finite real alpha in [0, 1]."""
     _check_count("m", m, 3, error=DimensionTooSmall)
-    # written so that NaN, which fails every comparison, is rejected too
-    if not (isinstance(alpha, numbers.Real) and 0.0 <= alpha <= 1.0):
-        raise WeightOutOfRange(f"alpha must be a number in [0, 1], got {alpha!r}")
+    _check_weight("alpha", alpha)
 
 
 def logistic2(y):

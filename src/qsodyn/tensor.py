@@ -44,21 +44,27 @@ ROW_SUM_TOL = 1e-12
 VOLTERRA_TOL = 1e-15
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientTensor:
-    """Validated heredity coefficients of a quadratic stochastic operator."""
+    """Heredity coefficients of a quadratic stochastic operator, valid by construction."""
 
     m: int
     p: np.ndarray
     name: str = ""
     # the request ``families.make`` built this tensor from; None for any other
-    spec: FamilySpec | None = field(default=None, compare=False)
+    spec: FamilySpec | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "m", _check_dimension(self.m))
-        if self.p.shape != (self.m, self.m, self.m):
-            raise DimensionMismatch(f"coefficient array shape {self.p.shape} != {(self.m,) * 3}")
-        self.p.setflags(write=False)
+        # a float copy would keep only the real part of a complex array
+        if (p := np.asarray(self.p)).dtype.kind not in "biuf":
+            raise QsoError(f"coefficients must be bool, integer or float, got dtype {p.dtype}")
+        p = np.array(p, dtype=np.float64, order="C")
+        if p.shape != (self.m, self.m, self.m):
+            raise DimensionMismatch(f"coefficient array shape {p.shape} != {(self.m,) * 3}")
+        p.setflags(write=False)
+        object.__setattr__(self, "p", p)
+        self.validate()
 
     def validate(self) -> None:
         """Check finiteness, symmetry, nonnegativity, and row stochasticity."""
@@ -141,6 +147,7 @@ def build_tensor(m: int, entries, name: str = "") -> CoefficientTensor:
         items = [(i, j, k, v) for (i, j, k), v in entries.items()]
     else:
         items = [tuple(row) for row in entries]
+    m = _check_dimension(m)
     p = np.zeros((m, m, m))
     for i, j, k, v in items:
         for idx in (i, j, k):
@@ -152,9 +159,7 @@ def build_tensor(m: int, entries, name: str = "") -> CoefficientTensor:
             raise NegativeCoefficient(f"p[{i},{j},{k}] = {v!r} is negative")
         p[i - 1, j - 1, k - 1] = v
         p[j - 1, i - 1, k - 1] = v
-    t = CoefficientTensor(m, p, name)
-    t.validate()
-    return t
+    return CoefficientTensor(m, p, name)
 
 
 def is_volterra(t: CoefficientTensor) -> bool:
@@ -171,11 +176,8 @@ def convex_combine(t1: CoefficientTensor, t2: CoefficientTensor, w: float) -> Co
     """Entrywise ``w * t1 + (1 - w) * t2``."""
     if t1.m != t2.m:
         raise DimensionMismatch(f"cannot combine tensors of dimension {t1.m} and {t2.m}")
-    if not 0.0 <= w <= 1.0:
-        raise WeightOutOfRange(f"weight {w!r} outside [0, 1]")
-    t = CoefficientTensor(t1.m, w * t1.p + (1.0 - w) * t2.p)
-    t.validate()
-    return t
+    _check_weight("weight", w)
+    return CoefficientTensor(t1.m, w * t1.p + (1.0 - w) * t2.p)
 
 
 # --- application, derivatives, iteration ------------------------------------
@@ -227,8 +229,8 @@ MAX_STEPS = 10_000_000
 
 def _check_count(name: str, value, least: int, most: int | None = None,
                  error: type[QsoError] = DimensionMismatch) -> None:
-    """An integer ``value`` >= ``least``, and <= ``most`` if given; else ``error``."""
-    if not isinstance(value, numbers.Integral) or value < least:
+    """A non-bool integer ``value`` >= ``least``, and <= ``most`` if given; else ``error``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
         raise error(f"{name} must be an integer >= {least}, got {value!r}")
     if most is not None and value > most:
         raise error(f"{name} must be <= {most}, got {value!r}")
@@ -248,12 +250,15 @@ def _check_tolerance(name: str, value, positive: bool = False) -> None:
         raise QsoError(f"{name} must be a finite number {bound} 0, got {value!r}")
 
 
-def _kernel_for(coeffs: np.ndarray):
-    """The compiled kernel if it can take ``coeffs`` (the flat or the full
-    coefficient array) as it is, else None."""
-    fits = (coeffs.shape[-1] <= _KERNEL_MAX_M and coeffs.dtype == np.float64
-            and coeffs.flags.c_contiguous)
-    return _kernel() if fits else None
+def _check_weight(name: str, value) -> None:
+    """A real ``value`` in [0, 1], which NaN is not; else ``WeightOutOfRange``."""
+    if not (isinstance(value, numbers.Real) and 0.0 <= value <= 1.0):
+        raise WeightOutOfRange(f"{name} must be a number in [0, 1], got {value!r}")
+
+
+def _kernel_for(m: int):
+    """The compiled kernel if its loops take dimension ``m``, else None."""
+    return _kernel() if m <= _KERNEL_MAX_M else None
 
 
 def _walk(t: CoefficientTensor, x0, marks: np.ndarray, sums: np.ndarray | None = None
@@ -262,15 +267,15 @@ def _walk(t: CoefficientTensor, x0, marks: np.ndarray, sums: np.ndarray | None =
     (len(marks), m) array.  Row c of ``sums``, if given, gets
     x^(0) + ... + x^(n - 1) for mark n = marks[c].
 
-    The compiled ``orbit`` runs where it can take the coefficients, else the
-    numpy loop, bit for bit.  Bad input raises before the kernel is loaded.
+    The compiled ``orbit`` runs where it takes m, else the numpy loop, bit
+    for bit.  Bad input raises before the kernel is loaded.
     """
     x = np.array(x0, dtype=float)
     if x.shape != (t.m,):
         raise DimensionMismatch(f"point has shape {x.shape}, tensor has m={t.m}")
     flat = t._flat
     states = np.empty((len(marks), t.m))
-    kernel = _kernel_for(flat)
+    kernel = _kernel_for(t.m)
     if kernel is not None:
         kernel.orbit(flat, x, marks, states, sums)
         return states
@@ -322,7 +327,7 @@ def run_batch(t: CoefficientTensor, xs: np.ndarray, n_steps: int) -> np.ndarray:
     x = np.array(xs, dtype=float, order="C")
     if x.ndim != 2 or x.shape[1] != t.m:
         raise DimensionMismatch(f"points have shape {x.shape}, expected (n, {t.m})")
-    kernel = _kernel_for(t.p)
+    kernel = _kernel_for(t.m)
     if kernel is not None:
         kernel.batch(t.p, x, n_steps)
         return x
@@ -385,9 +390,9 @@ class _Kernel:
     BLAS dgemv, and the batched one of the most ``lanes`` this CPU runs.
 
     Callers pass C-contiguous float64 arrays of matching sizes, increasing
-    int64 marks >= 0, m <= 64 and n_steps >= 0; the callers of ``_walk``
-    and ``run_batch`` check all of it.  ``x`` and ``xs`` are advanced in
-    place.
+    int64 marks >= 0, m <= 64 and n_steps >= 0; a ``CoefficientTensor``
+    holds its coefficients so, and the callers of ``_walk`` and
+    ``run_batch`` check the rest.  ``x`` and ``xs`` are advanced in place.
     """
 
     def __init__(self, lib: ctypes.CDLL, dgemv: int):
@@ -577,6 +582,4 @@ def random_tensor(rng: np.random.Generator, m: int, name: str = "") -> Coefficie
     p = np.zeros((m, m, m))
     p[upper] = rows
     p.transpose(1, 0, 2)[upper] = rows
-    t = CoefficientTensor(m, p, name)
-    t.validate()
-    return t
+    return CoefficientTensor(m, p, name)

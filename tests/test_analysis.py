@@ -560,6 +560,11 @@ def test_find_fixed_points_rejects_bad_parameters(kwargs):
         find_fixed_points(make_regular(3), **kwargs)
 
 
+def test_a_bool_is_not_a_count_of_starts():
+    with pytest.raises(errors.DimensionMismatch, match="starts must be an integer >= 0"):
+        find_fixed_points(make_regular(3), starts=True)
+
+
 @pytest.mark.parametrize("kwargs,message", [
     # V^0 is the identity, which every start solves
     ({"n": 0}, "n must be an integer >= 1"),

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -693,3 +694,23 @@ def test_any_integer_option_value_exits_cleanly(call):
             assert out.getvalue().startswith("n,x1,")
         else:
             json.loads(out.getvalue())
+
+
+def readme_command_lines():
+    """The ``qsodyn ...`` lines of the README's "Command line" block, with
+    their backslash continuations joined, as argument lists."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    argvs = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+    assert argvs and all(argv[0] == "qsodyn" for argv in argvs)
+    return [argv[1:] for argv in argvs]
+
+
+@pytest.mark.parametrize("argv", readme_command_lines(), ids=lambda argv: argv[0])
+def test_every_readme_command_line_exits_0(capsys, tmp_path, argv):
+    argv = list(argv)
+    if "--out" in argv:
+        at = argv.index("--out") + 1
+        argv[at] = str(tmp_path / argv[at])
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err

@@ -201,7 +201,7 @@ def test_cesaro_means_match_numpy_loop(kernel):
     assert fast == ref
 
 
-@pytest.mark.parametrize("bad", [-3, -1, 2.5, 3.0, "4", None])
+@pytest.mark.parametrize("bad", [-3, -1, 2.5, 3.0, "4", None, True])
 @pytest.mark.parametrize("fn", [run, run_collect])
 def test_bad_n_steps_rejected_before_the_kernel(fn, bad):
     t = make("REGULAR", 3)
@@ -219,7 +219,7 @@ def test_point_of_wrong_size_rejected():
 
 def test_large_m_falls_back_to_numpy(kernel):
     t = random_tensor(np.random.default_rng(3), tensor._KERNEL_MAX_M + 1)
-    assert tensor._kernel_for(t._flat) is None
+    assert tensor._kernel_for(t.m) is None
     assert run(t, np.full(t.m, 1 / t.m), 2).shape == (t.m,)
 
 

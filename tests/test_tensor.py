@@ -1,11 +1,12 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsodyn import errors
+from qsodyn import errors, tensor
 from qsodyn.families import make, make_quasi_strict, make_regular, make_s2
 from qsodyn.simplex import center, parse_cycles, validate_point, vertex
 from qsodyn.tensor import (
@@ -20,6 +21,7 @@ from qsodyn.tensor import (
     load_tensor,
     random_tensor,
     run,
+    run_batch,
     save_tensor,
 )
 
@@ -54,9 +56,9 @@ def test_build_rejects_lower_triangle_input():
         build_tensor(2, {(2, 1, 1): 1.0})
 
 
-def faulty_tensor(*faults):
-    """A uniform m=4 tensor with the named faults; entries are dyadic, so
-    every unfaulted row sums to exactly 1."""
+def faulty_coefficients(*faults):
+    """A uniform m=4 coefficient array with the named faults; entries are
+    dyadic, so every unfaulted row sums to exactly 1."""
     p = np.full((4, 4, 4), 0.25)
     if "non-finite" in faults:
         p[3, 2, 1] = p[2, 3, 1] = np.nan
@@ -70,12 +72,12 @@ def faulty_tensor(*faults):
         # two bad rows: the first in C order is named
         p[3, 3, 0] += 2.0**-30
         p[1, 3, 1] = p[3, 1, 1] = 0.25 - 2.0**-30
-    return CoefficientTensor(4, p)
+    return p
 
 
 # Each failure as validate() reported it before it was vectorized, pinned (a
-# value is named by its numpy repr); each tensor also has every fault that
-# validate() checks later.
+# value is named by its numpy repr); each array also has every fault that
+# validate() checks later.  Construction runs validate(): no call is made.
 @pytest.mark.parametrize("faults,error,message", [
     (("non-finite", "asymmetric", "negative", "row sum"), errors.NegativeCoefficient,
      "non-finite coefficient in tensor"),
@@ -88,8 +90,64 @@ def faulty_tensor(*faults):
 ])
 def test_validate_reports_the_first_fault(faults, error, message):
     with pytest.raises(error) as info:
-        faulty_tensor(*faults).validate()
+        CoefficientTensor(4, faulty_coefficients(*faults))
     assert type(info.value) is error and str(info.value) == message
+
+
+def test_a_tensor_owns_a_read_only_c_float64_copy():
+    given = make_regular(4).p.copy()
+    t = CoefficientTensor(4, given)
+    assert given.flags.writeable
+    assert t.p.dtype == np.float64 and t.p.flags.c_contiguous and not t.p.flags.writeable
+    given[0, 0, 0] = 0.5
+    assert t.p[0, 0, 0] == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        t.p[0, 0, 0] = 0.5
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    k = tensor._kernel()
+    if k is None:
+        pytest.skip("compiled kernel unavailable (no C compiler or BLAS symbol)")
+    return k
+
+
+# each array holds the catalog tensor's coefficients exactly
+@pytest.mark.parametrize("t,layout", [
+    (make_regular(5), np.asfortranarray),
+    (make_regular(4), lambda p: p.astype(np.float32)),
+    (make_quasi_strict(4, parse_cycles("(1 2 3)", 3)), lambda p: p.astype(np.int64)),
+    (make_s2("ZAKHAREVICH"), lambda p: p.astype(np.int64)),
+], ids=["fortran", "float32", "int64", "int64-planar"])
+def test_any_layout_of_the_coefficients_runs_the_compiled_loops(kernel, t, layout):
+    given = layout(t.p)
+    assert np.array_equal(given.astype(np.float64), t.p)
+    u = CoefficientTensor(t.m, given)
+    x0 = np.linspace(1.0, 2.0, t.m) / np.linspace(1.0, 2.0, t.m).sum()
+    xs = np.random.default_rng(t.m).exponential(size=(9, t.m))
+    xs /= xs.sum(axis=1, keepdims=True)
+    spy = mock.Mock(wraps=kernel)
+    with mock.patch.object(tensor, "_kernel", lambda: spy):
+        got = (run(u, x0, 50), run_batch(u, xs, 50), *cesaro(u, x0, [1, 10, 500]))
+    assert spy.batch.call_count == 1 and spy.orbit.call_count == 2
+    want = (run(t, x0, 50), run_batch(t, xs, 50), *cesaro(t, x0, [1, 10, 500]))
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
+def test_a_tensor_compares_and_hashes_by_identity():
+    t = make_regular(3)
+    assert t == t
+    assert (t == CoefficientTensor(t.m, t.p)) is False
+    assert (make_regular(3) == make_regular(3)) is False
+    assert {t, t} == {t} and hash(t) == hash(t)
+
+
+@pytest.mark.parametrize("dtype", [complex, object, str])
+def test_coefficients_that_are_not_real_numbers_are_refused(dtype):
+    with pytest.raises(errors.QsoError, match="bool, integer or float") as info:
+        CoefficientTensor(3, make_s2("ZAKHAREVICH").p.astype(dtype))
+    assert type(info.value) is errors.QsoError
 
 
 @pytest.mark.parametrize("m", [-1, 0, 1, 2.0, 3.5, "3", True, np.float64(3.0)])
@@ -112,10 +170,13 @@ def test_a_numpy_integer_m_is_the_equal_int(m):
     assert made.name == "REGULAR(m=5)" and np.array_equal(made.p, make("REGULAR", 5).p)
 
 
-@pytest.mark.parametrize("m", [np.float64(3.0), 3.0, 1], ids=["float64", "float", "one"])
+@pytest.mark.parametrize("m", [np.float64(3.0), 3.0, 1, -1, 1.5, True],
+                         ids=["float64", "float", "one", "negative", "fraction", "bool"])
 def test_a_bad_m_is_refused_by_every_builder(m):
     with pytest.raises(errors.DimensionMismatch, match="must be an integer >= 2"):
         CoefficientTensor(m, np.ones((3, 3, 3)))
+    with pytest.raises(errors.DimensionMismatch, match="must be an integer >= 2"):
+        build_tensor(m, {})
     with pytest.raises(errors.DimensionMismatch, match="must be an integer >= 2"):
         make("REGULAR", m=m)
 
@@ -177,6 +238,12 @@ def test_convex_combine_endpoints_exact():
 def test_convex_combine_weight_range():
     with pytest.raises(errors.WeightOutOfRange):
         convex_combine(make_s2("V1"), make_s2("V0"), 1.5)
+
+
+@pytest.mark.parametrize("w", [-0.1, float("nan"), "0.5", None])
+def test_convex_combine_refuses_a_weight_outside_the_unit_interval(w):
+    with pytest.raises(errors.WeightOutOfRange, match=r"weight must be a number in \[0, 1\]"):
+        convex_combine(make_s2("V1"), make_s2("V0"), w)
 
 
 def test_convex_combine_half_matches_hand_built_blend():
