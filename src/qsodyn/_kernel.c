@@ -18,6 +18,8 @@
    so the sums keep their bits.  The test is memcmp, not ==, for which -0.0
    and 0.0 are equal although they are different inputs.  (ZAKHAREVICH's
    Cesaro orbit in verify gets there within about 100 of its 10^6 steps.)
+   orbit returns the settled mark, the first mark at or after the first step
+   found fixed (else the last): every state from there on has its bits.
 
    The batched loop (batch2, batch4 and batch8, one body built for 2, 4 and
    8 lanes) makes the step of tensor.apply_batch for any number of rows,
@@ -93,13 +95,14 @@ static void step(dgemv_fn gemv, const double *flat, int64_t m, double *x)
 
 /* For each mark c: states[c] = x^(marks[c]) and, unless sums is NULL,
    sums[c] = x^(0) + ... + x^(marks[c] - 1).  Marks are increasing and
-   start at 0 or later; x is left at x^(marks[n_marks - 1]). */
-void orbit(dgemv_fn gemv, const double *flat, int64_t m, double *x,
-           const int64_t *marks, int64_t n_marks, double *states, double *sums)
+   start at 0 or later; x is left at x^(marks[n_marks - 1]).  Returns the
+   settled mark. */
+int64_t orbit(dgemv_fn gemv, const double *flat, int64_t m, double *x,
+              const int64_t *marks, int64_t n_marks, double *states, double *sums)
 {
     double acc[MAX_M] = {0.0}, prev[MAX_M];
     size_t bytes = m * sizeof *x;
-    int64_t n = 0;
+    int64_t n = 0, settled = n_marks - 1;
     int fixed = 0;
     for (int64_t c = 0; c < n_marks; c++) {
         for (; n < marks[c] && !fixed; n++) {
@@ -108,6 +111,8 @@ void orbit(dgemv_fn gemv, const double *flat, int64_t m, double *x,
             memcpy(prev, x, bytes);
             step(gemv, flat, m, x);
             fixed = memcmp(prev, x, bytes) == 0;
+            if (fixed)
+                settled = c > 0 && marks[c - 1] == n ? c - 1 : c;
         }
         if (sums)
             for (; n < marks[c]; n++)
@@ -117,6 +122,7 @@ void orbit(dgemv_fn gemv, const double *flat, int64_t m, double *x,
         if (sums)
             memcpy(sums + c * m, acc, bytes);
     }
+    return settled;
 }
 
 /* batch<L>: each of the rows of the (rows, m) array xs <- its x^(n_steps),

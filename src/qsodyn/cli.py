@@ -22,7 +22,7 @@ import numpy as np
 from . import analysis, families, reports, scalarmaps, verification
 from .errors import QsoError
 from .simplex import SimplexPoint, parse_cycles, validate_point
-from .tensor import CoefficientTensor, distinct_rows, iterate, load_tensor
+from .tensor import CoefficientTensor, iterate, load_tensor
 
 USAGE_ERROR = 2
 FAILURE = 1
@@ -152,14 +152,15 @@ def _trajectory_csv(t: CoefficientTensor, x0: SimplexPoint, steps: int, stride: 
     traj = iterate(t, x0, steps, stride)
     # each distinct row is formatted once; "%.17g" gives format(v, ".17g")'s bytes
     row = "," + ",".join(["%.17g"] * t.m) + "\n"
-    first, inverse = distinct_rows(traj.rows)
+    first, inverse = traj.distinct()
     text = [row % tuple(r) for r in traj.rows[first].tolist()]
     header = "n," + ",".join(f"x{i}" for i in range(1, t.m + 1)) + "\n"
-    # step numbers alternate with the shared row texts: no string per line
-    parts = [header] * (2 * len(inverse) + 1)
-    parts[1::2] = map(str, traj.steps.tolist())
-    parts[2::2] = [text[k] for k in inverse.tolist()]
-    return "".join(parts)
+    # step numbers alternate with the shared row texts; the settled tail is one join
+    steps, settled, tail = traj.steps.tolist(), traj.settled, text[inverse[-1]]
+    parts = [header] * (2 * settled + 1)
+    parts[1::2] = map(str, steps[:settled])
+    parts[2::2] = [text[k] for k in inverse[:-1].tolist()]
+    return "".join(parts) + tail.join(map(str, steps[settled:])) + tail
 
 
 def cmd_trajectory(args) -> int:

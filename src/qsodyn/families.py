@@ -68,7 +68,8 @@ class FamilySpec:
             raise MissingParameter(f"{self.family} requires parameter {info.parameter}")
         if not info.parameter and self.parameter is not None:
             raise UnexpectedParameter(f"{self.family} takes no parameter")
-        if self.parameter is not None and not isinstance(self.parameter, numbers.Real):
+        if self.parameter is not None and (not isinstance(self.parameter, numbers.Real)
+                                           or isinstance(self.parameter, bool)):
             raise WeightOutOfRange(
                 f"{info.parameter} must be a real number, got {self.parameter!r}")
         if isinstance(self.parameter, np.generic):

@@ -97,12 +97,14 @@ class CoefficientTensor:
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Recorded iterates of one operator run: ``rows[i]`` holds the
-    coordinates at step ``steps[i]``.  Both arrays are read-only."""
+    coordinates at step ``steps[i]``.  Both arrays are read-only, and every
+    row from ``rows[settled]`` on has its bits (``_walk``'s settled mark)."""
 
     operator: str
     stride: int
     steps: np.ndarray = field(repr=False)
     rows: np.ndarray = field(repr=False)
+    settled: int
 
     def __post_init__(self):
         self.steps.setflags(write=False)
@@ -115,25 +117,26 @@ class Trajectory:
     @functools.cached_property
     def points(self) -> tuple[tuple[int, SimplexPoint], ...]:
         """``(step, point)`` pairs; rows with the same bits share one point."""
-        first, inverse = distinct_rows(self.rows)
+        first, inverse = self.distinct()
         distinct = [SimplexPoint(tuple(r)) for r in self.rows[first].tolist()]
-        return tuple(zip(self.steps.tolist(), [distinct[k] for k in inverse.tolist()]))
+        points = [distinct[k] for k in inverse.tolist()]
+        points += points[-1:] * (len(self.rows) - len(points))
+        return tuple(zip(self.steps.tolist(), points))
+
+    def distinct(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(first, inverse)`` of ``rows[:settled + 1]``: the first row of each
+        distinct bit pattern, and each row's pattern (bits, not float ``==``:
+        -0.0 and 0.0 stay apart)."""
+        head = self.rows[:self.settled + 1]
+        bits = head.view(np.dtype((np.void, head.itemsize * head.shape[1]))).ravel()
+        _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
+        return first, inverse
 
     def tail_array(self) -> np.ndarray:
         """Coordinates of the longest suffix recorded at consecutive steps,
         as a read-only view of ``rows``."""
         gaps = np.flatnonzero(np.diff(self.steps) != 1)
         return self.rows[gaps[-1] + 1 if gaps.size else 0:]
-
-
-def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(first, inverse)``: the first row of each distinct bit pattern of a
-    C-contiguous (n, m) array, and each row's pattern, so that
-    ``rows[first][inverse]`` is ``rows``.  Bits, not float ``==``: -0.0 and
-    0.0 stay apart."""
-    bits = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
-    return first, inverse
 
 
 def build_tensor(m: int, entries, name: str = "") -> CoefficientTensor:
@@ -251,8 +254,8 @@ def _check_tolerance(name: str, value, positive: bool = False) -> None:
 
 
 def _check_weight(name: str, value) -> None:
-    """A real ``value`` in [0, 1], which NaN is not; else ``WeightOutOfRange``."""
-    if not (isinstance(value, numbers.Real) and 0.0 <= value <= 1.0):
+    """A non-bool real ``value`` in [0, 1], which NaN is not; else ``WeightOutOfRange``."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0.0 <= value <= 1.0):
         raise WeightOutOfRange(f"{name} must be a number in [0, 1], got {value!r}")
 
 
@@ -262,10 +265,12 @@ def _kernel_for(m: int):
 
 
 def _walk(t: CoefficientTensor, x0, marks: np.ndarray, sums: np.ndarray | None = None
-          ) -> np.ndarray:
+          ) -> tuple[np.ndarray, int]:
     """States x^(n) at each of the increasing int64 step ``marks``, as a
-    (len(marks), m) array.  Row c of ``sums``, if given, gets
-    x^(0) + ... + x^(n - 1) for mark n = marks[c].
+    (len(marks), m) array, and the settled mark: the first mark at or after
+    the first step n found fixed (x^(n + 1) has the bits of x^(n)), else the
+    last, from which on every state has its bits.  Row c of ``sums``, if
+    given, gets x^(0) + ... + x^(n - 1) for mark n = marks[c].
 
     The compiled ``orbit`` runs where it takes m, else the numpy loop, bit
     for bit.  Bad input raises before the kernel is loaded.
@@ -277,16 +282,17 @@ def _walk(t: CoefficientTensor, x0, marks: np.ndarray, sums: np.ndarray | None =
     states = np.empty((len(marks), t.m))
     kernel = _kernel_for(t.m)
     if kernel is not None:
-        kernel.orbit(flat, x, marks, states, sums)
-        return states
-    acc, done, fixed = np.zeros(t.m), 0, False
+        return states, kernel.orbit(flat, x, marks, states, sums)
+    acc, done, fixed, settled = np.zeros(t.m), 0, False, len(marks) - 1
     for c, mark in enumerate(marks.tolist()):
         while done < mark and not fixed:
             if sums is not None:
                 acc += x
             y = _step(flat, x)
             # a step that returns its input bit for bit returns it ever after
-            fixed, x, done = y.tobytes() == x.tobytes(), y, done + 1
+            if fixed := y.tobytes() == x.tobytes():
+                settled = c - 1 if c > 0 and marks[c - 1] == done else c
+            x, done = y, done + 1
         if sums is not None:
             for _ in range(mark - done):
                 acc += x
@@ -294,23 +300,23 @@ def _walk(t: CoefficientTensor, x0, marks: np.ndarray, sums: np.ndarray | None =
         states[c] = x
         if sums is not None:
             sums[c] = acc
-    return states
+    return states, settled
 
 
 def _collect(t: CoefficientTensor, x0, n_steps: int, stride: int
-             ) -> tuple[np.ndarray, np.ndarray]:
+             ) -> tuple[np.ndarray, np.ndarray, int]:
     """The steps 0, stride, 2 * stride, ..., n_steps (the last one after a
-    partial stride) and the rows x^(n) at them."""
+    partial stride), the rows x^(n) at them and ``_walk``'s settled row."""
     _check_count("n_steps", n_steps, 0)
     marks = np.arange(0, n_steps + stride, stride, dtype=np.int64)
     marks[-1] = n_steps
-    return marks, _walk(t, x0, marks)
+    return marks, *_walk(t, x0, marks)
 
 
 def run(t: CoefficientTensor, x0: np.ndarray, n_steps: int) -> np.ndarray:
     """Final raw coordinate array after ``n_steps`` renormalized steps."""
     _check_count("n_steps", n_steps, 0)
-    return _walk(t, x0, np.array([n_steps], dtype=np.int64))[0]
+    return _walk(t, x0, np.array([n_steps], dtype=np.int64))[0][0]
 
 
 def run_collect(t: CoefficientTensor, x0: np.ndarray, n_steps: int) -> np.ndarray:
@@ -343,13 +349,15 @@ def iterate(t: CoefficientTensor, x0: SimplexPoint, n_steps: int, stride: int = 
     that million-step runs cannot drift off the simplex.
     """
     _check_count("stride", stride, 1)
-    steps, rows = _collect(t, x0.array, n_steps, stride)
+    steps, rows, settled = _collect(t, x0.array, n_steps, stride)
     # only rows this pass cannot clear are built as points, so the first bad
-    # row raises; np.sum is within m * 2**-52 of math.fsum, inside TAU_SUM / 2
-    clear = (rows.min(axis=1) >= 0.0) & (np.abs(rows.sum(axis=1) - 1.0) <= TAU_SUM / 2)
-    for row in rows[~clear].tolist():
+    # row raises; np.sum is within m * 2**-52 of math.fsum, inside TAU_SUM / 2.
+    # The rows after the settled one have its bits: checking it checks them.
+    head = rows[:settled + 1]
+    clear = (head.min(axis=1) >= 0.0) & (np.abs(head.sum(axis=1) - 1.0) <= TAU_SUM / 2)
+    for row in head[~clear].tolist():
         SimplexPoint(tuple(row))
-    return Trajectory(t.name or "tensor", stride, steps, rows)
+    return Trajectory(t.name or "tensor", stride, steps, rows, settled)
 
 
 def cesaro(t: CoefficientTensor, x0: np.ndarray, checkpoints) -> tuple[np.ndarray, np.ndarray]:
@@ -366,7 +374,7 @@ def cesaro(t: CoefficientTensor, x0: np.ndarray, checkpoints) -> tuple[np.ndarra
         raise DimensionMismatch("checkpoints must be strictly increasing positive integers")
     marks = np.array(cps, dtype=np.int64)
     sums = np.empty((len(cps), t.m))
-    states = _walk(t, x0, marks, sums)
+    states, _ = _walk(t, x0, marks, sums)
     means = sums / marks[:, None]
     # the running sum accumulates round-off linearly in n; renormalize (each
     # row summed alone, in the order of a one-row sum)
@@ -399,17 +407,15 @@ class _Kernel:
         ptr, i64 = ctypes.c_void_p, ctypes.c_int64
         self.lanes = lib.batch_lanes()
         self._batch = getattr(lib, f"batch{self.lanes}")
-        lib.orbit.argtypes = [ptr, ptr, i64, ptr, ptr, i64, ptr, ptr]
-        self._batch.argtypes = [ptr, i64, ptr, i64, i64]
-        for fn in (lib.orbit, self._batch):
-            fn.restype = None
+        lib.orbit.argtypes, lib.orbit.restype = [ptr, ptr, i64, ptr, ptr, i64, ptr, ptr], i64
+        self._batch.argtypes, self._batch.restype = [ptr, i64, ptr, i64, i64], None
         self._lib = lib
         self._dgemv = dgemv
 
-    def orbit(self, flat, x, marks, states, sums=None):
-        self._lib.orbit(self._dgemv, flat.ctypes.data, len(x), x.ctypes.data,
-                        marks.ctypes.data, len(marks), states.ctypes.data,
-                        None if sums is None else sums.ctypes.data)
+    def orbit(self, flat, x, marks, states, sums=None) -> int:
+        return self._lib.orbit(self._dgemv, flat.ctypes.data, len(x), x.ctypes.data,
+                               marks.ctypes.data, len(marks), states.ctypes.data,
+                               None if sums is None else sums.ctypes.data)
 
     def batch(self, p, xs, n_steps):
         rows, m = xs.shape
@@ -459,12 +465,12 @@ def _numpy_dgemv() -> int:
 def _kernel_agrees(kernel: _Kernel) -> bool:
     """Bitwise comparison of the compiled loops with the numpy ones, for an
     m below and an m above numpy's 8-term pairwise-sum block: the states and
-    running sums of two orbits at steps 0 to 5 against ``_step``, five steps
-    of 51 rows against ``apply_batch`` (a partial last group at 2, 4 and 8
-    lanes, whose spare lanes repeat its last row).  The tensor's (1, 1) row
-    is e_1, so the vertex e_1 is a fixed point from step 0: the second orbit
-    and row 1 start there, next to the first orbit and the rows that keep
-    moving."""
+    running sums and settled marks of two orbits at steps 0 to 5 against
+    ``_step``, five steps of 51 rows against ``apply_batch`` (a partial last
+    group at 2, 4 and 8 lanes, whose spare lanes repeat its last row).  The
+    tensor's (1, 1) row is e_1, so the vertex e_1 is a fixed point from step
+    0: the second orbit (settled at mark 0) and row 1 start there, next to
+    the first orbit and the rows that keep moving."""
     rng = np.random.default_rng(0)
     marks = np.arange(6, dtype=np.int64)
     for m in (3, 9):
@@ -480,14 +486,15 @@ def _kernel_agrees(kernel: _Kernel) -> bool:
         kernel.batch(t.p, got_rows, 5)
         if not np.array_equal(got_rows, want_rows):
             return False
-        for x0 in xs[:2]:
+        for x0, want_settled in zip(xs[:2], (5, 0)):
             want, want_sums = [x0], [np.zeros(m)]
             for _ in range(5):
                 want_sums.append(want_sums[-1] + want[-1])
                 want.append(_step(t._flat, want[-1]))
             got, got_sums = np.empty((6, m)), np.empty((6, m))
-            kernel.orbit(t._flat, x0.copy(), marks, got, got_sums)
-            if not (np.array_equal(got, want) and np.array_equal(got_sums, want_sums)):
+            settled = kernel.orbit(t._flat, x0.copy(), marks, got, got_sums)
+            if not (np.array_equal(got, want) and np.array_equal(got_sums, want_sums)
+                    and settled == want_settled):
                 return False
     return True
 

@@ -561,6 +561,12 @@ PINNED_OUTPUTS = [
     (["omega", "--family", "KHUKR", "--x0", "0.4,0.36,0.24", "--burn-in", "200",
       "--window", "1"],
      0, "f91ea45c98e839fd198387c69913bd2cc7263f804001d30d4132e1904ceb8e63"),
+    # 10^5 steps: bit-fixed from step 11, and a periodic orbit that never is
+    (["trajectory", "--family", "REGULAR", "--m", "5", "--x0", "0.4,0.3,0.2,0.05,0.05",
+      "--steps", "100000"],
+     0, "de12bbeb4eca76ba79938095045a58a6ae087bfab5134dd4f0cf08cf8c6b10d3"),
+    (["trajectory", "--family", "KHUKR", "--x0", "0.4,0.36,0.24", "--steps", "100000"],
+     0, "1645b4eddb4562e961605acd846a19b46b25f86abd13ae91f537d0f66666ac5f"),
     (["--help"], 0, "2dd508b6ec83a61302c8367f523ad9c59f40b4808681c4cf72f5ec7f41ac7bcf"),
     (["families", "--help"],
      0, "92d041809a625229730853a44fdcc758799aef3105252c3bbfbfe711ec670466"),
@@ -586,7 +592,8 @@ PINNED_OUTPUTS = [
 @pytest.mark.parametrize("argv,exit_code,digest", PINNED_OUTPUTS,
                          ids=["trajectory", "lyapunov", "lyapunov_violations", "fixed_points",
                               "classify", "omega", "omega_random_starts", "ergodic",
-                              "scalar", "families_json", "omega_window_1", "help",
+                              "scalar", "families_json", "omega_window_1",
+                              "trajectory_settles", "trajectory_never_settles", "help",
                               *(f"{argv[0]}_help" for argv, _, _ in PINNED_OUTPUTS[-9:])])
 def test_pinned_output_bytes(capsys, monkeypatch, argv, exit_code, digest):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width

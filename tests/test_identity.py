@@ -29,7 +29,7 @@ from qsodyn.analysis import (
     m_omega_set,
     vallander_diag,
 )
-from qsodyn.errors import InapplicableFunction, InapplicableSet, QsoError
+from qsodyn.errors import InapplicableFunction, InapplicableSet, QsoError, WeightOutOfRange
 from qsodyn.families import (
     REGISTRY,
     FamilySpec,
@@ -136,6 +136,14 @@ def test_a_numpy_parameter_is_named_as_the_python_number(parameter, name):
 def test_a_parameter_that_is_not_a_real_number_is_refused(parameter):
     with pytest.raises(QsoError, match="beta must be a real number"):
         make("GSN_BETA", parameter=parameter)
+
+
+@pytest.mark.parametrize("parameter", [True, False, np.True_])
+def test_a_bool_parameter_is_refused(parameter):
+    # a bool is a numbers.Real, and True would name the alpha = 1 operator
+    # ALPHA_COMBINATION(m=3, pi=(1 2), alpha=True)
+    with pytest.raises(WeightOutOfRange, match="alpha must be a real number"):
+        make("ALPHA_COMBINATION", 3, parse_cycles("(1 2)", 2), parameter)
 
 
 def test_every_catalog_family_entry_is_a_registry_name():

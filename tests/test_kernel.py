@@ -121,10 +121,10 @@ def test_walk_matches_numpy_loop(kernel, case, marks, with_sums):
     ref_sums = None if got_sums is None else np.empty_like(got_sums)
     spy = mock.Mock(wraps=kernel)
     with mock.patch.object(tensor, "_kernel", lambda: spy):
-        got = tensor._walk(t, x0.array, marks, got_sums)
+        got, _ = tensor._walk(t, x0.array, marks, got_sums)
     spy.orbit.assert_called_once()
     with numpy_loops():
-        ref = tensor._walk(t, x0.array, marks, ref_sums)
+        ref, _ = tensor._walk(t, x0.array, marks, ref_sums)
     assert got.shape == (len(marks), t.m) and np.array_equal(got, ref)
     if with_sums:
         assert np.array_equal(got_sums, ref_sums)
@@ -140,6 +140,40 @@ def test_walk_matches_numpy_loop(kernel, case, marks, with_sums):
                     want.append(acc.copy())
                 acc = acc + row
             assert np.array_equal(got_sums, want)
+
+
+@st.composite
+def settling_cases(draw):
+    """An orbit case whose start is kept, or replaced by one that settles
+    early: the vertex e_1 of the tensor changed to fix it (fixed from step
+    0), that vertex with -0.0 coordinates (fixed from step 1), or a zero
+    start, whose rows after step 0 are NaN."""
+    t, x0, n = draw(orbit_cases())
+    kind = draw(st.sampled_from(["drawn", "vertex", "vertex -0.0", "zero", "-0.0"]))
+    if kind == "drawn":
+        return t, x0.array, n
+    if kind.startswith("vertex"):
+        p = t.p.copy()
+        p[0, 0] = np.eye(t.m)[0]
+        return tensor.CoefficientTensor(t.m, p), vertex(t.m, -0.0 if "-0.0" in kind else 0.0), n
+    return t, np.full(t.m, 0.0 if kind == "zero" else -0.0), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(settling_cases(), st.integers(1, 50))
+def test_settled_mark_matches_numpy_loop(kernel, case, stride):
+    t, x0, n = case
+    marks, got, settled = tensor._collect(t, x0, n, stride)
+    with numpy_loops(), np.errstate(invalid="ignore"):
+        _, ref, ref_settled = tensor._collect(t, x0, n, stride)
+    assert settled == ref_settled and got.tobytes() == ref.tobytes()
+    # every row from the settled one on has its bits
+    assert (got[settled:].view(np.uint64) == got[settled].view(np.uint64)).all()
+    # it is the first mark at or after the first step n with x^(n + 1) = x^(n)
+    full = run_collect(t, x0, n)
+    same = (full[1:].view(np.uint64) == full[:-1].view(np.uint64)).all(axis=1)
+    want = int(np.searchsorted(marks, np.argmax(same))) if same.any() else len(marks) - 1
+    assert settled == want
 
 
 def catalog_tensor(family):
@@ -181,9 +215,9 @@ def test_iterate_across_collection_blocks(n_steps, stride):
     collect = tensor._collect
 
     def recording(*args):
-        marks, rows = collect(*args)
+        marks, rows, settled = collect(*args)
         calls.append((args[2:], rows.shape))
-        return marks, rows
+        return marks, rows, settled
 
     with mock.patch.object(tensor, "_collect", recording):
         traj = iterate(t, x0, n_steps, stride)
@@ -243,7 +277,7 @@ def test_self_test_checks_the_single_orbit_loop(kernel):
     def orbit_one_step_short(flat, x, marks, states, sums=None):
         marks = marks.copy()
         marks[-1] -= 1
-        kernel.orbit(flat, x, marks, states, sums)
+        return kernel.orbit(flat, x, marks, states, sums)
 
     short.orbit = orbit_one_step_short
     assert not tensor._kernel_agrees(short)
@@ -253,11 +287,20 @@ def test_self_test_checks_the_running_sums(kernel):
     off = mock.Mock(wraps=kernel)
 
     def orbit_sums_one_ulp_off(flat, x, marks, states, sums=None):
-        kernel.orbit(flat, x, marks, states, sums)
+        settled = kernel.orbit(flat, x, marks, states, sums)
         if sums is not None:
             sums[-1, 0] = np.nextafter(sums[-1, 0], np.inf)
+        return settled
 
     off.orbit = orbit_sums_one_ulp_off
+    assert not tensor._kernel_agrees(off)
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_self_test_checks_the_settled_mark(kernel, shift):
+    # a settled mark one off would drop a row from iterate's check and the CSV
+    off = mock.Mock(wraps=kernel)
+    off.orbit = lambda *args: kernel.orbit(*args) + shift
     assert not tensor._kernel_agrees(off)
 
 
@@ -292,6 +335,9 @@ def test_self_test_checks_the_last_row_of_a_partial_lane_group(kernel, lanes):
     pytest.param("        if (sums)\n            for (; n < marks[c]; n++)",
                  "        if (0)\n            for (; n < marks[c]; n++)",
                  id="stops_the_running_sums_once_fixed"),
+    # the vertex orbit of the self-test settles at mark 0, not at mark 1
+    pytest.param("settled = c > 0 && marks[c - 1] == n ? c - 1 : c;", "settled = c;",
+                 id="settles_at_the_mark_after_the_fixed_step"),
     # the pairwise sum's tree, which every loop shares, summed one by one
     pytest.param("((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))",
                  "((((((r[0] + r[1]) + r[2]) + r[3]) + r[4]) + r[5]) + r[6]) + r[7]",
@@ -719,10 +765,10 @@ def test_walk_matches_a_plain_loop_around_the_fixed_step(kind, name):
         for marks in mark_sets:
             marks = np.array(sorted(set(marks)), dtype=np.int64)
             got_sums = np.empty((len(marks), t.m))
-            got = tensor._walk(t, x0, marks, got_sums)
+            got, _ = tensor._walk(t, x0, marks, got_sums)
             assert got.tobytes() == rows[marks].tobytes(), marks
             assert got_sums.tobytes() == sums[marks].tobytes(), marks
-            assert tensor._walk(t, x0, marks).tobytes() == rows[marks].tobytes(), marks
+            assert tensor._walk(t, x0, marks)[0].tobytes() == rows[marks].tobytes(), marks
 
 
 @pytest.mark.parametrize("kind", ["kernel", "numpy"])

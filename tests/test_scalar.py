@@ -57,6 +57,7 @@ def test_spec_validation():
     (4, float("nan"), errors.WeightOutOfRange),
     (4, float("inf"), errors.WeightOutOfRange),
     (4, -0.25, errors.WeightOutOfRange),
+    (4, True, errors.WeightOutOfRange),
 ])
 def test_f_alpha_parameters_checked_in_one_place(m, alpha, error):
     with pytest.raises(error):

@@ -240,7 +240,7 @@ def test_convex_combine_weight_range():
         convex_combine(make_s2("V1"), make_s2("V0"), 1.5)
 
 
-@pytest.mark.parametrize("w", [-0.1, float("nan"), "0.5", None])
+@pytest.mark.parametrize("w", [-0.1, float("nan"), "0.5", None, True, False])
 def test_convex_combine_refuses_a_weight_outside_the_unit_interval(w):
     with pytest.raises(errors.WeightOutOfRange, match=r"weight must be a number in \[0, 1\]"):
         convex_combine(make_s2("V1"), make_s2("V0"), w)

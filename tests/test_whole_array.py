@@ -294,7 +294,7 @@ def oracle_points(t, x0, n_steps, stride):
     x, done = x0.array, 0
     while done < n_steps:
         n = min(4096 * stride, n_steps - done)
-        _, rows = tensor._collect(t, x, n, stride)
+        _, rows, _ = tensor._collect(t, x, n, stride)
         points += [(done + min(i * stride, n), SimplexPoint(tuple(rows[i].tolist())))
                    for i in range(1, len(rows))]
         x, done = rows[-1], done + n
@@ -310,8 +310,10 @@ def oracle_csv(t, x0, steps, stride):
 
 
 ORBITS = {
-    # converges to a bitwise fixed point within a few steps
+    # converges to a bitwise fixed point within a few steps: x^(12) = x^(11)
     "REGULAR": (make("REGULAR", 5), [0.4, 0.3, 0.2, 0.05, 0.05]),
+    # that orbit's x^(11): bit-fixed from step 0
+    "REGULAR_FIXED": (make("REGULAR", 5), [0.19999999999999998] * 4 + [0.2]),
     # period 2 and period 6
     "KHUKR": (make("KHUKR"), [0.4, 0.36, 0.24]),
     "QUASI_STRICT": (make("QUASI_STRICT", 6, parse_cycles(PERM6, 5)),
@@ -327,6 +329,8 @@ ORBITS = {
     # the edges of the oracle's 4096-row blocks
     (4095, 1), (4096, 1), (4097, 1),
     (12287, 3), (12288, 3), (12289, 3), (8197, 2),
+    # around REGULAR's fixed step 11, up to it, past it and past it inside a stride
+    (11, 1), (12, 1), (12, 5),
 ])
 def test_trajectory_csv_matches_the_per_row_writer(orbit, steps, stride):
     t, x0 = ORBITS[orbit]
@@ -337,6 +341,21 @@ def test_trajectory_csv_matches_the_per_row_writer(orbit, steps, stride):
     assert traj.steps.tolist() == [n for n, _ in want]
     assert [[bits(v) for v in pt.coords] for _, pt in traj.points] == [
         [bits(v) for v in pt.coords] for _, pt in want]
+
+
+@pytest.mark.parametrize("orbit,steps,stride,settled", [
+    ("REGULAR_FIXED", 3000, 1, 0),   # at mark 0
+    ("REGULAR", 3000, 1, 11),        # at the fixed step 11
+    ("REGULAR", 1001, 7, 2),         # inside a stride: at step 14
+    ("REGULAR", 12, 5, 3),           # at the last mark, after a partial stride
+    ("REGULAR", 11, 1, 11),          # at the last mark, not yet seen fixed
+    ("KHUKR", 3000, 1, 3000),        # never
+])
+def test_csv_orbits_settle_where_they_are_meant_to(orbit, steps, stride, settled):
+    t, x0 = ORBITS[orbit]
+    traj = iterate(t, validate_point(x0), steps, stride)
+    assert traj.settled == settled
+    assert (traj.rows[settled:] == traj.rows[settled]).all()
 
 
 def test_negative_zero_start_is_written_as_given():
@@ -404,9 +423,10 @@ def test_cesaro_means_match_the_per_checkpoint_loop(m):
 
 def fake_block(rows):
     """A ``_collect`` that returns ``rows`` after the start row, at steps
-    1, 2, ..."""
+    1, 2, ..., with its last row as the settled one."""
     def collect(t, x, n, stride):
-        return np.arange(len(rows) + 1), np.vstack([np.asarray(x, dtype=float)[None, :], rows])
+        block = np.vstack([np.asarray(x, dtype=float)[None, :], rows])
+        return np.arange(len(block)), block, len(block) - 1
     return collect
 
 
