@@ -156,11 +156,11 @@ def _trajectory_csv(t: CoefficientTensor, x0: SimplexPoint, steps: int, stride: 
     text = [row % tuple(r) for r in traj.rows[first].tolist()]
     header = "n," + ",".join(f"x{i}" for i in range(1, t.m + 1)) + "\n"
     # step numbers alternate with the shared row texts; the settled tail is one join
-    steps, settled, tail = traj.steps.tolist(), traj.settled, text[inverse[-1]]
+    ns, settled, tail = traj.steps.tolist(), traj.settled, text[inverse[-1]]
     parts = [header] * (2 * settled + 1)
-    parts[1::2] = map(str, steps[:settled])
+    parts[1::2] = map(str, ns[:settled])
     parts[2::2] = [text[k] for k in inverse[:-1].tolist()]
-    return "".join(parts) + tail.join(map(str, steps[settled:])) + tail
+    return "".join(parts) + tail.join(map(str, ns[settled:])) + tail
 
 
 def cmd_trajectory(args) -> int:

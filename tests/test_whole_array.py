@@ -456,6 +456,8 @@ NAN = [np.nan, 0.5, 0.5]            # QsoError, non-finite
     [GOOD, LONG, GOOD, NEGATIVE, LONG],
     [NAN, NEGATIVE, LONG],
     [GOOD, GOOD, NEGATIVE, NAN],
+    # the only bad row is the settled one
+    [GOOD, GOOD, LONG],
 ])
 def test_corrupted_block_raises_its_first_bad_row(rows):
     first_bad = next(r for r in rows if r is not GOOD)
