@@ -16,6 +16,7 @@ import functools
 import math
 import os
 import sys
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .tensor import CoefficientTensor, iterate, load_tensor
 
 USAGE_ERROR = 2
 FAILURE = 1
+CSV_BLOCK_ROWS = 8192  # the most rows of a trajectory CSV joined into one text
 
 
 def _add_operator_options(p: argparse.ArgumentParser) -> None:
@@ -86,16 +88,16 @@ def _resolve_starts(args, m: int) -> list[SimplexPoint]:
     return [SimplexPoint(tuple(row.tolist())) for row in draws]
 
 
-def _write(out: str | None, payload: str) -> None:
+def _write(out: str | None, chunks: Iterable[str]) -> None:
     if out and out != "-":
         try:
             with open(out, "w") as fh:
-                fh.write(payload)
+                fh.writelines(chunks)
         except OSError as exc:  # also a failed write or close, which names no file
             raise QsoError(f"cannot write {out!r}: {exc.strerror}") from None
     else:
         try:
-            sys.stdout.write(payload)
+            sys.stdout.writelines(chunks)
             sys.stdout.flush()
         except OSError as exc:
             # the unwritten bytes stay buffered; point the descriptor at the
@@ -108,14 +110,14 @@ def _write(out: str | None, payload: str) -> None:
 
 def _write_report(args, t: CoefficientTensor, tolerances: dict, results) -> None:
     """Write the report of an operator subcommand: its results in the envelope."""
-    _write(args.out, reports.dumps({
+    _write(args.out, [reports.dumps({
         "operator": t.name,
         "parameters": {"family": args.family, "tensor_file": args.tensor_file,
                        "m": args.m, "perm": args.perm, "param": args.param},
         "seed": getattr(args, "seed", None),
         "tolerances": tolerances,
         "results": results,
-    }))
+    })])
 
 
 # --- subcommand handlers -----------------------------------------------------
@@ -133,7 +135,7 @@ def cmd_families(args) -> int:
         for info in families.REGISTRY.values()
     ]
     if args.json:
-        _write(args.out, reports.dumps(rows))
+        _write(args.out, [reports.dumps(rows)])
     else:
         lines = []
         for r in rows:
@@ -144,23 +146,55 @@ def cmd_families(args) -> int:
             if r["permutation"]:
                 extras.append("permutation")
             lines.append(f"{r['name']:<22} {', '.join(extras):<32} {r['summary']}")
-        _write(args.out, "\n".join(lines) + "\n")
+        _write(args.out, ["\n".join(lines) + "\n"])
     return 0
 
 
-def _trajectory_csv(t: CoefficientTensor, x0: SimplexPoint, steps: int, stride: int) -> str:
+@functools.cache
+def _digit_table() -> np.ndarray:
+    """Row k: the four ASCII digits of k < 10^4, zero-padded."""
+    return (np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+
+
+def _numbered(steps: np.ndarray, row: str) -> Iterator[str]:
+    """``str(n) + row`` for each of the increasing int64 steps n >= 0, joined
+    into one string per digit count."""
+    tail = np.frombuffer(row.encode("ascii"), np.uint8)
+    # the steps increase, so the steps of each digit count d are one run
+    for d, run in enumerate(np.split(steps, np.searchsorted(steps, 10 ** np.arange(1, 19))), 1):
+        if run.size:
+            text = np.empty((run.size, d + len(tail)), np.uint8)
+            text[:, d:] = tail
+            for right in range(d, 0, -4):  # four digits at a time, from the right
+                limb = run // 10 ** (d - right) % 10_000
+                text[:, max(right - 4, 0):right] = _digit_table()[limb, -min(right, 4):]
+            yield str(text, "ascii")
+
+
+def _trajectory_csv(t: CoefficientTensor, x0: SimplexPoint, steps: int,
+                    stride: int) -> Iterator[str]:
+    """The orbit's CSV in text blocks of at most CSV_BLOCK_ROWS rows; every
+    check that can raise runs before this returns, so before any output is opened."""
     traj = iterate(t, x0, steps, stride)
     # each distinct row is formatted once; "%.17g" gives format(v, ".17g")'s bytes
     row = "," + ",".join(["%.17g"] * t.m) + "\n"
     first, inverse = traj.distinct()
     text = [row % tuple(r) for r in traj.rows[first].tolist()]
     header = "n," + ",".join(f"x{i}" for i in range(1, t.m + 1)) + "\n"
-    # step numbers alternate with the shared row texts; the settled tail is one join
-    ns, settled, tail = traj.steps.tolist(), traj.settled, text[inverse[-1]]
-    parts = [header] * (2 * settled + 1)
-    parts[1::2] = map(str, ns[:settled])
-    parts[2::2] = [text[k] for k in inverse[:-1].tolist()]
-    return "".join(parts) + tail.join(map(str, ns[settled:])) + tail
+    ns, settled, tail = traj.steps, traj.settled, text[inverse[-1]]
+
+    def blocks():
+        yield header
+        # up to the settled row, step numbers alternate with the shared row texts
+        for lo in range(0, settled, CSV_BLOCK_ROWS):
+            hi = min(lo + CSV_BLOCK_ROWS, settled)
+            parts = [""] * (2 * (hi - lo))
+            parts[0::2] = map(str, ns[lo:hi].tolist())
+            parts[1::2] = [text[k] for k in inverse[lo:hi].tolist()]
+            yield "".join(parts)
+        for lo in range(settled, len(ns), CSV_BLOCK_ROWS):
+            yield from _numbered(ns[lo:lo + CSV_BLOCK_ROWS], tail)
+    return blocks()
 
 
 def cmd_trajectory(args) -> int:
@@ -176,7 +210,7 @@ def cmd_trajectory(args) -> int:
     for k, x0 in enumerate(starts, start=1):
         path = f"{stem}.{k}{ext or '.csv'}"
         _write(path, _trajectory_csv(t, x0, args.steps, args.stride))
-        _write(None, path + "\n")
+        _write(None, [path + "\n"])
     return 0
 
 
@@ -289,13 +323,13 @@ def cmd_scalar(args) -> int:
         results["conjugacy_check"] = {
             "grid": scalarmaps.CONJUGACY_GRID,
             "max_dev": scalarmaps.conjugacy_defect(args.m, args.param)}
-    _write(args.out, reports.dumps({
+    _write(args.out, [reports.dumps({
         "operator": f"scalar:{args.map}",
         "parameters": {"m": args.m, "alpha": args.param},
         "seed": None,
         "tolerances": {},
         "results": results,
-    }))
+    })])
     return 0
 
 
@@ -310,7 +344,7 @@ def cmd_verify(args) -> int:
     lines = [r.line() for r in results]
     passed = sum(r.passed for r in results)
     lines.append(f"SUITE {args.suite}: {passed}/{len(results)} passed (seed {args.seed})")
-    _write(args.out, "\n".join(lines) + "\n")
+    _write(args.out, ["\n".join(lines) + "\n"])
     return 0 if passed == len(results) else FAILURE
 
 

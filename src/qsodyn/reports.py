@@ -11,6 +11,7 @@ sorted, and no timestamps or identities are ever embedded.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import fields, is_dataclass
@@ -19,9 +20,18 @@ import numpy as np
 
 from .simplex import Permutation, SimplexPoint
 
+# each key's JSON text, cached by str(key): 1, 1.0 and True are one dict key
+_key_text = functools.cache(json.dumps)
+_fields = functools.cache(fields)  # by dataclass
+
 
 def _text(obj, pad: str) -> str:
     """``obj`` as JSON text; the lines it spans are indented past ``pad``."""
+    if type(obj) is float or isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if not math.isfinite(x):
+            raise ValueError(f"cannot serialize non-finite number {x!r}")
+        return format(x, ".17g")
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -30,11 +40,6 @@ def _text(obj, pad: str) -> str:
         return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not math.isfinite(x):
-            raise ValueError(f"cannot serialize non-finite number {x!r}")
-        return format(x, ".17g")
     if isinstance(obj, Permutation):
         return json.dumps(obj.cycle_text())
     # the remaining package types are written as the dict or list they stand for
@@ -43,7 +48,7 @@ def _text(obj, pad: str) -> str:
     elif isinstance(obj, SimplexPoint):
         obj = obj.coords
     elif is_dataclass(obj) and not isinstance(obj, type):
-        obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
+        obj = {f.name: getattr(obj, f.name) for f in _fields(type(obj))}
     elif isinstance(obj, np.ndarray):
         obj = obj.tolist()
     elif isinstance(obj, (set, frozenset)):
@@ -52,7 +57,7 @@ def _text(obj, pad: str) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        rows = [f"{inner}{json.dumps(str(k))}: {_text(v, inner)}" for k, v in obj.items()]
+        rows = [f"{inner}{_key_text(str(k))}: {_text(v, inner)}" for k, v in obj.items()]
         return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import errno
 import hashlib
@@ -7,6 +8,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +65,27 @@ def test_trajectory_zero_steps_single_row(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 2
     assert lines[1].startswith("0,")
+
+
+@pytest.mark.parametrize("x0", ["-0.0,0.6,0.4", "-1e-13,0.6,0.4"])
+def test_trajectory_takes_a_leading_minus_after_an_equals_sign(capsys, x0):
+    # argparse takes "--x0 -0.0,0.6,0.4" for an unknown option
+    with pytest.raises(SystemExit):
+        main(["trajectory", "--family", "KHUKR", "--x0", x0, "--steps", "2"])
+    assert "argument --x0: expected one argument" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "trajectory", "--family", "KHUKR", f"--x0={x0}",
+                           "--steps", "2")
+    # validate_point clamps a coordinate within TAU_SUM of zero to 0.0
+    assert code == 0
+    assert out.splitlines()[1] == "0,0,0.59999999999999998,0.40000000000000002"
+
+
+def test_classify_takes_a_leading_minus_after_an_equals_sign(capsys):
+    code, out, _ = run_cli(capsys, "classify", "--family", "REGULAR", "--m", "3",
+                           "--x0=-0.0,0,1")
+    assert code == 0
+    assert (code, out) == run_cli(capsys, "classify", "--family", "REGULAR", "--m", "3",
+                                  "--x0", "0,0,1")[:2]
 
 
 def test_trajectory_converges_and_round_trips(capsys, tmp_path):
@@ -235,6 +258,40 @@ def test_usage_error_exit_2_subprocess():
     assert proc.returncode == 2
 
 
+def test_a_bad_row_exits_2_before_the_output_is_opened(capsys, monkeypatch, tmp_path):
+    def collect(t, x, n, stride):
+        return np.arange(2), np.array([x, [-0.25, 0.75, 0.5]]), 1
+
+    monkeypatch.setattr(tensor, "_collect", collect)
+    new, kept = tmp_path / "new.csv", tmp_path / "kept.csv"
+    kept.write_bytes(b"earlier bytes\n")
+    for dest in (new, kept):
+        code, out, err = run_cli(capsys, "trajectory", "--family", "KHUKR", "--x0", "0.3,0.3,0.4",
+                                 "--steps", "1", "--out", str(dest))
+        assert code == 2 and out == "" and err.startswith("error: negative coordinate")
+    assert not new.exists()
+    assert kept.read_bytes() == b"earlier bytes\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "REGULAR", "--m", "5", "--x0", "0.4,0.3,0.2,0.05,0.05"],
+    # periodic, never bit-fixed: every row is before the settled mark
+    ["--family", "KHUKR", "--x0", "0.4,0.36,0.24"],
+], ids=["settles", "never_settles"])
+def test_a_long_trajectory_file_is_written_in_bounded_memory(capsys, tmp_path, argv):
+    dest = tmp_path / "t.csv"
+    assert main(["trajectory", *argv, "--steps", "10", "--out", str(dest)]) == 0  # warm up
+    tracemalloc.start()
+    try:
+        code = main(["trajectory", *argv, "--steps", "100000", "--out", str(dest)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and dest.stat().st_size > 4_000_000
+    # the steps and rows arrays alone take 3.2 to 4.8 MB, the file 5 to 11 MB
+    assert peak < 12 * 2**20
+
+
 def test_random_starts_trajectories(capsys, tmp_path):
     dest = tmp_path / "runs.csv"
     code, out, _ = run_cli(
@@ -253,6 +310,21 @@ def test_random_starts_trajectories(capsys, tmp_path):
     # seeded draws are distinct starts
     firsts = {Path(p).read_text().splitlines()[1] for p in paths}
     assert len(firsts) == 3
+
+
+def test_random_starts_write_the_files_of_single_runs(capsys, monkeypatch, tmp_path):
+    argv = ["trajectory", "--family", "REGULAR", "--m", "4", "--random-starts", "2",
+            "--seed", "3", "--steps", str(cli.CSV_BLOCK_ROWS + 5), "--stride", "2"]
+    code, out, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "runs.csv"))
+    assert code == 0
+    paths = out.splitlines()
+    assert paths == [str(tmp_path / "runs.1.csv"), str(tmp_path / "runs.2.csv")]
+    starts = cli._resolve_starts(argparse.Namespace(x0=None, random_starts=2, seed=3), 4)
+    for path, x0 in zip(paths, starts):
+        # the same start alone, written to stdout
+        monkeypatch.setattr(cli, "_resolve_starts", lambda args, m, x0=x0: [x0])
+        code, single, _ = run_cli(capsys, *argv)
+        assert code == 0 and single == Path(path).read_text()
 
 
 @pytest.mark.parametrize("out,numbered", [

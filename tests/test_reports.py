@@ -123,3 +123,11 @@ def test_a_non_finite_number_is_refused(value):
 def test_an_unknown_type_is_refused(value):
     with pytest.raises(TypeError, match=f"cannot serialize {type(value).__name__}"):
         reports.dumps({"results": {"value": value}})
+
+
+@pytest.mark.parametrize("keys", [(1, 1.0, True), (True, 1.0, 1), (1.0, True, 1)])
+def test_equal_keys_of_other_types_keep_their_own_text(keys):
+    # 1, 1.0 and True are one dict key: key texts cached by the key itself
+    # would give the later ones the text of the first
+    assert [reports.dumps({k: None}) for k in keys] == [
+        f'{{\n  "{k}": null\n}}\n' for k in keys]

@@ -309,6 +309,8 @@ def oracle_csv(t, x0, steps, stride):
     return "\n".join(lines) + "\n"
 
 
+BLOCK = cli.CSV_BLOCK_ROWS
+
 ORBITS = {
     # converges to a bitwise fixed point within a few steps: x^(12) = x^(11)
     "REGULAR": (make("REGULAR", 5), [0.4, 0.3, 0.2, 0.05, 0.05]),
@@ -331,11 +333,16 @@ ORBITS = {
     (12287, 3), (12288, 3), (12289, 3), (8197, 2),
     # around REGULAR's fixed step 11, up to it, past it and past it inside a stride
     (11, 1), (12, 1), (12, 5),
+    # the edges of the CSV's text blocks: a head of a block and one row either
+    # side where the orbit never settles, a settled tail so from REGULAR's step 11
+    (BLOCK - 1, 1), (BLOCK, 1), (BLOCK + 1, 1),
+    (BLOCK + 9, 1), (BLOCK + 10, 1), (BLOCK + 11, 1),
 ])
 def test_trajectory_csv_matches_the_per_row_writer(orbit, steps, stride):
     t, x0 = ORBITS[orbit]
     x0 = validate_point(x0)
-    assert cli._trajectory_csv(t, x0, steps, stride) == oracle_csv(t, x0, steps, stride)
+    assert "".join(cli._trajectory_csv(t, x0, steps, stride)) == oracle_csv(
+        t, x0, steps, stride)
     traj = iterate(t, x0, steps, stride)
     want = oracle_points(t, x0, steps, stride)
     assert traj.steps.tolist() == [n for n, _ in want]
@@ -361,7 +368,7 @@ def test_csv_orbits_settle_where_they_are_meant_to(orbit, steps, stride, settled
 def test_negative_zero_start_is_written_as_given():
     t = make("KHUKR")
     x0 = SimplexPoint((-0.0, 0.6, 0.4))
-    text = cli._trajectory_csv(t, x0, 50, 1)
+    text = "".join(cli._trajectory_csv(t, x0, 50, 1))
     assert text == oracle_csv(t, x0, 50, 1)
     assert text.splitlines()[1].startswith("0,-0,")
 
@@ -436,13 +443,75 @@ def test_zero_and_negative_zero_rows_stay_apart():
     x0 = validate_point([0.2, 0.4, 0.4])
     with mock.patch.object(tensor, "_collect", fake_block(rows)):
         traj = iterate(t, x0, 4)
-        text = cli._trajectory_csv(t, x0, 4, 1)
+        text = "".join(cli._trajectory_csv(t, x0, 4, 1))
     firsts = [math.copysign(1.0, pt.coords[0]) for _, pt in traj.points[1:]]
     assert firsts == [1.0, -1.0, 1.0, -1.0]
     assert traj.points[1][1] is traj.points[3][1]
     assert traj.points[2][1] is traj.points[4][1]
     assert traj.points[1][1] is not traj.points[2][1]
     assert [line.split(",")[1] for line in text.splitlines()[2:]] == ["0", "-0", "0", "-0"]
+
+
+def fake_orbit(steps, settled):
+    """A ``_collect`` that records, whatever it is asked for, two rows in
+    turn at the steps before ``settled`` and a third one from it on."""
+    steps = np.array(steps, dtype=np.int64)
+    head = np.array([[0.2, 0.3, 0.5], [0.5, 0.3, 0.2]] * (settled // 2 + 1))[:settled]
+    rows = np.vstack([head, np.tile([0.25, 0.25, 0.5], (len(steps) - settled, 1))])
+
+    def collect(t, x, n, stride):
+        return steps, rows, settled
+    return collect
+
+
+def fake_csv(steps, settled):
+    """The CSV of ``fake_orbit(steps, settled)`` with ``str(n)`` step numbers."""
+    _, rows, _ = fake_orbit(steps, settled)(None, None, 0, 1)
+    return "n,x1,x2,x3\n" + "".join(
+        str(n) + "," + ",".join(format(v, ".17g") for v in row) + "\n"
+        for n, row in zip(steps, rows.tolist()))
+
+
+def fake_trajectory_csv(steps, settled):
+    with mock.patch.object(tensor, "_collect", fake_orbit(steps, settled)):
+        return "".join(cli._trajectory_csv(make("KHUKR"), validate_point(GOOD), 1, 1))
+
+
+# 0, 10^18 and the int64 maximum, and every power of ten between with its neighbours
+POWER_EDGES = sorted({n for k in range(19) for n in (10**k - 1, 10**k, 10**k + 1)}
+                     | {0, 2**63 - 1})
+
+
+@pytest.mark.parametrize("settled", [0, 31, len(POWER_EDGES) - 1])
+def test_step_numbers_are_str_at_every_power_of_ten(settled):
+    assert fake_trajectory_csv(POWER_EDGES, settled) == fake_csv(POWER_EDGES, settled)
+
+
+def stepped(end, n, stride):
+    """``n`` increasing steps ending at ``end``, ``stride`` apart but for a
+    partial last stride."""
+    steps = end - stride * np.arange(n - 1, -1, -1, dtype=np.int64)
+    steps[:-1] += stride - max(1, stride // 2)
+    return steps.tolist()
+
+
+@pytest.mark.parametrize("head", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("tail", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("end,stride", [
+    (lambda n: n - 1, 1),                 # the steps 0 to n - 1
+    (lambda n: 10**12 + 5 * (n // 2), 5),  # from 12 to 13 digits halfway
+    (lambda n: 2**63 - 1, 7),             # up to the int64 maximum
+], ids=["from_0", "past_10^12", "to_int64_max"])
+def test_step_numbers_across_text_blocks(head, tail, end, stride):
+    steps = stepped(end(head + tail), head + tail, stride)
+    assert fake_trajectory_csv(steps, head) == fake_csv(steps, head)
+
+
+@given(st.lists(st.integers(0, 2**63 - 1), unique=True, max_size=40).map(sorted),
+       st.sampled_from(["\n", ",0.5,0.5\n", ",1,0,0\n"]))
+def test_numbered_steps_match_str(steps, row):
+    assert "".join(cli._numbered(np.array(steps, dtype=np.int64), row)) == "".join(
+        str(n) + row for n in steps)
 
 
 GOOD = [0.2, 0.3, 0.5]
