@@ -157,8 +157,7 @@ def _digit_table() -> np.ndarray:
 
 
 def _numbered(steps: np.ndarray, row: str) -> Iterator[str]:
-    """``str(n) + row`` for each of the increasing int64 steps n >= 0, joined
-    into one string per digit count."""
+    """``str(n) + row`` for each increasing int64 step n >= 0, one string per digit count."""
     tail = np.frombuffer(row.encode("ascii"), np.uint8)
     # the steps increase, so the steps of each digit count d are one run
     for d, run in enumerate(np.split(steps, np.searchsorted(steps, 10 ** np.arange(1, 19))), 1):
@@ -173,8 +172,7 @@ def _numbered(steps: np.ndarray, row: str) -> Iterator[str]:
 
 def _trajectory_csv(t: CoefficientTensor, x0: SimplexPoint, steps: int,
                     stride: int) -> Iterator[str]:
-    """The orbit's CSV in text blocks of at most CSV_BLOCK_ROWS rows; every
-    check that can raise runs before this returns, so before any output is opened."""
+    """The orbit's CSV in blocks of at most CSV_BLOCK_ROWS rows; every check runs first."""
     traj = iterate(t, x0, steps, stride)
     # each distinct row is formatted once; "%.17g" gives format(v, ".17g")'s bytes
     row = "," + ",".join(["%.17g"] * t.m) + "\n"

@@ -333,8 +333,9 @@ ORBITS = {
     (12287, 3), (12288, 3), (12289, 3), (8197, 2),
     # around REGULAR's fixed step 11, up to it, past it and past it inside a stride
     (11, 1), (12, 1), (12, 5),
-    # the edges of the CSV's text blocks: a head of a block and one row either
-    # side where the orbit never settles, a settled tail so from REGULAR's step 11
+    # the edges of the CSV's text blocks: where the orbit never settles, heads
+    # of a block and of a row either side; for REGULAR, settled at step 11,
+    # tails of as many rows
     (BLOCK - 1, 1), (BLOCK, 1), (BLOCK + 1, 1),
     (BLOCK + 9, 1), (BLOCK + 10, 1), (BLOCK + 11, 1),
 ])
@@ -452,68 +453,6 @@ def test_zero_and_negative_zero_rows_stay_apart():
     assert [line.split(",")[1] for line in text.splitlines()[2:]] == ["0", "-0", "0", "-0"]
 
 
-def fake_orbit(steps, settled):
-    """A ``_collect`` that records, whatever it is asked for, two rows in
-    turn at the steps before ``settled`` and a third one from it on."""
-    steps = np.array(steps, dtype=np.int64)
-    head = np.array([[0.2, 0.3, 0.5], [0.5, 0.3, 0.2]] * (settled // 2 + 1))[:settled]
-    rows = np.vstack([head, np.tile([0.25, 0.25, 0.5], (len(steps) - settled, 1))])
-
-    def collect(t, x, n, stride):
-        return steps, rows, settled
-    return collect
-
-
-def fake_csv(steps, settled):
-    """The CSV of ``fake_orbit(steps, settled)`` with ``str(n)`` step numbers."""
-    _, rows, _ = fake_orbit(steps, settled)(None, None, 0, 1)
-    return "n,x1,x2,x3\n" + "".join(
-        str(n) + "," + ",".join(format(v, ".17g") for v in row) + "\n"
-        for n, row in zip(steps, rows.tolist()))
-
-
-def fake_trajectory_csv(steps, settled):
-    with mock.patch.object(tensor, "_collect", fake_orbit(steps, settled)):
-        return "".join(cli._trajectory_csv(make("KHUKR"), validate_point(GOOD), 1, 1))
-
-
-# 0, 10^18 and the int64 maximum, and every power of ten between with its neighbours
-POWER_EDGES = sorted({n for k in range(19) for n in (10**k - 1, 10**k, 10**k + 1)}
-                     | {0, 2**63 - 1})
-
-
-@pytest.mark.parametrize("settled", [0, 31, len(POWER_EDGES) - 1])
-def test_step_numbers_are_str_at_every_power_of_ten(settled):
-    assert fake_trajectory_csv(POWER_EDGES, settled) == fake_csv(POWER_EDGES, settled)
-
-
-def stepped(end, n, stride):
-    """``n`` increasing steps ending at ``end``, ``stride`` apart but for a
-    partial last stride."""
-    steps = end - stride * np.arange(n - 1, -1, -1, dtype=np.int64)
-    steps[:-1] += stride - max(1, stride // 2)
-    return steps.tolist()
-
-
-@pytest.mark.parametrize("head", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
-@pytest.mark.parametrize("tail", [1, BLOCK - 1, BLOCK, BLOCK + 1])
-@pytest.mark.parametrize("end,stride", [
-    (lambda n: n - 1, 1),                 # the steps 0 to n - 1
-    (lambda n: 10**12 + 5 * (n // 2), 5),  # from 12 to 13 digits halfway
-    (lambda n: 2**63 - 1, 7),             # up to the int64 maximum
-], ids=["from_0", "past_10^12", "to_int64_max"])
-def test_step_numbers_across_text_blocks(head, tail, end, stride):
-    steps = stepped(end(head + tail), head + tail, stride)
-    assert fake_trajectory_csv(steps, head) == fake_csv(steps, head)
-
-
-@given(st.lists(st.integers(0, 2**63 - 1), unique=True, max_size=40).map(sorted),
-       st.sampled_from(["\n", ",0.5,0.5\n", ",1,0,0\n"]))
-def test_numbered_steps_match_str(steps, row):
-    assert "".join(cli._numbered(np.array(steps, dtype=np.int64), row)) == "".join(
-        str(n) + row for n in steps)
-
-
 GOOD = [0.2, 0.3, 0.5]
 NEGATIVE = [-0.25, 0.75, 0.5]       # NegativeCoordinate
 LONG = [0.5, 0.5, 0.5]              # SumOutOfRange
@@ -538,6 +477,66 @@ def test_corrupted_block_raises_its_first_bad_row(rows):
             iterate(t, validate_point(GOOD), len(rows))
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
+
+
+def fake_rows(n, settled):
+    """``n`` rows: two in turn before ``settled``, a third one from it on."""
+    head = np.array([[0.2, 0.3, 0.5], [0.5, 0.3, 0.2]] * (settled // 2 + 1))[:settled]
+    return np.vstack([head, np.tile([0.25, 0.25, 0.5], (n - settled, 1))])
+
+
+def fake_trajectory_csv(steps, settled):
+    """``cli._trajectory_csv`` of an orbit that records ``fake_rows`` at
+    ``steps``, and the CSV of those rows with ``str(n)`` step numbers."""
+    rows = fake_rows(len(steps), settled)
+
+    def collect(t, x, n, stride):
+        return np.array(steps, dtype=np.int64), rows, settled
+
+    with mock.patch.object(tensor, "_collect", collect):
+        got = "".join(cli._trajectory_csv(make("KHUKR"), validate_point(GOOD), 1, 1))
+    want = "n,x1,x2,x3\n" + "".join(
+        str(n) + "," + ",".join(format(v, ".17g") for v in row) + "\n"
+        for n, row in zip(steps, rows.tolist()))
+    return got, want
+
+
+# 0, 10^18 and the int64 maximum, and every power of ten between with its neighbours
+POWER_EDGES = sorted({n for k in range(19) for n in (10**k - 1, 10**k, 10**k + 1)}
+                     | {0, 2**63 - 1})
+
+
+@pytest.mark.parametrize("settled", [0, 31, len(POWER_EDGES) - 1])
+def test_step_numbers_are_str_at_every_power_of_ten(settled):
+    got, want = fake_trajectory_csv(POWER_EDGES, settled)
+    assert got == want
+
+
+def stepped(end, n, stride):
+    """``n`` increasing steps ending at ``end``, ``stride`` apart but for a
+    partial last stride."""
+    steps = end - stride * np.arange(n - 1, -1, -1, dtype=np.int64)
+    steps[:-1] += stride - max(1, stride // 2)
+    return steps.tolist()
+
+
+@pytest.mark.parametrize("head", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("tail", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("end,stride", [
+    (lambda n: n - 1, 1),                 # the steps 0 to n - 1
+    (lambda n: 10**12 + 5 * (n // 2), 5),  # from 12 to 13 digits halfway
+    (lambda n: 2**63 - 1, 7),             # up to the int64 maximum
+], ids=["from_0", "past_10^12", "to_int64_max"])
+def test_step_numbers_across_text_blocks(head, tail, end, stride):
+    got, want = fake_trajectory_csv(stepped(end(head + tail), head + tail, stride), head)
+    assert got == want
+
+
+@given(st.lists(st.integers(0, 2**63 - 1), unique=True, max_size=40).map(sorted),
+       st.sampled_from(["\n", ",0.5,0.5\n", ",1,0,0\n"]))
+def test_numbered_steps_match_str(steps, row):
+    assert "".join(cli._numbered(np.array(steps, dtype=np.int64), row)) == "".join(
+        str(n) + row for n in steps)
 
 
 @given(st.floats(allow_nan=True, allow_infinity=True))
