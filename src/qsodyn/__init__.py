@@ -10,11 +10,9 @@ from .errors import QsoError
 from .simplex import (
     Permutation,
     SimplexPoint,
-    apply_permutation,
     center,
     identity_permutation,
     parse_cycles,
-    support,
     validate_point,
     vertex,
 )
@@ -24,7 +22,6 @@ from .tensor import (
     apply_raw,
     build_tensor,
     convex_combine,
-    is_volterra,
     iterate,
     jacobian,
     load_tensor,

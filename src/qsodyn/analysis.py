@@ -505,15 +505,15 @@ def coord_product() -> LyapunovFn:
 
 
 def combine_lyapunov(fns: list[LyapunovFn], coeffs: list[float]) -> LyapunovFn:
-    """prod(c_i f_i) + sum(c_i f_i) for nonnegative coefficients.
+    """prod(c_i f_i) + sum(c_i f_i) for finite nonnegative coefficients.
 
     Restricted to same-direction nonnegative components, where monotonicity
     is inherited; sign-mixed combinations are rejected.
     """
     if len(fns) != len(coeffs) or not fns:
         raise InapplicableFunction("need one coefficient per function")
-    if any(c < 0 for c in coeffs):
-        raise InapplicableFunction("composite Lyapunov functions need nonnegative coefficients")
+    if not all(0 <= c < math.inf for c in coeffs):
+        raise InapplicableFunction("composite Lyapunov functions need finite coefficients >= 0")
     direction = fns[0].direction
     if any(g.direction != direction for g in fns):
         raise InapplicableFunction("cannot mix directions in a composite")
@@ -715,8 +715,7 @@ def m_omega_set(m: int, perm: Permutation, i: int, j: int, omega: float) -> Inva
         raise InapplicableSet("cycle indices must name two distinct cycles")
     ci = np.array(_cycle_of(perm, i)) - 1
     cj = np.array(_cycle_of(perm, j)) - 1
-    if omega <= 0:
-        raise InapplicableSet(f"omega {omega!r} must be positive")
+    _check_tolerance("omega", omega, positive=True, error=InapplicableSet)
 
     def defect(x):
         pi, pj = float(np.prod(x[ci])), float(np.prod(x[cj]))
@@ -750,8 +749,7 @@ def vallander_diag() -> InvariantSetSpec:
 
 def khukr_m_tau(tau: float) -> InvariantSetSpec:
     """x2 = tau x3 or x2 = x3 / tau on the 2-simplex."""
-    if tau <= 0:
-        raise InapplicableSet(f"tau {tau!r} must be positive")
+    _check_tolerance("tau", tau, positive=True, error=InapplicableSet)
     def defect(x):
         return min(abs(float(x[1] - tau * x[2])), abs(float(x[1] - x[2] / tau)))
     def sample(rng):
@@ -787,8 +785,8 @@ def check_invariant_set(t: CoefficientTensor, spec: InvariantSetSpec, samples: i
         if x.shape != (t.m,):
             raise InapplicableSet(f"{spec.id} samples dimension {x.shape[0]}, tensor m={t.m}")
         d0 = spec.defect(x)
-        if d0 > 1e-12:
-            raise InapplicableSet(f"sampler produced defect {d0!r} > 1e-12")
+        if not d0 <= 1e-12:  # a NaN defect is refused too
+            raise InapplicableSet(f"sampler produced defect {d0!r}, not <= 1e-12")
         max_initial = max(max_initial, d0)
         # the running max in step order, so that a NaN keeps its place
         max_defect = max([max_defect, *map(spec.defect, run_collect(t, x, horizon)[1:])])

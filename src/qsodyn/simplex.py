@@ -1,7 +1,7 @@
 """Points on the probability simplex and permutations of its coordinates.
 
 The simplex here is the set of probability vectors on ``m`` symbols.  All
-external indices (support sets, permutation symbols, cycle notation) are
+external indices (vertices, permutation symbols, cycle notation) are
 1-based; array access on ``SimplexPoint.array`` is plain 0-based numpy.
 """
 
@@ -30,7 +30,7 @@ from .errors import (
 TAU_SUM = 1e-12
 # Loose tolerance accepted on raw input sums before exact renormalization.
 INGEST_SUM_TOL = 1e-9
-# Default threshold separating "in the support" from numerically zero.
+# A coordinate at or below this puts a point on the boundary of the simplex.
 TAU_ZERO = 1e-9
 
 
@@ -71,6 +71,8 @@ class SimplexPoint:
 
 def center(m: int) -> SimplexPoint:
     """Barycenter (1/m, ..., 1/m)."""
+    if m < 2:
+        raise DimensionTooSmall("a simplex point needs at least 2 coordinates")
     return SimplexPoint(tuple([1.0 / m] * m))
 
 
@@ -106,13 +108,6 @@ def validate_point(raw) -> SimplexPoint:
     arr[np.abs(arr) < TAU_SUM] = 0.0
     arr /= math.fsum(arr.tolist())
     return SimplexPoint(tuple(arr.tolist()))
-
-
-def support(x: SimplexPoint, tau_zero: float = TAU_ZERO) -> set[int]:
-    """Indices (1-based) of coordinates strictly above ``tau_zero``."""
-    if not 0.0 <= tau_zero < 1.0:
-        raise QsoError(f"support threshold {tau_zero!r} outside [0, 1)")
-    return {i + 1 for i, v in enumerate(x.coords) if v > tau_zero}
 
 
 # --- permutations of {1, ..., n} --------------------------------------------
@@ -159,7 +154,10 @@ class Permutation:
         return cls(images=images, cycles=tuple(cycles), order=order)
 
     def __call__(self, k: int) -> int:
-        return apply_permutation(self, k)
+        """Image of the 1-based symbol ``k``."""
+        if not 1 <= k <= self.n:
+            raise IndexOutOfRange(f"index {k} outside 1..{self.n}")
+        return self.images[k - 1]
 
     def cycle_text(self) -> str:
         nontrivial = [c for c in self.cycles if len(c) > 1]
@@ -202,10 +200,3 @@ def parse_cycles(text: str, n: int) -> Permutation:
         for a, b in zip(symbols, symbols[1:] + symbols[:1]):
             images[a - 1] = b
     return Permutation.from_images(images)
-
-
-def apply_permutation(p: Permutation, k: int) -> int:
-    """Image of the 1-based symbol ``k`` under ``p``."""
-    if not 1 <= k <= p.n:
-        raise IndexOutOfRange(f"index {k} outside 1..{p.n}")
-    return p.images[k - 1]

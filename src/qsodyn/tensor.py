@@ -40,8 +40,6 @@ if TYPE_CHECKING:
 
 # Pair rows must be stochastic to this absolute tolerance.
 ROW_SUM_TOL = 1e-12
-# Entries off the Volterra pattern at or below this count as exact zeros.
-VOLTERRA_TOL = 1e-15
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,12 +130,6 @@ class Trajectory:
         _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
         return first, inverse
 
-    def tail_array(self) -> np.ndarray:
-        """Coordinates of the longest suffix recorded at consecutive steps,
-        as a read-only view of ``rows``."""
-        gaps = np.flatnonzero(np.diff(self.steps) != 1)
-        return self.rows[gaps[-1] + 1 if gaps.size else 0:]
-
 
 def build_tensor(m: int, entries, name: str = "") -> CoefficientTensor:
     """Build a tensor from sparse 1-based entries given for i <= j.
@@ -163,16 +155,6 @@ def build_tensor(m: int, entries, name: str = "") -> CoefficientTensor:
         p[i - 1, j - 1, k - 1] = v
         p[j - 1, i - 1, k - 1] = v
     return CoefficientTensor(m, p, name)
-
-
-def is_volterra(t: CoefficientTensor) -> bool:
-    """True iff every coefficient with k outside {i, j} is numerically zero."""
-    m = t.m
-    idx = np.arange(m)
-    k_not_i = idx[None, None, :] != idx[:, None, None]
-    k_not_j = idx[None, None, :] != idx[None, :, None]
-    off_pattern = t.p[k_not_i & k_not_j]
-    return bool(np.all(off_pattern <= VOLTERRA_TOL))
 
 
 def convex_combine(t1: CoefficientTensor, t2: CoefficientTensor, w: float) -> CoefficientTensor:
@@ -245,12 +227,13 @@ def _check_dimension(m) -> int:
     return int(m)
 
 
-def _check_tolerance(name: str, value, positive: bool = False) -> None:
-    """A finite real ``value`` >= 0, or > 0 if ``positive``."""
+def _check_tolerance(name: str, value, positive: bool = False,
+                     error: type[QsoError] = QsoError) -> None:
+    """A finite real ``value`` >= 0, or > 0 if ``positive``; else ``error``."""
     if not (isinstance(value, numbers.Real) and math.isfinite(value)
             and (value > 0.0 if positive else value >= 0.0)):
         bound = ">" if positive else ">="
-        raise QsoError(f"{name} must be a finite number {bound} 0, got {value!r}")
+        raise error(f"{name} must be a finite number {bound} 0, got {value!r}")
 
 
 def _check_weight(name: str, value) -> None:

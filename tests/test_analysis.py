@@ -8,6 +8,7 @@ from qsodyn.analysis import (
     ATTRACTING,
     NON_HYPERBOLIC,
     REPELLING,
+    InvariantSetSpec,
     MaxNormReport,
     _max_norm_distance,
     abs_diff_product,
@@ -206,6 +207,14 @@ def test_combined_lyapunov_nonnegative_coefficients():
         combine_lyapunov([cycle_product(perm, 1), last_coord(0)], [1.0, 1.0])
 
 
+@pytest.mark.parametrize("coeff", [float("nan"), float("inf")])
+def test_combined_lyapunov_refuses_a_non_finite_coefficient(coeff):
+    # a NaN would make every value NaN, which no monotonicity check can fail
+    perm = parse_cycles("(1 2)(3 4 5)", 5)
+    with pytest.raises(errors.InapplicableFunction, match="finite"):
+        combine_lyapunov([cycle_product(perm, 1), cycle_sum(perm, 2)], [coeff, 2.0])
+
+
 # --- periods and limit sets ------------------------------------------------------
 
 
@@ -217,7 +226,7 @@ def test_detect_period_constant_tail():
 def test_detect_period_via_trajectory():
     t = make_quasi_strict(3, parse_cycles("(1 2)", 2))
     traj = iterate(t, validate_point([0.3, 0.2, 0.5]), 40)
-    assert detect_period_tail(traj.tail_array(), 8) == 2
+    assert detect_period_tail(traj.rows, 8) == 2
 
 
 def test_detect_period_divisor_minimal():
@@ -238,13 +247,13 @@ def test_detect_period_insufficient_tail():
     t = make_regular(3)
     traj = iterate(t, center(3), 30, stride=10)
     with pytest.raises(errors.InsufficientTail):
-        detect_period_tail(traj.tail_array(), 10)
+        detect_period_tail(traj.rows, 10)
 
 
 def test_detect_period_none_when_aperiodic():
     t = make_s2("GANIKHODJAEV_LAMBDA", 0.1)
     traj = iterate(t, validate_point([0.5, 0.3, 0.2]), 3000)
-    assert detect_period_tail(traj.tail_array(), 20) is None
+    assert detect_period_tail(traj.rows, 20) is None
 
 
 def test_omega_regular_single_cluster_at_center():
@@ -363,6 +372,24 @@ def test_invariant_vallander_diag():
 def test_invariant_family_guard():
     with pytest.raises(errors.InapplicableSet):
         check_invariant_set(make_regular(4), m0_set(4), samples=5, horizon=5, seed=0)
+
+
+NOT_FINITE_AND_POSITIVE = [float("nan"), float("inf"), float("-inf"), 0.0, -1.0]
+
+
+@pytest.mark.parametrize("call", [
+    *[pytest.param(lambda v=v: m_omega_set(5, parse_cycles("(1 2)(3 4)", 4), 1, 2, v),
+                   id=f"omega={v}") for v in NOT_FINITE_AND_POSITIVE],
+    *[pytest.param(lambda v=v: khukr_m_tau(v), id=f"tau={v}") for v in NOT_FINITE_AND_POSITIVE],
+    # every member's defect is NaN, so no start can be checked
+    pytest.param(lambda: check_invariant_set(
+        make_s2("VALLANDER_THETA", 0.6),
+        InvariantSetSpec("NAN_DEFECT", (), lambda x: float("nan"), vallander_diag().sample),
+        samples=5, horizon=5, seed=0), id="nan-initial-defect"),
+])
+def test_invariant_sets_refuse_what_they_cannot_check(call):
+    with pytest.raises(errors.InapplicableSet):
+        call()
 
 
 @pytest.mark.parametrize("kwargs", [{"samples": 0}, {"samples": -1}, {"samples": 2.5},

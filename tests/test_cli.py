@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from qsodyn import cli, tensor
 from qsodyn.cli import main
 from qsodyn.families import make_regular
+from qsodyn.simplex import Permutation
 
 
 def run_cli(capsys, *argv):
@@ -773,6 +774,101 @@ def test_any_integer_option_value_exits_cleanly(call):
             assert out.getvalue().startswith("n,x1,")
         else:
             json.loads(out.getvalue())
+
+
+# Arabic-Indic digits: int(), float() and the cycle grammar's \d all take them
+OTHER_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                             "\u0665\u0666\u0667\u0668\u0669")
+
+
+@st.composite
+def spelled(draw, token):
+    """``token`` as it is, in other digits, or with spaces around it."""
+    return draw(st.sampled_from([token, token.translate(OTHER_DIGITS), f" {token} "]))
+
+
+def joined(draw, tokens, sep):
+    return sep.join(draw(spelled(token)) for token in tokens)
+
+
+@st.composite
+def x0_texts(draw, m):
+    """--x0 texts: a point of the simplex half the time, else any numbers."""
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.floats(1e-3, 1.0), min_size=m, max_size=m))
+        tokens = [repr(w / sum(weights)) for w in weights]
+    else:
+        tokens = draw(st.lists(st.one_of(st.floats().map(repr), st.sampled_from(
+            ["", "0", "-0", "1", "nan", "-inf", "1e400", "1_0", "0x1p-1", "\u00bd", "a"])),
+            max_size=m + 1))
+    return joined(draw, tokens, ",")
+
+
+@st.composite
+def perm_texts(draw, n):
+    """--perm texts: the cycles of a permutation of 1..n half the time."""
+    if draw(st.booleans()):
+        images = draw(st.permutations(range(1, n + 1)))
+        cycles = Permutation.from_images(images).cycles
+    else:
+        cycles = draw(st.lists(st.lists(st.integers(-1, n + 2), min_size=1, max_size=4),
+                               max_size=3))
+    text = "".join("(" + joined(draw, map(str, c), " ") + ")" for c in cycles)
+    return draw(st.sampled_from([text, text.replace(")(", ") ("), text + ")", "(" + text]))
+
+
+@st.composite
+def checkpoint_texts(draw):
+    """--checkpoints texts: no checkpoint between 10^4 and the step cap, so
+    that every call is quick; one past the cap is refused before any step."""
+    if draw(st.booleans()):
+        tokens = map(str, sorted(draw(st.sets(st.integers(1, 10**4), min_size=1, max_size=4))))
+    else:
+        tokens = draw(st.lists(st.one_of(
+            st.integers(-3, 10**4).map(str),
+            st.integers(tensor.MAX_STEPS + 1, 2**70).map(str),
+            st.sampled_from(["", "1.5", "1e3", "+5", "1_0", "a"]),
+        ), max_size=4))
+    return joined(draw, tokens, ",")
+
+
+@st.composite
+def start_option_calls(draw):
+    command = draw(st.sampled_from(["trajectory", "ergodic"]))
+    family, m = draw(st.sampled_from([("KHUKR", 3), ("REGULAR", 4), ("QUASI_STRICT", 4),
+                                      ("QUASI_STRICT", 6)]))
+    argv = [command, "--family", family, f"--x0={draw(x0_texts(m))}"]
+    # KHUKR takes an --m of 3 or none; --perm on it or on REGULAR is refused
+    if family != "KHUKR" or draw(st.booleans()):
+        argv.append(f"--m={m}")
+    if family == "QUASI_STRICT" or draw(st.integers(0, 9)) == 0:
+        argv.append(f"--perm={draw(perm_texts(m - 1))}")
+    if command == "trajectory":
+        argv.append(f"--steps={draw(st.integers(0, 5))}")
+    else:
+        argv.append(f"--checkpoints={draw(checkpoint_texts())}")
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=start_option_calls())
+def test_any_start_permutation_or_checkpoint_text_exits_cleanly(argv):
+    """No drawn --x0, --perm or --checkpoints text gets a traceback: a call
+    exits 0, 1 or 2 (2 also as argparse's SystemExit), and what it writes on
+    exit 0 parses, as a report or as a CSV with one row per step."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 0 and argv[0] == "trajectory":
+        steps = int(argv[-1].removeprefix("--steps="))
+        lines = out.getvalue().splitlines()
+        assert lines[0].startswith("n,x1,") and len(lines) == steps + 2
+    elif code == 0:
+        json.loads(out.getvalue())
 
 
 def readme_command_lines():

@@ -13,7 +13,7 @@ from qsodyn.families import (
     make_s2,
 )
 from qsodyn.simplex import center, parse_cycles, validate_point, vertex
-from qsodyn.tensor import apply_raw, convex_combine, is_volterra, run
+from qsodyn.tensor import apply_raw, convex_combine, run
 from qsodyn.analysis import sample_interior
 
 
@@ -121,7 +121,6 @@ def test_alpha_combination_interior_fixed_point():
 
 def test_zakharevich_is_volterra_alias_of_v2():
     t = make_s2("ZAKHAREVICH")
-    assert is_volterra(t)
     assert np.array_equal(t.p, make_s2("V2").p)
 
 

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,11 +8,9 @@ from qsodyn import errors
 from qsodyn.simplex import (
     Permutation,
     SimplexPoint,
-    apply_permutation,
     center,
     identity_permutation,
     parse_cycles,
-    support,
     validate_point,
     vertex,
 )
@@ -77,27 +74,6 @@ def test_validated_points_always_satisfy_invariants(raw):
     assert abs(math.fsum(p.coords) - 1.0) <= 1e-12
 
 
-def test_support_exact_zeros():
-    assert support(validate_point([0.5, 0.0, 0.5])) == {1, 3}
-
-
-def test_support_interior():
-    assert support(center(3)) == {1, 2, 3}
-
-
-def test_support_threshold_policy():
-    p = validate_point([0.5, 5e-10, 0.5 - 5e-10])
-    assert support(p, 1e-9) == {1, 3}
-
-
-@given(st.integers(2, 8), st.integers(0, 10**6), st.floats(1e-12, 0.5))
-def test_support_monotone_in_threshold(m, salt, tau):
-    rng = np.random.default_rng(salt)
-    x = rng.exponential(size=m)
-    p = validate_point(x / x.sum())
-    assert support(p, 0.0) >= support(p, tau)
-
-
 def test_parse_transposition():
     p = parse_cycles("(1 2)", 2)
     assert p.images == (2, 1)
@@ -138,14 +114,14 @@ def test_parse_malformed():
 
 
 def test_apply_permutation_examples():
-    assert apply_permutation(parse_cycles("(1 2)", 2), 1) == 2
-    assert apply_permutation(identity_permutation(3), 3) == 3
-    assert apply_permutation(parse_cycles("(1 2)(3 4 5)", 5), 5) == 3
+    assert parse_cycles("(1 2)", 2)(1) == 2
+    assert identity_permutation(3)(3) == 3
+    assert parse_cycles("(1 2)(3 4 5)", 5)(5) == 3
 
 
 def test_apply_permutation_out_of_range():
     with pytest.raises(errors.IndexOutOfRange):
-        apply_permutation(identity_permutation(3), 4)
+        identity_permutation(3)(4)
 
 
 def _brute_force_order(p: Permutation) -> int:
@@ -175,8 +151,14 @@ def test_iterating_order_times_returns_home(n, rnd):
     for k in range(1, n + 1):
         v = k
         for _ in range(p.order):
-            v = apply_permutation(p, v)
+            v = p(v)
         assert v == k
+
+
+@pytest.mark.parametrize("m", [-1, 0, 1])
+def test_center_needs_two_coordinates(m):
+    with pytest.raises(errors.DimensionTooSmall):
+        center(m)
 
 
 def test_vertex_and_center():

@@ -15,7 +15,6 @@ from qsodyn.tensor import (
     build_tensor,
     cesaro,
     convex_combine,
-    is_volterra,
     iterate,
     jacobian,
     load_tensor,
@@ -185,23 +184,6 @@ def test_zakharevich_entries_valid():
     t = build_tensor(3, ZAKHAREVICH_ENTRIES)
     t.validate()
     assert np.array_equal(t.p, make_s2("ZAKHAREVICH").p)
-
-
-def test_is_volterra_on_families():
-    assert is_volterra(make_s2("ZAKHAREVICH"))
-    assert not is_volterra(make_regular(4))
-    assert not is_volterra(make_quasi_strict(3, parse_cycles("(1 2)", 2)))
-    assert not is_volterra(make_quasi_strict(5, parse_cycles("(1 2 3)", 4)))
-
-
-def test_is_volterra_threshold():
-    # entries with k outside {i, j} count as zero only at or below 1e-15
-    base = dict(ZAKHAREVICH_ENTRIES)
-    for off, expected in ((1e-16, True), (1e-14, False), (1e-3, False)):
-        entries = dict(base)
-        entries[(1, 2, 1)] = 1.0 - off
-        entries[(1, 2, 3)] = off  # k=3 outside {1, 2}
-        assert is_volterra(build_tensor(3, entries)) is expected
 
 
 def test_apply_center_fixed_for_regular():

@@ -2,12 +2,12 @@
 
 ``check_lyapunov`` evaluates each Lyapunov function once over a stack of
 orbits, ``iterate`` collects a whole orbit in one call and ``Trajectory``
-builds one point per distinct row and its tail with ``np.diff``, the
-trajectory CSV formats each distinct row once, ``cesaro`` renormalizes all
-its means at once, ``contraction_report`` searches its entry step over
-collected blocks and measures all its blocks with index arrays over one
-collected orbit, and ``check_invariant_set`` takes each sample's defects
-over one collected orbit.  The oracles below are the per-point code as it was
+builds one point per distinct row, the trajectory CSV formats each distinct
+row once, ``cesaro`` renormalizes all its means at once,
+``contraction_report`` searches its entry step over collected blocks and
+measures all its blocks with index arrays over one collected orbit, and
+``check_invariant_set`` takes each sample's defects over one collected
+orbit.  The oracles below are the per-point code as it was
 before, copied here; every comparison is exact (bits, or bytes of output),
 because the arithmetic is the same.
 """
@@ -386,29 +386,6 @@ def test_repeated_rows_share_one_point():
     assert len({id(pt) for _, pt in traj.points}) < 100
 
 
-def oracle_tail(traj):
-    """``Trajectory.tail_array`` as it was: a loop back over the steps."""
-    steps = traj.steps.tolist()
-    cut = len(steps) - 1
-    while cut > 0 and steps[cut] - steps[cut - 1] == 1:
-        cut -= 1
-    return np.array([pt.coords for _, pt in traj.points[cut:]], dtype=float)
-
-
-@pytest.mark.parametrize("orbit", sorted(ORBITS))
-@pytest.mark.parametrize("steps,stride", [
-    (0, 1), (1, 1), (50, 1), (0, 3), (2, 3), (3, 3), (301, 3), (300, 3),
-    (6, 7), (7, 7), (8, 7), (700, 7), (706, 7),
-])
-def test_tail_array_matches_the_loop(orbit, steps, stride):
-    t, x0 = ORBITS[orbit]
-    traj = iterate(t, validate_point(x0), steps, stride)
-    tail = traj.tail_array()
-    want = oracle_tail(traj)
-    assert tail.dtype == want.dtype and tail.shape == want.shape
-    assert tail.tobytes() == want.tobytes()
-
-
 @pytest.mark.parametrize("m", [2, 3, 9, 17])
 def test_cesaro_means_match_the_per_checkpoint_loop(m):
     """``cesaro`` renormalizes its means as one array, as the former loop did
@@ -710,8 +687,8 @@ def old_check_invariant_set(t, spec, samples, horizon, seed):
         if x.shape != (t.m,):
             raise InapplicableSet(f"{spec.id} samples dimension {x.shape[0]}, tensor m={t.m}")
         d0 = spec.defect(x)
-        if d0 > 1e-12:
-            raise InapplicableSet(f"sampler produced defect {d0!r} > 1e-12")
+        if not d0 <= 1e-12:
+            raise InapplicableSet(f"sampler produced defect {d0!r}, not <= 1e-12")
         max_initial = max(max_initial, d0)
         for _ in range(horizon):
             x = _step(t._flat, x)
@@ -719,10 +696,17 @@ def old_check_invariant_set(t, spec, samples, horizon, seed):
     return analysis.InvariantSetReport(spec.id, samples, horizon, max_initial, max_defect)
 
 
-def same_invariant_report(t, spec, samples, horizon, seed):
-    new = check_invariant_set(t, spec, samples, horizon, seed)
-    assert repr(new) == repr(old_check_invariant_set(t, spec, samples, horizon, seed))
-    return new
+def invariant_outcome(check, *args):
+    """The report's repr, or the message of the refusal."""
+    try:
+        return repr(check(*args))
+    except InapplicableSet as exc:
+        return f"InapplicableSet: {exc}"
+
+
+def same_invariant_report(*args):
+    assert (invariant_outcome(check_invariant_set, *args)
+            == invariant_outcome(old_check_invariant_set, *args))
 
 
 def catalog_invariant_cases():
@@ -744,8 +728,9 @@ def test_invariant_set_matches_the_per_step_loop_on_the_catalog(case):
 
 
 def diag_with_nan_defects():
-    """The planar diagonal, with a NaN defect wherever x1 > 0.3: NaN keeps
-    or loses its place in the running max depending on when it comes."""
+    """The planar diagonal, with a NaN defect wherever x1 > 0.3: a NaN start
+    is refused, and a later NaN keeps or loses its place in the running max
+    depending on when it comes."""
     diag = vallander_diag()
     def defect(x):
         return float("nan") if x[0] > 0.3 else diag.defect(x)
