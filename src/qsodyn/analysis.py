@@ -202,10 +202,6 @@ def _solve_rows(a: np.ndarray, b: np.ndarray, singular=None) -> np.ndarray:
         return x
 
 
-def _solve_or_lstsq_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _solve_rows(a, b, _lstsq_rows)
-
-
 def _newton_iterations(t: CoefficientTensor, x: np.ndarray, rows: np.ndarray, n: int,
                        iters: int, below: float, solve, clip: float | None = None,
                        limit: float = sys.float_info.max) -> np.ndarray:
@@ -216,10 +212,12 @@ def _newton_iterations(t: CoefficientTensor, x: np.ndarray, rows: np.ndarray, n:
     entry is above ``limit`` or not finite; an increment larger than
     ``clip`` is scaled down to it.  The increment solves ``solve(a, b)`` in
     the first m-1 coordinates: the unit-sum constraint eliminates the last
-    coordinate, whose increment is minus the sum of the others.
+    coordinate, whose increment is minus the sum of the others.  A row that
+    an iteration returns bit for bit leaves as one that made them all: this
+    is exact, as a row carries only its state, so each later one would repeat it.
     """
-    m, xs, eye = t.m, x[rows], np.eye(t.m - 1)
-    for _ in range(iters):
+    m, xs, eye, fixed = t.m, x[rows], np.eye(t.m - 1), []
+    for i in range(iters):
         r = run_batch(t, xs, n) - xs
         stop = np.abs(r).max(axis=1) < below
         if stop.any():
@@ -243,9 +241,17 @@ def _newton_iterations(t: CoefficientTensor, x: np.ndarray, rows: np.ndarray, n:
         v = xs.copy()
         v[:, :m - 1] += dy
         v[:, m - 1] -= dy.sum(axis=1)
-        xs = _project(v)
+        xs, before = _project(v), xs
+        if i < iters - 1:  # the bits, not ==: a -0.0 that becomes 0.0 has moved
+            same = (xs.view(np.int64) == before.view(np.int64)).all(axis=1)
+            if same.any():
+                x[rows[same]] = xs[same]
+                fixed.append(rows[same])
+                rows, xs = rows[~same], xs[~same]
+                if not rows.size:
+                    break
     x[rows] = xs
-    return rows
+    return np.sort(np.concatenate([rows, *fixed]))
 
 
 def _newton(t: CoefficientTensor, x0s, n_compose: int, tol: float, max_iter: int = 80):
@@ -265,8 +271,8 @@ def _newton(t: CoefficientTensor, x0s, n_compose: int, tol: float, max_iter: int
     if x.ndim != 2 or x.shape[1] != t.m:
         raise DimensionMismatch(f"starts have shape {x.shape}, expected (n, {t.m})")
     every = np.arange(len(x))
-    out = _newton_iterations(t, x, every, n_compose, max_iter, tol, _solve_or_lstsq_rows,
-                             clip=0.5)
+    out = _newton_iterations(t, x, every, n_compose, max_iter, tol,
+                             lambda a, b: _solve_rows(a, b, _lstsq_rows), clip=0.5)
     if out.size:
         if n_compose == 1:
             # (V + id) / 2 is the map of p / 2 + e / 2, e[i, j, k] = (d_ik + d_jk) / 2
@@ -288,16 +294,10 @@ def _newton(t: CoefficientTensor, x0s, n_compose: int, tol: float, max_iter: int
 
 
 def _default_starts(t: CoefficientTensor, extra: int, seed) -> list[np.ndarray]:
-    m = t.m
-    starts = [np.eye(m)[i] for i in range(m)]
-    starts.append(np.full(m, 1.0 / m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            mid = np.zeros(m)
-            mid[i] = mid[j] = 0.5
-            starts.append(mid)
-    rng = np.random.default_rng(seed)
-    starts.extend(sample_interior(rng, m, extra))
+    m, eye = t.m, np.eye(t.m)
+    starts = [*eye, np.full(m, 1.0 / m)]
+    starts.extend((eye[i] + eye[j]) / 2 for i in range(m) for j in range(i + 1, m))
+    starts.extend(sample_interior(np.random.default_rng(seed), m, extra))
     return starts
 
 
@@ -750,12 +750,13 @@ def vallander_diag() -> InvariantSetSpec:
 def khukr_m_tau(tau: float) -> InvariantSetSpec:
     """x2 = tau x3 or x2 = x3 / tau on the 2-simplex."""
     _check_tolerance("tau", tau, positive=True, error=InapplicableSet)
+    _check_tolerance("1 / tau", 1.0 / tau, positive=True, error=InapplicableSet)
     def defect(x):
         return min(abs(float(x[1] - tau * x[2])), abs(float(x[1] - x[2] / tau)))
     def sample(rng):
-        x3 = rng.uniform(0.05, 0.9 / (1.0 + tau))
+        x3 = rng.uniform(min(0.05, 0.45 / (1.0 + tau)), 0.9 / (1.0 + tau))
         x2 = tau * x3 if rng.random() < 0.5 else x3 / tau
-        if x2 + x3 >= 0.95:
+        while x2 + x3 >= 0.95:  # halving is exact, so the defect is kept
             x2, x3 = x2 / 2, x3 / 2
         return np.array([1.0 - x2 - x3, x2, x3])
     return InvariantSetSpec(f"KHUKR_M_TAU(tau={tau!r})", ("KHUKR",), defect, sample)
@@ -778,10 +779,12 @@ def check_invariant_set(t: CoefficientTensor, spec: InvariantSetSpec, samples: i
     if spec.families and t.spec is not None and t.spec.family not in spec.families:
         raise InapplicableSet(f"{spec.id} applies to {spec.families}, tensor is {t.name!r}")
     rng = np.random.default_rng(seed)
-    max_initial = 0.0
-    max_defect = 0.0
+    max_initial = max_defect = 0.0
     for _ in range(samples):
-        x = spec.sample(rng)
+        try:
+            x = SimplexPoint(tuple(spec.sample(rng).tolist())).array
+        except QsoError as exc:
+            raise InapplicableSet(f"{spec.id} sampled no simplex point: {exc}") from None
         if x.shape != (t.m,):
             raise InapplicableSet(f"{spec.id} samples dimension {x.shape[0]}, tensor m={t.m}")
         d0 = spec.defect(x)

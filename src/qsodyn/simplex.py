@@ -8,12 +8,14 @@ external indices (vertices, permutation symbols, cycle notation) are
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     DimensionTooSmall,
     EmptyVector,
     IndexOutOfRange,
@@ -69,8 +71,14 @@ class SimplexPoint:
 
 
 
+def _check_integer(name: str, value, error: type[QsoError]) -> None:
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise error(f"{name} must be an integer, got {value!r}")
+
+
 def center(m: int) -> SimplexPoint:
     """Barycenter (1/m, ..., 1/m)."""
+    _check_integer("m", m, DimensionMismatch)
     if m < 2:
         raise DimensionTooSmall("a simplex point needs at least 2 coordinates")
     return SimplexPoint(tuple([1.0 / m] * m))
@@ -78,6 +86,8 @@ def center(m: int) -> SimplexPoint:
 
 def vertex(m: int, i: int) -> SimplexPoint:
     """Vertex e_i (1-based)."""
+    _check_integer("m", m, DimensionMismatch)
+    _check_integer("vertex index", i, IndexOutOfRange)
     if not 1 <= i <= m:
         raise IndexOutOfRange(f"vertex index {i} outside 1..{m}")
     c = [0.0] * m

@@ -344,6 +344,36 @@ def test_invariant_khukr_m_tau():
     assert rep.max_defect < 1e-9
 
 
+@pytest.mark.parametrize("tau", [1e-6, 0.01, 17.5, 1e6])
+def test_khukr_m_tau_samples_simplex_members_at_any_tau(tau):
+    spec, rng = khukr_m_tau(tau), np.random.default_rng(3)
+    for _ in range(200):
+        x = spec.sample(rng)
+        assert x.min() >= 0.0 and abs(x.sum() - 1.0) <= 1e-12 and spec.defect(x) <= 1e-12
+    rep = check_invariant_set(make_s2("KHUKR"), spec, samples=50, horizon=20, seed=4)
+    assert rep.max_initial_defect <= 1e-12 and rep.max_defect < 1e-9
+
+
+@pytest.mark.parametrize("tau", [0.5, 1.5])
+def test_khukr_m_tau_keeps_its_draws_near_1(tau):
+    # the sampler before it took every tau, drawn from the same stream
+    def sample(rng):
+        x3 = rng.uniform(0.05, 0.9 / (1.0 + tau))
+        x2 = tau * x3 if rng.random() < 0.5 else x3 / tau
+        if x2 + x3 >= 0.95:
+            x2, x3 = x2 / 2, x3 / 2
+        return np.array([1.0 - x2 - x3, x2, x3])
+    got, want = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(500):
+        assert khukr_m_tau(tau).sample(got).tobytes() == sample(want).tobytes()
+
+
+def test_check_invariant_set_refuses_members_off_the_simplex():
+    off = InvariantSetSpec("OFF", (), lambda x: 0.0, lambda rng: np.array([-0.5, 1.0, 0.5]))
+    with pytest.raises(errors.InapplicableSet, match="simplex"):
+        check_invariant_set(make_s2("KHUKR"), off, samples=5, horizon=5, seed=0)
+
+
 def test_invariant_m_omega_equal_cycle_lengths():
     perm = parse_cycles("(1 2)(3 4)", 4)
     t = make_quasi_strict(5, perm)
@@ -381,6 +411,8 @@ NOT_FINITE_AND_POSITIVE = [float("nan"), float("inf"), float("-inf"), 0.0, -1.0]
     *[pytest.param(lambda v=v: m_omega_set(5, parse_cycles("(1 2)(3 4)", 4), 1, 2, v),
                    id=f"omega={v}") for v in NOT_FINITE_AND_POSITIVE],
     *[pytest.param(lambda v=v: khukr_m_tau(v), id=f"tau={v}") for v in NOT_FINITE_AND_POSITIVE],
+    # x3 / tau overflows for a tau whose reciprocal does
+    pytest.param(lambda: khukr_m_tau(5e-324), id="tau=5e-324"),
     # every member's defect is NaN, so no start can be checked
     pytest.param(lambda: check_invariant_set(
         make_s2("VALLANDER_THETA", 0.6),

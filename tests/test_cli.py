@@ -640,6 +640,15 @@ PINNED_OUTPUTS = [
      0, "de12bbeb4eca76ba79938095045a58a6ae087bfab5134dd4f0cf08cf8c6b10d3"),
     (["trajectory", "--family", "KHUKR", "--x0", "0.4,0.36,0.24", "--steps", "100000"],
      0, "1645b4eddb4562e961605acd846a19b46b25f86abd13ae91f537d0f66666ac5f"),
+    # the explore searches whose rows leave Newton once bit-fixed: the vertex
+    # starts e_4 and e_5 of the first, and rows that creep at the center
+    (["fixed-points", "--family", "ALPHA_COMBINATION", "--m", "6", "--perm", "(1 2)(3 4 5)",
+      "--alpha", "0.5", "--starts", "200"],
+     0, "6ba0db3dd2f82bd118d9de3e1a9a008e544e18b8eeb0341ecbd5270210b62eff"),
+    (["fixed-points", "--family", "GSN_BETA", "--param", "0.5", "--starts", "100"],
+     0, "ce34086b8c558d273817e6f177abbc6e6245b045ec88c54ae5af83f04ffaee90"),
+    (["fixed-points", "--family", "V5", "--starts", "100"],
+     0, "fbc8f6b04e9de0585edf9b87182563a3e95f7994a385111c51754e446a319ad6"),
     (["--help"], 0, "2dd508b6ec83a61302c8367f523ad9c59f40b4808681c4cf72f5ec7f41ac7bcf"),
     (["families", "--help"],
      0, "92d041809a625229730853a44fdcc758799aef3105252c3bbfbfe711ec670466"),
@@ -666,7 +675,9 @@ PINNED_OUTPUTS = [
                          ids=["trajectory", "lyapunov", "lyapunov_violations", "fixed_points",
                               "classify", "omega", "omega_random_starts", "ergodic",
                               "scalar", "families_json", "omega_window_1",
-                              "trajectory_settles", "trajectory_never_settles", "help",
+                              "trajectory_settles", "trajectory_never_settles",
+                              "fixed_points_ac6", "fixed_points_gsn_beta", "fixed_points_v5",
+                              "help",
                               *(f"{argv[0]}_help" for argv, _, _ in PINNED_OUTPUTS[-9:])])
 def test_pinned_output_bytes(capsys, monkeypatch, argv, exit_code, digest):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width

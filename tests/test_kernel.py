@@ -33,6 +33,7 @@ from qsodyn.analysis import (
     _greedy_linkage,
     _newton,
     ergodicity_probe,
+    find_fixed_points,
     max_norm_check,
     omega_estimate,
 )
@@ -944,6 +945,52 @@ ZAK_EDGES = [np.array([0.5, 0.5, 0.0]), np.array([0.5, 0.0, 0.5]), np.array([0.0
 def test_newton_rows_match_the_oracle_on_fixed_stacks(t, x0s, tol, max_iter, lstsq_calls):
     # least squares on exactly the systems where the oracle takes it
     assert newton_against_oracle(t, x0s, 1, tol, max_iter) == (lstsq_calls, lstsq_calls)
+
+
+AC6 = make("ALPHA_COMBINATION", 6, parse_cycles("(1 2)(3 4 5)", 5), 0.5)
+GSN_BETA = make("GSN_BETA", None, None, 0.5)
+V5_STARTS = _default_starts(make("V5"), 100, 0)
+GSN_BETA_STARTS = _default_starts(GSN_BETA, 100, 0)
+
+
+@pytest.mark.parametrize("t,x0s,lstsq_calls", [
+    # e_4 and e_5 are bit-fixed from the first iteration, at residual 0.5;
+    # each of their systems is singular, so the oracle solves 80 by lstsq
+    (AC6, [np.eye(6)[3], np.eye(6)[4], np.full(6, 1 / 6)], (2, 160)),
+    (AC6, [np.array([-0.0, 0.0, 0.0, 1.0, 0.0, 0.0])], (1, 80)),
+    # a vertex bit-fixed at iteration 2, and interior starts at 26 and 35
+    (make("V5"), [V5_STARTS[0], V5_STARTS[35], V5_STARTS[17]], (0, 0)),
+    # interior starts bit-fixed at iterations 24 and 27, beside e_1, which
+    # cycles with period 3 from iteration 24
+    (GSN_BETA, [GSN_BETA_STARTS[22], GSN_BETA_STARTS[9], np.eye(3)[0]], (0, 0)),
+])
+def test_newton_rows_that_stop_moving_match_the_oracle(t, x0s, lstsq_calls):
+    # a row leaves once an iteration returns its bits, so _newton solves fewer
+    # systems than the oracle; the states keep every bit, signs of zero included
+    assert newton_against_oracle(t, x0s, 1, 1e-12) == lstsq_calls
+    want = np.array([oracle_newton(t, x0, 1, 1e-12)[0] for x0 in x0s])
+    assert _newton(t, x0s, 1, 1e-12)[0].tobytes() == want.tobytes()
+
+
+def test_newton_row_that_cycles_makes_every_iteration():
+    # period 3 is no bit-fixed state: e_1 of GSN_BETA(0.5) searches all 80
+    # iterations, one residual each, before its damped sweeps
+    with mock.patch("qsodyn.analysis.run_batch", wraps=tensor.run_batch) as spy:
+        _newton(GSN_BETA, [np.eye(3)[0]], 1, 1e-12)
+    steps = [c.args[2] for c in spy.call_args_list]
+    assert steps.index(500) == 80 and set(steps[:80]) == {1}
+
+
+def test_vertex_starts_leave_the_search_after_one_iteration():
+    # counts work, not time: the parent search made 85 run_batch calls here,
+    # 78 of them for e_4 and e_5 of the explore operator AC6
+    with mock.patch("qsodyn.analysis.run_batch", wraps=tensor.run_batch) as spy:
+        find_fixed_points(AC6, starts=200, seed=5)
+    assert spy.call_count <= 15
+    first, second = (c.args[1] for c in spy.call_args_list[:2])
+    fixed = [np.eye(6)[3].tobytes(), np.eye(6)[4].tobytes()]
+    assert [x.tobytes() for x in first[3:5]] == fixed
+    assert not {x.tobytes() for x in second} & set(fixed)
 
 
 def test_singular_system_reaches_lstsq_on_the_numpy_path():

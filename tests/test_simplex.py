@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -159,6 +160,26 @@ def test_iterating_order_times_returns_home(n, rnd):
 def test_center_needs_two_coordinates(m):
     with pytest.raises(errors.DimensionTooSmall):
         center(m)
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: center(2.5), errors.DimensionMismatch),
+    (lambda: center(3.0), errors.DimensionMismatch),
+    (lambda: center(True), errors.DimensionMismatch),
+    (lambda: vertex(3.0, 1), errors.DimensionMismatch),
+    (lambda: vertex(False, 1), errors.DimensionMismatch),
+    (lambda: vertex(3, 1.0), errors.IndexOutOfRange),
+    (lambda: vertex(3, True), errors.IndexOutOfRange),
+], ids=["center-2.5", "center-3.0", "center-True", "vertex-m-3.0", "vertex-m-False",
+        "vertex-i-1.0", "vertex-i-True"])
+def test_center_and_vertex_refuse_a_float_or_bool(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_center_and_vertex_take_numpy_integers():
+    assert center(np.int64(4)) == center(4)
+    assert vertex(np.int32(3), np.int64(2)) == vertex(3, 2)
 
 
 def test_vertex_and_center():
