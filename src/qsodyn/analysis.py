@@ -779,7 +779,8 @@ def check_invariant_set(t: CoefficientTensor, spec: InvariantSetSpec, samples: i
     if spec.families and t.spec is not None and t.spec.family not in spec.families:
         raise InapplicableSet(f"{spec.id} applies to {spec.families}, tensor is {t.name!r}")
     rng = np.random.default_rng(seed)
-    max_initial = max_defect = 0.0
+    max_initial = 0.0
+    max_defect = 0.0
     for _ in range(samples):
         try:
             x = SimplexPoint(tuple(spec.sample(rng).tolist())).array

@@ -356,16 +356,17 @@ def test_khukr_m_tau_samples_simplex_members_at_any_tau(tau):
 
 @pytest.mark.parametrize("tau", [0.5, 1.5])
 def test_khukr_m_tau_keeps_its_draws_near_1(tau):
-    # the sampler before it took every tau, drawn from the same stream
+    # the reference: the sampler as it was for a tau near 1, whose draws the
+    # invariant-set tests rest on, taking the same stream
     def sample(rng):
         x3 = rng.uniform(0.05, 0.9 / (1.0 + tau))
         x2 = tau * x3 if rng.random() < 0.5 else x3 / tau
         if x2 + x3 >= 0.95:
             x2, x3 = x2 / 2, x3 / 2
         return np.array([1.0 - x2 - x3, x2, x3])
-    got, want = np.random.default_rng(11), np.random.default_rng(11)
+    spec, got, want = khukr_m_tau(tau), np.random.default_rng(11), np.random.default_rng(11)
     for _ in range(500):
-        assert khukr_m_tau(tau).sample(got).tobytes() == sample(want).tobytes()
+        assert spec.sample(got).tobytes() == sample(want).tobytes()
 
 
 def test_check_invariant_set_refuses_members_off_the_simplex():

@@ -982,8 +982,9 @@ def test_newton_row_that_cycles_makes_every_iteration():
 
 
 def test_vertex_starts_leave_the_search_after_one_iteration():
-    # counts work, not time: the parent search made 85 run_batch calls here,
-    # 78 of them for e_4 and e_5 of the explore operator AC6
+    # counts work, not time: without the exit this search made 85 run_batch
+    # calls, as e_4 and e_5 ran all 80 search iterations after the other
+    # rows had stopped
     with mock.patch("qsodyn.analysis.run_batch", wraps=tensor.run_batch) as spy:
         find_fixed_points(AC6, starts=200, seed=5)
     assert spy.call_count <= 15
