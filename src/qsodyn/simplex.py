@@ -81,7 +81,7 @@ def center(m: int) -> SimplexPoint:
     _check_integer("m", m, DimensionMismatch)
     if m < 2:
         raise DimensionTooSmall("a simplex point needs at least 2 coordinates")
-    return SimplexPoint(tuple([1.0 / m] * m))
+    return SimplexPoint(tuple([1.0 / int(m)] * m))
 
 
 def vertex(m: int, i: int) -> SimplexPoint:

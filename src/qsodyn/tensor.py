@@ -247,26 +247,10 @@ def _kernel_for(m: int):
     return _kernel() if m <= _KERNEL_MAX_M else None
 
 
-def _walk(t: CoefficientTensor, x0, marks: np.ndarray, sums: np.ndarray | None = None
-          ) -> tuple[np.ndarray, int]:
-    """States x^(n) at each of the increasing int64 step ``marks``, as a
-    (len(marks), m) array, and the settled mark: the first mark at or after
-    the first step n found fixed (x^(n + 1) has the bits of x^(n)), else the
-    last, from which on every state has its bits.  Row c of ``sums``, if
-    given, gets x^(0) + ... + x^(n - 1) for mark n = marks[c].
-
-    The compiled ``orbit`` runs where it takes m, else the numpy loop, bit
-    for bit.  Bad input raises before the kernel is loaded.
-    """
-    x = np.array(x0, dtype=float)
-    if x.shape != (t.m,):
-        raise DimensionMismatch(f"point has shape {x.shape}, tensor has m={t.m}")
-    flat = t._flat
-    states = np.empty((len(marks), t.m))
-    kernel = _kernel_for(t.m)
-    if kernel is not None:
-        return states, kernel.orbit(flat, x, marks, states, sums)
-    acc, done, fixed, settled = np.zeros(t.m), 0, False, len(marks) - 1
+def _orbit(flat, x, marks, states, sums=None) -> int:
+    """The numpy loop of ``_walk``, the reference of the compiled ``orbit``:
+    its arguments, outputs and settled mark, though ``x`` is left as given."""
+    acc, done, fixed, settled = np.zeros(len(x)), 0, False, len(marks) - 1
     for c, mark in enumerate(marks.tolist()):
         while done < mark and not fixed:
             if sums is not None:
@@ -283,7 +267,26 @@ def _walk(t: CoefficientTensor, x0, marks: np.ndarray, sums: np.ndarray | None =
         states[c] = x
         if sums is not None:
             sums[c] = acc
-    return states, settled
+    return settled
+
+
+def _walk(t: CoefficientTensor, x0, marks: np.ndarray, sums: np.ndarray | None = None
+          ) -> tuple[np.ndarray, int]:
+    """States x^(n) at each of the increasing int64 step ``marks``, as a
+    (len(marks), m) array, and the settled mark: the first mark at or after
+    the first step n found fixed (x^(n + 1) has the bits of x^(n)), else the
+    last, from which on every state has its bits.  Row c of ``sums``, if
+    given, gets x^(0) + ... + x^(n - 1) for mark n = marks[c].
+
+    One call of the compiled ``orbit`` where it takes m, else of ``_orbit``,
+    bit for bit.  Bad input raises before the kernel is loaded.
+    """
+    x = np.array(x0, dtype=float)
+    if x.shape != (t.m,):
+        raise DimensionMismatch(f"point has shape {x.shape}, tensor has m={t.m}")
+    states = np.empty((len(marks), t.m))
+    kernel = _kernel_for(t.m)
+    return states, (kernel.orbit if kernel else _orbit)(t._flat, x, marks, states, sums)
 
 
 def _collect(t: CoefficientTensor, x0, n_steps: int, stride: int
@@ -307,21 +310,23 @@ def run_collect(t: CoefficientTensor, x0: np.ndarray, n_steps: int) -> np.ndarra
     return _collect(t, x0, n_steps, 1)[1]
 
 
+def _batch(t, xs, n_steps) -> None:
+    """The numpy loop of ``run_batch``, the compiled ``batch``'s reference, in place."""
+    for _ in range(n_steps):
+        xs[:] = apply_batch(t, xs)
+
+
 def run_batch(t: CoefficientTensor, xs: np.ndarray, n_steps: int) -> np.ndarray:
     """Advance every row of an (n, m) array by ``n_steps`` steps of
     ``apply_batch``, all in one call of the compiled ``batch`` where it
-    loads, bit for bit at any of its lane widths.  A single orbit belongs
-    in ``run``."""
+    loads, bit for bit at any of its lane widths, else of ``_batch``.  A
+    single orbit belongs in ``run``."""
     _check_count("n_steps", n_steps, 0)
     x = np.array(xs, dtype=float, order="C")
     if x.ndim != 2 or x.shape[1] != t.m:
         raise DimensionMismatch(f"points have shape {x.shape}, expected (n, {t.m})")
     kernel = _kernel_for(t.m)
-    if kernel is not None:
-        kernel.batch(t.p, x, n_steps)
-        return x
-    for _ in range(n_steps):
-        x = apply_batch(t, x)
+    (kernel.batch if kernel else _batch)(t, x, n_steps)
     return x
 
 
@@ -380,10 +385,10 @@ class _Kernel:
     """The loops of ``_kernel.c``: the single-orbit one bound to numpy's own
     BLAS dgemv, and the batched one of the most ``lanes`` this CPU runs.
 
-    Callers pass C-contiguous float64 arrays of matching sizes, increasing
-    int64 marks >= 0, m <= 64 and n_steps >= 0; a ``CoefficientTensor``
-    holds its coefficients so, and the callers of ``_walk`` and
-    ``run_batch`` check the rest.  ``x`` and ``xs`` are advanced in place.
+    Each takes the arguments of its numpy reference, ``_orbit`` or ``_batch``:
+    C-contiguous float64 arrays of matching sizes, increasing int64 marks
+    >= 0, m <= 64 and n_steps >= 0; the tensor and the callers of ``_walk``
+    and ``run_batch`` make sure of them.  ``x`` and ``xs`` are advanced in place.
     """
 
     def __init__(self, lib: ctypes.CDLL, dgemv: int):
@@ -400,9 +405,9 @@ class _Kernel:
                                marks.ctypes.data, len(marks), states.ctypes.data,
                                None if sums is None else sums.ctypes.data)
 
-    def batch(self, p, xs, n_steps):
+    def batch(self, t, xs, n_steps):
         rows, m = xs.shape
-        self._batch(p.ctypes.data, m, xs.ctypes.data, rows, n_steps)
+        self._batch(t.p.ctypes.data, m, xs.ctypes.data, rows, n_steps)
 
 
 def _build_kernel() -> Path:
@@ -446,16 +451,16 @@ def _numpy_dgemv() -> int:
 
 
 def _kernel_agrees(kernel: _Kernel) -> bool:
-    """Bitwise comparison of the compiled loops with the numpy ones, for an
-    m below and an m above numpy's 8-term pairwise-sum block: the states and
-    running sums and settled marks of two orbits at steps 0 to 5 against
-    ``_step``, five steps of 51 rows against ``apply_batch`` (a partial last
-    group at 2, 4 and 8 lanes, whose spare lanes repeat its last row).  The
-    tensor's (1, 1) row is e_1, so the vertex e_1 is a fixed point from step
-    0: the second orbit (settled at mark 0) and row 1 start there, next to
-    the first orbit and the rows that keep moving."""
+    """Bitwise comparison of every output of the compiled loops with
+    ``_orbit`` and ``_batch``, at an m below and one above numpy's 8-term
+    pairwise-sum block: five steps of 51 rows (a partial last group at 2, 4
+    and 8 lanes), and three orbits.  The tensor's (1, 1) row is e_1, fixed
+    from step 0, and from step 1 with -0.0 zeros: a moving start and e_1
+    (batch row 1) at marks 0 to 5, and e_1 with -0.0 zeros at marks 0, 3
+    and 4, so that it settles between two of them."""
     rng = np.random.default_rng(0)
-    marks = np.arange(6, dtype=np.int64)
+    consecutive, strided = np.arange(6, dtype=np.int64), np.array([0, 3, 4], dtype=np.int64)
+    got, want = [], []
     for m in (3, 9):
         p = random_tensor(rng, m).p.copy()
         p[0, 0] = np.eye(m)[0]
@@ -463,23 +468,17 @@ def _kernel_agrees(kernel: _Kernel) -> bool:
         xs = rng.exponential(size=(51, m))
         xs /= xs.sum(axis=1, keepdims=True)
         xs[1] = p[0, 0]
-        want_rows, got_rows = xs, xs.copy()
-        for _ in range(5):
-            want_rows = apply_batch(t, want_rows)
-        kernel.batch(t.p, got_rows, 5)
-        if not np.array_equal(got_rows, want_rows):
-            return False
-        for x0, want_settled in zip(xs[:2], (5, 0)):
-            want, want_sums = [x0], [np.zeros(m)]
-            for _ in range(5):
-                want_sums.append(want_sums[-1] + want[-1])
-                want.append(_step(t._flat, want[-1]))
-            got, got_sums = np.empty((6, m)), np.empty((6, m))
-            settled = kernel.orbit(t._flat, x0.copy(), marks, got, got_sums)
-            if not (np.array_equal(got, want) and np.array_equal(got_sums, want_sums)
-                    and settled == want_settled):
-                return False
-    return True
+        starts = [(xs[0], consecutive), (xs[1], consecutive),
+                  (np.where(xs[1], 1.0, -0.0), strided)]
+        for orbit, batch, out in ((kernel.orbit, kernel.batch, got), (_orbit, _batch, want)):
+            rows = xs.copy()
+            batch(t, rows, 5)
+            out.append(rows.tobytes())
+            for x0, marks in starts:
+                states, sums = np.empty((2, len(marks), m))
+                out += [orbit(t._flat, x0.copy(), marks, states, sums),
+                        states.tobytes(), sums.tobytes()]
+    return got == want
 
 
 @functools.cache

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from qsodyn import cli, tensor
 from qsodyn.cli import main
-from qsodyn.families import make_regular
+from qsodyn.families import REGISTRY, make_regular
 from qsodyn.simplex import Permutation
 
 
@@ -879,6 +879,136 @@ def test_any_start_permutation_or_checkpoint_text_exits_cleanly(argv):
         lines = out.getvalue().splitlines()
         assert lines[0].startswith("n,x1,") and len(lines) == steps + 2
     elif code == 0:
+        json.loads(out.getvalue())
+
+
+def texts(valid, refused):
+    """The texts of an option's value: ``valid`` ones a call takes, and
+    ``refused`` ones, sampled from lists unless already strategies."""
+    return tuple(s if isinstance(s, st.SearchStrategy) else st.sampled_from(s)
+                 for s in (valid, refused))
+
+
+def counts(least, most):
+    """Counts from ``least`` to ``most``, and below every lower bound."""
+    return texts(st.integers(least, most).map(str), ["-1", "0", "1.5", "x"])
+
+
+TOLERANCES = texts(["1e-12", "1e-6", "0.01"], ["0", "-0.0", "-1", "nan", "inf", "1e308", "x"])
+SEEDS = texts(["0", "1", "7"], ["-1", "x", str(2**63)])
+OPERATOR_OPTIONS = {
+    "--family": texts(sorted(REGISTRY), ["NOPE"]),
+    "--m": texts(st.integers(3, 8).map(str), ["-1", "0", "1", "2", "9"]),
+    # a valid --perm is drawn for the family's m, by operator_options
+    "--perm": texts(st.nothing(), ["", "(1 2)", "(1 2)(3 4 5)", "(1 1)", "(0 9"]),
+    "--alpha": texts(["0", "0.3", "0.5", "1"], ["-1", "2", "nan", "inf"]),
+}
+# each subcommand's options past the operator, as texts; a flag is None and
+# --x0 is drawn for the operator's m; every count that sizes a loop stays
+# <= 1000 (--random-starts <= 8, since each start is a whole omega estimate),
+# so that no call takes long
+WHOLE_ARGV_OPTIONS = {
+    "families": {"--json": None},
+    "fixed-points": {"--starts": counts(1, 1000), "--tol": TOLERANCES, "--band": TOLERANCES,
+                     "--seed": SEEDS},
+    "classify": {"--x0": x0_texts, "--band": TOLERANCES},
+    "lyapunov": {"--fn": texts(list(cli._LYAPUNOV_FNS), ["NOPE"]), "--seed": SEEDS,
+                 "--cycle-index": counts(1, 2), "--n0": counts(0, 1000),
+                 "--samples": counts(1, 1000), "--horizon": counts(1, 1000),
+                 "--slack": TOLERANCES},
+    "omega": {"--x0": x0_texts, "--random-starts": counts(1, 8), "--seed": SEEDS,
+              "--burn-in": counts(0, 1000), "--window": counts(1, 1000),
+              "--cluster-tol": TOLERANCES, "--period-tol": TOLERANCES,
+              "--s-max": counts(1, 1000)},
+    "scalar": {"--map": texts(["F", "F_ALPHA"], ["G"]), "--m": counts(3, 8),
+               "--alpha": texts(["0", "0.5", "1"], ["-1", "nan"]),
+               "--eval": texts(["0", "0.3", "1"], ["-0.5", "nan"]),
+               "--iterate": (st.tuples(st.sampled_from(["0.3", "1"]), counts(0, 1000)[0]),
+                             st.tuples(st.sampled_from(["2", "nan"]), counts(0, 1000)[1])),
+               "--fixed-point": None, "--scan-period": counts(1, 1000),
+               "--grid": texts(st.integers(1000, 2000).map(str), ["999"]),
+               "--scan-tol": TOLERANCES, "--conjugacy-check": None},
+    "verify": {"--suite": texts(["scalar"], ["NOPE"]), "--seed": SEEDS},
+}
+REQUIRED = {"classify": {"--x0"}, "lyapunov": {"--fn", "--seed"}, "omega": {"--x0"},
+            "scalar": {"--map", "--m", "--alpha"}, "verify": {"--suite"}}
+
+
+def lyapunov_families(name):
+    """The families the Lyapunov function ``name`` applies to."""
+    args = argparse.Namespace(fn=name, perm="(1 2)", m=3, cycle_index=1, n0=0)
+    return cli._LYAPUNOV_FNS[name](args).families
+
+
+@st.composite
+def operator_options(draw, family):
+    """--family and the --m, --perm and --param it takes; and its m."""
+    info = REGISTRY[family]
+    m = info.m_fixed or int(draw(OPERATOR_OPTIONS["--m"][0]))
+    options = {"--family": family, "--m": str(m)}
+    if info.needs_permutation:
+        cycles = Permutation.from_images(draw(st.permutations(range(1, m)))).cycles
+        options["--perm"] = "".join(f"({' '.join(map(str, c))})" for c in cycles)
+    if info.parameter:
+        options["--alpha"] = draw(OPERATOR_OPTIONS["--alpha"][0])
+    return options, m
+
+
+@st.composite
+def whole_argvs(draw):
+    """A call that its subcommand takes, but at times with one option left
+    out or given a text that it refuses."""
+    command = draw(st.sampled_from(sorted(WHOLE_ARGV_OPTIONS)))
+    spec, options, m = WHOLE_ARGV_OPTIONS[command], {}, 3
+    refusable = dict(spec)
+    if command in ("fixed-points", "classify", "lyapunov", "omega"):
+        families = sorted(REGISTRY)
+        if command == "lyapunov":
+            options["--fn"] = draw(st.sampled_from(list(cli._LYAPUNOV_FNS)))
+            families = lyapunov_families(options["--fn"])
+        operator, m = draw(operator_options(draw(st.sampled_from(families))))
+        options |= operator
+        refusable |= OPERATOR_OPTIONS
+    for option, values in spec.items():
+        if option in options or not (option in REQUIRED.get(command, ()) or draw(st.booleans())):
+            continue
+        options[option] = None if values is None else draw(
+            values(m) if option == "--x0" else values[0])
+    if "--random-starts" in options:  # K seeded starts in place of --x0
+        options.pop("--x0", None)
+        options.setdefault("--seed", "1")
+    if draw(st.integers(0, 2)) == 2:
+        option = draw(st.sampled_from(sorted(refusable)))
+        options.pop(option, None)
+        if refusable[option] is not None and option != "--x0" and draw(st.booleans()):
+            options[option] = draw(refusable[option][1])
+    argv = [command]
+    for option, value in options.items():
+        if value is None:
+            argv.append(option)
+        elif isinstance(value, tuple):  # --iterate X0 N
+            argv += [option, *value]
+        else:
+            argv.append(f"{option}={value}")
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=whole_argvs())
+def test_any_whole_argv_exits_cleanly(argv):
+    """No drawn argv of a cheap subcommand gets a traceback: a call exits 0,
+    1 or 2 (2 also as argparse's SystemExit), and a report it writes on exit
+    0 parses."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2) and "Traceback" not in err.getvalue(), err.getvalue()
+    if code == 0 and argv[0] == "verify":
+        assert out.getvalue().splitlines()[-1].startswith("SUITE scalar: ")
+    elif code == 0 and (argv[0] != "families" or "--json" in argv):
         json.loads(out.getvalue())
 
 

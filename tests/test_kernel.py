@@ -309,7 +309,7 @@ def test_self_test_checks_the_batched_loop(kernel):
     assert tensor._kernel_agrees(kernel)
     short = mock.Mock(wraps=kernel)
     # one step short of what was asked
-    short.batch = lambda p, xs, n_steps: kernel.batch(p, xs, n_steps - 1)
+    short.batch = lambda t, xs, n_steps: kernel.batch(t, xs, n_steps - 1)
     assert not tensor._kernel_agrees(short)
 
 
@@ -319,8 +319,8 @@ def test_self_test_checks_the_last_row_of_a_partial_lane_group(kernel, lanes):
     # the self-test's row count leaves such a group at every width
     off, partial = mock.Mock(wraps=kernel), []
 
-    def batch_partial_group_one_ulp_off(p, xs, n_steps):
-        kernel.batch(p, xs, n_steps)
+    def batch_partial_group_one_ulp_off(t, xs, n_steps):
+        kernel.batch(t, xs, n_steps)
         partial.append(len(xs) % lanes)
         if partial[-1]:
             xs[-1, 0] = np.nextafter(xs[-1, 0], np.inf)
@@ -328,6 +328,19 @@ def test_self_test_checks_the_last_row_of_a_partial_lane_group(kernel, lanes):
     off.batch = batch_partial_group_one_ulp_off
     assert not tensor._kernel_agrees(off)
     assert partial[0] > 0
+
+
+def test_self_test_checks_the_sign_of_a_zero(kernel):
+    # np.array_equal takes -0.0 for 0.0, though a step tells the two apart
+    off = mock.Mock(wraps=kernel)
+
+    def orbit_writes_negative_zeros(flat, x, marks, states, sums=None):
+        settled = kernel.orbit(flat, x, marks, states, sums)
+        states[states == 0.0] = -0.0
+        return settled
+
+    off.orbit = orbit_writes_negative_zeros
+    assert not tensor._kernel_agrees(off)
 
 
 @pytest.mark.parametrize("right,wrong", [
@@ -339,6 +352,10 @@ def test_self_test_checks_the_last_row_of_a_partial_lane_group(kernel, lanes):
     # the vertex orbit of the self-test settles at mark 0, not at mark 1
     pytest.param("settled = c > 0 && marks[c - 1] == n ? c - 1 : c;", "settled = c;",
                  id="settles_at_the_mark_after_the_fixed_step"),
+    # the -0.0 vertex, fixed from step 1, settles at mark 3 of the marks 0, 3
+    # and 4, not at mark 0
+    pytest.param("settled = c > 0 && marks[c - 1] == n ? c - 1 : c;",
+                 "settled = c > 0 ? c - 1 : c;", id="settles_inside_a_gap"),
     # the pairwise sum's tree, which every loop shares, summed one by one
     pytest.param("((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))",
                  "((((((r[0] + r[1]) + r[2]) + r[3]) + r[4]) + r[5]) + r[6]) + r[7]",

@@ -182,6 +182,12 @@ def test_center_and_vertex_take_numpy_integers():
     assert vertex(np.int32(3), np.int64(2)) == vertex(3, 2)
 
 
+def test_center_of_a_numpy_integer_has_python_float_coordinates():
+    point = center(np.int64(3))
+    assert all(type(c) is float for c in point.coords)
+    assert repr(point) == repr(center(3))
+
+
 def test_vertex_and_center():
     assert vertex(4, 2).coords == (0.0, 1.0, 0.0, 0.0)
     assert center(5).coords == (0.2,) * 5
