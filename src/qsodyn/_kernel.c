@@ -10,7 +10,9 @@
    called with the arguments numpy's matmul uses).  It keeps the state and
    the running sum at each of a list of step marks: tensor.run is one mark,
    run_collect and iterate one mark per recorded step, and cesaro one per
-   checkpoint with the sums.
+   checkpoint with the sums.  It runs a stack of starts one row after the
+   other, each through the same one-orbit body with its own state, sums and
+   settled mark, so that each row has the bits of a one-row call.
 
    Once a step of orbit returns its input bit for bit, orbit makes no more
    steps: the step is a function of the bits of x alone, so every later one
@@ -35,7 +37,8 @@
    numpy loop bit for bit.  Build with -O2 -ffp-contract=off and without
    -ffast-math or -march, so that nothing is fused or reordered.  The caller
    checks that m <= MAX_M, that the arrays are C-contiguous doubles (the
-   marks int64s, increasing from 0 or later) and that n_steps >= 0. */
+   marks and settled int64s, the marks increasing from 0 or later) and
+   that n_steps >= 0. */
 
 #include <stdint.h>
 #include <string.h>
@@ -97,8 +100,8 @@ static void step(dgemv_fn gemv, const double *flat, int64_t m, double *x)
    sums[c] = x^(0) + ... + x^(marks[c] - 1).  Marks are increasing and
    start at 0 or later; x is left at x^(marks[n_marks - 1]).  Returns the
    settled mark. */
-int64_t orbit(dgemv_fn gemv, const double *flat, int64_t m, double *x,
-              const int64_t *marks, int64_t n_marks, double *states, double *sums)
+static int64_t orbit1(dgemv_fn gemv, const double *flat, int64_t m, double *x,
+                      const int64_t *marks, int64_t n_marks, double *states, double *sums)
 {
     double acc[MAX_M] = {0.0}, prev[MAX_M];
     size_t bytes = m * sizeof *x;
@@ -123,6 +126,17 @@ int64_t orbit(dgemv_fn gemv, const double *flat, int64_t m, double *x,
             memcpy(sums + c * m, acc, bytes);
     }
     return settled;
+}
+
+/* orbit1 for each row r of the (rows, m) array xs: the (rows, n_marks, m)
+   states and sums (unless NULL) get row r's block, settled[r] its mark. */
+void orbit(dgemv_fn gemv, const double *flat, int64_t m, double *xs, int64_t rows,
+           const int64_t *marks, int64_t n_marks, double *states, double *sums,
+           int64_t *settled)
+{
+    for (int64_t r = 0, block = n_marks * m; r < rows; r++)
+        settled[r] = orbit1(gemv, flat, m, xs + r * m, marks, n_marks, states + r * block,
+                            sums ? sums + r * block : NULL);
 }
 
 /* batch<L>: each of the rows of the (rows, m) array xs <- its x^(n_steps),

@@ -132,7 +132,7 @@ def _classify_points(t: CoefficientTensor, points: list[SimplexPoint],
     if not points:
         return []
     xs = np.array([x.array for x in points])
-    residuals = [float(np.max(np.abs(run(t, x, 1) - x))) for x in xs]
+    residuals = np.abs(run(t, xs, 1) - xs).max(axis=1).tolist()
     for residual in residuals:
         if residual >= FIXED_POINT_RESIDUAL:
             raise NotAFixedPoint(f"residual {residual!r} >= {FIXED_POINT_RESIDUAL}")
@@ -564,7 +564,7 @@ def check_lyapunov(t: CoefficientTensor, fn: LyapunovFn, samples: int,
     # whole orbits in blocks of samples, so that memory stays bounded
     block = max(1, _LYAPUNOV_BLOCK_POINTS // (horizon + 1))
     for first in range(0, samples, block):
-        orbits = np.stack([run_collect(t, x, horizon) for x in starts[first:first + block]])
+        orbits = run_collect(t, starts[first:first + block], horizon)
         vals = fn.fn(orbits)
         if np.shape(vals) != orbits.shape[:-1]:
             raise InapplicableFunction(f"{fn.id} does not map points along the last axis")

@@ -110,7 +110,7 @@ def validate_point(raw) -> SimplexPoint:
     if not np.all(np.isfinite(arr)):
         raise QsoError("non-finite coordinate in input")
     if np.min(arr) < -TAU_SUM:
-        raise NegativeCoordinate(f"coordinate {np.min(arr)!r} below -{TAU_SUM}")
+        raise NegativeCoordinate(f"coordinate {float(np.min(arr))!r} below -{TAU_SUM}")
     total = math.fsum(arr.tolist())
     if abs(total - 1.0) > INGEST_SUM_TOL:
         raise SumOutOfRange(f"coordinate sum {total!r} outside 1 +/- {INGEST_SUM_TOL}")

@@ -66,21 +66,7 @@ class CoefficientTensor:
 
     def validate(self) -> None:
         """Check finiteness, symmetry, nonnegativity, and row stochasticity."""
-        p = self.p
-        if not np.isfinite(p).all():
-            raise NegativeCoefficient("non-finite coefficient in tensor")
-        if not (p == p.transpose(1, 0, 2)).all():
-            raise AsymmetricInput("p[i,j,k] != p[j,i,k] somewhere")
-        if p.min() < 0.0:
-            i, j, k = np.unravel_index(int(p.argmin()), p.shape)
-            raise NegativeCoefficient(f"p[{i + 1},{j + 1},{k + 1}] = {p[i, j, k]!r} is negative")
-        sums = p.sum(axis=2)
-        bad = np.abs(sums - 1.0) > ROW_SUM_TOL
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise RowSumNotOne(
-                f"row (i={i + 1}, j={j + 1}) sums to {sums[i, j]!r}, expected 1"
-            )
+        _validate(self.p)
 
     def entry(self, i: int, j: int, k: int) -> float:
         """1-based coefficient access."""
@@ -131,6 +117,22 @@ class Trajectory:
         return first, inverse
 
 
+def _validate(p: np.ndarray) -> None:
+    """``CoefficientTensor``'s rules for the tensors along the last three axes
+    of ``p``; the first fault in C order is named, each value by its float."""
+    if not np.isfinite(p).all():
+        raise NegativeCoefficient("non-finite coefficient in tensor")
+    if not (p == np.swapaxes(p, -3, -2)).all():
+        raise AsymmetricInput("p[i,j,k] != p[j,i,k] somewhere")
+    if p.min() < 0.0:
+        *_, i, j, k = at = np.unravel_index(int(p.argmin()), p.shape)
+        raise NegativeCoefficient(f"p[{i + 1},{j + 1},{k + 1}] = {float(p[at])!r} is negative")
+    sums = p.sum(axis=-1)
+    if (bad := np.abs(sums - 1.0) > ROW_SUM_TOL).any():
+        *_, i, j = at = tuple(np.argwhere(bad)[0])
+        raise RowSumNotOne(f"row (i={i + 1}, j={j + 1}) sums to {float(sums[at])!r}, expected 1")
+
+
 def build_tensor(m: int, entries, name: str = "") -> CoefficientTensor:
     """Build a tensor from sparse 1-based entries given for i <= j.
 
@@ -168,9 +170,17 @@ def convex_combine(t1: CoefficientTensor, t2: CoefficientTensor, w: float) -> Co
 # --- application, derivatives, iteration ------------------------------------
 
 
+def _raw(flat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``np.outer(x, x).ravel() @ flat`` for each point along the last axis of
+    ``x``, with ``flat`` one (m*m, m) array or a stack of them: a stacked
+    matmul makes one point's dgemv for each, so each has its bits."""
+    m = x.shape[-1]
+    return ((x[..., :, None] * x[..., None, :]).reshape(*x.shape[:-1], 1, m * m) @ flat)[..., 0, :]
+
+
 def _step(flat: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The numpy reference step: one renormalized application on a raw array."""
-    y = np.outer(x, x).ravel() @ flat
+    y = _raw(flat, x)
     return y / y.sum()
 
 
@@ -183,7 +193,7 @@ def apply_raw(t: CoefficientTensor, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (t.m,):
         raise DimensionMismatch(f"point has {x.shape[0]} coordinates, tensor has m={t.m}")
-    return np.outer(x, x).ravel() @ t._flat
+    return _raw(t._flat, x)
 
 
 def apply_batch(t: CoefficientTensor, xs: np.ndarray) -> np.ndarray:
@@ -247,46 +257,52 @@ def _kernel_for(m: int):
     return _kernel() if m <= _KERNEL_MAX_M else None
 
 
-def _orbit(flat, x, marks, states, sums=None) -> int:
+def _orbit(flat, xs, marks, states, settled, sums=None) -> None:
     """The numpy loop of ``_walk``, the reference of the compiled ``orbit``:
-    its arguments, outputs and settled mark, though ``x`` is left as given."""
-    acc, done, fixed, settled = np.zeros(len(x)), 0, False, len(marks) - 1
-    for c, mark in enumerate(marks.tolist()):
-        while done < mark and not fixed:
+    its arguments and outputs, one row of ``xs`` after the other, though
+    ``xs`` is left as given."""
+    for r, x in enumerate(xs):
+        acc, done, fixed, settled[r] = np.zeros(len(x)), 0, False, len(marks) - 1
+        for c, mark in enumerate(marks.tolist()):
+            while done < mark and not fixed:
+                if sums is not None:
+                    acc += x
+                y = _step(flat, x)
+                # a step that returns its input bit for bit returns it ever after
+                if fixed := y.tobytes() == x.tobytes():
+                    settled[r] = c - 1 if c > 0 and marks[c - 1] == done else c
+                x, done = y, done + 1
             if sums is not None:
-                acc += x
-            y = _step(flat, x)
-            # a step that returns its input bit for bit returns it ever after
-            if fixed := y.tobytes() == x.tobytes():
-                settled = c - 1 if c > 0 and marks[c - 1] == done else c
-            x, done = y, done + 1
-        if sums is not None:
-            for _ in range(mark - done):
-                acc += x
-        done = mark
-        states[c] = x
-        if sums is not None:
-            sums[c] = acc
-    return settled
+                for _ in range(mark - done):
+                    acc += x
+            done = mark
+            states[r, c] = x
+            if sums is not None:
+                sums[r, c] = acc
 
 
 def _walk(t: CoefficientTensor, x0, marks: np.ndarray, sums: np.ndarray | None = None
-          ) -> tuple[np.ndarray, int]:
+          ) -> tuple[np.ndarray, np.ndarray]:
     """States x^(n) at each of the increasing int64 step ``marks``, as a
-    (len(marks), m) array, and the settled mark: the first mark at or after
-    the first step n found fixed (x^(n + 1) has the bits of x^(n)), else the
-    last, from which on every state has its bits.  Row c of ``sums``, if
-    given, gets x^(0) + ... + x^(n - 1) for mark n = marks[c].
+    (len(marks), m) array for an (m,) start or a (k, len(marks), m) array
+    for a (k, m) stack, and the settled mark of each start: the first mark
+    at or after the first step n found fixed (x^(n + 1) has the bits of
+    x^(n)), else the last, from which on every state has its bits.  Row c of
+    ``sums``, if given, gets x^(0) + ... + x^(n - 1) for mark n = marks[c].
 
     One call of the compiled ``orbit`` where it takes m, else of ``_orbit``,
-    bit for bit.  Bad input raises before the kernel is loaded.
+    each start with the bits of a call of its own.  Bad input raises before
+    the kernel is loaded.
     """
-    x = np.array(x0, dtype=float)
-    if x.shape != (t.m,):
+    x = np.array(x0, dtype=float, order="C")
+    if x.ndim not in (1, 2) or x.shape[-1] != t.m:
         raise DimensionMismatch(f"point has shape {x.shape}, tensor has m={t.m}")
-    states = np.empty((len(marks), t.m))
+    xs = x.reshape(-1, t.m)
+    states, settled = np.empty((len(xs), len(marks), t.m)), np.empty(len(xs), dtype=np.int64)
     kernel = _kernel_for(t.m)
-    return states, (kernel.orbit if kernel else _orbit)(t._flat, x, marks, states, sums)
+    (kernel.orbit if kernel else _orbit)(t._flat, xs, marks, states, settled,
+                                         None if sums is None else sums.reshape(states.shape))
+    return states.reshape(x.shape[:-1] + states.shape[1:]), settled.reshape(x.shape[:-1])
 
 
 def _collect(t: CoefficientTensor, x0, n_steps: int, stride: int
@@ -300,13 +316,15 @@ def _collect(t: CoefficientTensor, x0, n_steps: int, stride: int
 
 
 def run(t: CoefficientTensor, x0: np.ndarray, n_steps: int) -> np.ndarray:
-    """Final raw coordinate array after ``n_steps`` renormalized steps."""
+    """Final raw coordinate array after ``n_steps`` renormalized steps, of an
+    (m,) start or of each row of a (k, m) stack, with a one-row call's bits."""
     _check_count("n_steps", n_steps, 0)
-    return _walk(t, x0, np.array([n_steps], dtype=np.int64))[0][0]
+    return _walk(t, x0, np.array([n_steps], dtype=np.int64))[0][..., 0, :]
 
 
 def run_collect(t: CoefficientTensor, x0: np.ndarray, n_steps: int) -> np.ndarray:
-    """All iterates x^(0..n_steps) as an (n_steps + 1, m) array."""
+    """All iterates x^(0..n_steps) as an (n_steps + 1, m) array, or as a
+    (k, n_steps + 1, m) array for a (k, m) stack, as ``run`` does."""
     return _collect(t, x0, n_steps, 1)[1]
 
 
@@ -319,8 +337,8 @@ def _batch(t, xs, n_steps) -> None:
 def run_batch(t: CoefficientTensor, xs: np.ndarray, n_steps: int) -> np.ndarray:
     """Advance every row of an (n, m) array by ``n_steps`` steps of
     ``apply_batch``, all in one call of the compiled ``batch`` where it
-    loads, bit for bit at any of its lane widths, else of ``_batch``.  A
-    single orbit belongs in ``run``."""
+    loads, bit for bit at any of its lane widths, else of ``_batch``.  Its
+    einsum step has other bits than ``run``'s on the same stack."""
     _check_count("n_steps", n_steps, 0)
     x = np.array(xs, dtype=float, order="C")
     if x.ndim != 2 or x.shape[1] != t.m:
@@ -345,11 +363,12 @@ def iterate(t: CoefficientTensor, x0: SimplexPoint, n_steps: int, stride: int = 
     clear = (head.min(axis=1) >= 0.0) & (np.abs(head.sum(axis=1) - 1.0) <= TAU_SUM / 2)
     for row in head[~clear].tolist():
         SimplexPoint(tuple(row))
-    return Trajectory(t.name or "tensor", stride, steps, rows, settled)
+    return Trajectory(t.name or "tensor", stride, steps, rows, int(settled))
 
 
 def cesaro(t: CoefficientTensor, x0: np.ndarray, checkpoints) -> tuple[np.ndarray, np.ndarray]:
-    """Cesaro means and iterates at each checkpoint n, as (checkpoints, m) arrays.
+    """Cesaro means and iterates at each checkpoint n, as (checkpoints, m)
+    arrays, or (k, checkpoints, m) for a (k, m) stack of starts.
 
     Row c of the first array is the running average (1/n) sum_{k<n} x^(k),
     renormalized; row c of the second is x^(n).  Single pass with an O(m)
@@ -361,12 +380,12 @@ def cesaro(t: CoefficientTensor, x0: np.ndarray, checkpoints) -> tuple[np.ndarra
     if any(b <= a for a, b in zip(cps, cps[1:])):
         raise DimensionMismatch("checkpoints must be strictly increasing positive integers")
     marks = np.array(cps, dtype=np.int64)
-    sums = np.empty((len(cps), t.m))
+    sums = np.empty((*np.shape(x0)[:-1], len(cps), t.m))
     states, _ = _walk(t, x0, marks, sums)
     means = sums / marks[:, None]
     # the running sum accumulates round-off linearly in n; renormalize (each
     # row summed alone, in the order of a one-row sum)
-    return means / means.sum(axis=1, keepdims=True), states
+    return means / means.sum(axis=-1, keepdims=True), states
 
 
 # --- compiled kernel -----------------------------------------------------------
@@ -395,15 +414,17 @@ class _Kernel:
         ptr, i64 = ctypes.c_void_p, ctypes.c_int64
         self.lanes = lib.batch_lanes()
         self._batch = getattr(lib, f"batch{self.lanes}")
-        lib.orbit.argtypes, lib.orbit.restype = [ptr, ptr, i64, ptr, ptr, i64, ptr, ptr], i64
+        lib.orbit.argtypes = [ptr, ptr, i64, ptr, i64, ptr, i64, ptr, ptr, ptr]
+        lib.orbit.restype = None
         self._batch.argtypes, self._batch.restype = [ptr, i64, ptr, i64, i64], None
         self._lib = lib
         self._dgemv = dgemv
 
-    def orbit(self, flat, x, marks, states, sums=None) -> int:
-        return self._lib.orbit(self._dgemv, flat.ctypes.data, len(x), x.ctypes.data,
-                               marks.ctypes.data, len(marks), states.ctypes.data,
-                               None if sums is None else sums.ctypes.data)
+    def orbit(self, flat, xs, marks, states, settled, sums=None) -> None:
+        rows, m = xs.shape
+        self._lib.orbit(self._dgemv, flat.ctypes.data, m, xs.ctypes.data, rows,
+                        marks.ctypes.data, len(marks), states.ctypes.data,
+                        None if sums is None else sums.ctypes.data, settled.ctypes.data)
 
     def batch(self, t, xs, n_steps):
         rows, m = xs.shape
@@ -454,12 +475,12 @@ def _kernel_agrees(kernel: _Kernel) -> bool:
     """Bitwise comparison of every output of the compiled loops with
     ``_orbit`` and ``_batch``, at an m below and one above numpy's 8-term
     pairwise-sum block: five steps of 51 rows (a partial last group at 2, 4
-    and 8 lanes), and three orbits.  The tensor's (1, 1) row is e_1, fixed
-    from step 0, and from step 1 with -0.0 zeros: a moving start and e_1
-    (batch row 1) at marks 0 to 5, and e_1 with -0.0 zeros at marks 0, 3
-    and 4, so that it settles between two of them."""
+    and 8 lanes), and a stack of three orbits at marks 0 to 5 and at marks
+    0, 3 and 4.  The tensor's (1, 1) row is e_1, fixed from step 0, and from
+    step 1 with -0.0 zeros: the stack is a moving start, e_1 (batch row 1)
+    and e_1 with -0.0 zeros, which settles between marks 0 and 3, so that
+    its rows settle at three marks."""
     rng = np.random.default_rng(0)
-    consecutive, strided = np.arange(6, dtype=np.int64), np.array([0, 3, 4], dtype=np.int64)
     got, want = [], []
     for m in (3, 9):
         p = random_tensor(rng, m).p.copy()
@@ -468,16 +489,16 @@ def _kernel_agrees(kernel: _Kernel) -> bool:
         xs = rng.exponential(size=(51, m))
         xs /= xs.sum(axis=1, keepdims=True)
         xs[1] = p[0, 0]
-        starts = [(xs[0], consecutive), (xs[1], consecutive),
-                  (np.where(xs[1], 1.0, -0.0), strided)]
+        stack = np.array([xs[0], xs[1], np.where(xs[1], 1.0, -0.0)])
         for orbit, batch, out in ((kernel.orbit, kernel.batch, got), (_orbit, _batch, want)):
             rows = xs.copy()
             batch(t, rows, 5)
             out.append(rows.tobytes())
-            for x0, marks in starts:
-                states, sums = np.empty((2, len(marks), m))
-                out += [orbit(t._flat, x0.copy(), marks, states, sums),
-                        states.tobytes(), sums.tobytes()]
+            for marks in (np.arange(6, dtype=np.int64), np.array([0, 3, 4], dtype=np.int64)):
+                states, sums = np.empty((2, len(stack), len(marks), m))
+                settled = np.empty(len(stack), dtype=np.int64)
+                orbit(t._flat, stack.copy(), marks, states, settled, sums)
+                out += [settled.tobytes(), states.tobytes(), sums.tobytes()]
     return got == want
 
 
@@ -562,13 +583,20 @@ def random_tensor(rng: np.random.Generator, m: int, name: str = "") -> Coefficie
     """A random valid tensor: each pair row is an independent Dirichlet draw."""
     m = _check_dimension(m)
     # one draw: the rows (i, j), i <= j, in the order a draw per row takes them
-    rows = rng.exponential(size=(m * (m + 1) // 2, m))
-    rows /= rows.sum(axis=1, keepdims=True)
+    return CoefficientTensor(m, _dirichlet(rng.exponential(size=(m * (m + 1) // 2, m))), name)
+
+
+def _dirichlet(rows: np.ndarray) -> np.ndarray:
+    """The (..., m, m, m) coefficients whose pair rows (i, j), i <= j, and
+    their mirrors are the (..., m(m+1)/2, m) exponential ``rows`` normalized."""
+    m = rows.shape[-1]
+    rows = rows / rows.sum(axis=-1, keepdims=True)
     # round-trip through fsum-style normalization to keep the row sum
     # within ROW_SUM_TOL exactly as validate() measures it
-    rows /= np.array([math.fsum(row) for row in rows.tolist()])[:, None]
+    rows /= np.reshape([math.fsum(row) for row in rows.reshape(-1, m).tolist()],
+                       (*rows.shape[:-1], 1))
     upper = np.arange(m) >= np.arange(m)[:, None]
-    p = np.zeros((m, m, m))
-    p[upper] = rows
-    p.transpose(1, 0, 2)[upper] = rows
-    return CoefficientTensor(m, p, name)
+    p = np.zeros((*rows.shape[:-2], m, m, m))
+    p[..., upper, :] = rows
+    np.swapaxes(p, -3, -2)[..., upper, :] = rows
+    return p

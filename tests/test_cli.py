@@ -89,6 +89,12 @@ def test_classify_takes_a_leading_minus_after_an_equals_sign(capsys):
                                   "--x0", "0,0,1")[:2]
 
 
+def test_a_negative_coordinate_is_named_by_its_float(capsys):
+    code, out, err = run_cli(capsys, "trajectory", "--family", "KHUKR", "--x0=-5,3,3",
+                             "--steps", "1")
+    assert (code, out, err) == (2, "", "error: coordinate -5.0 below -1e-12\n")
+
+
 def test_trajectory_converges_and_round_trips(capsys, tmp_path):
     dest = tmp_path / "traj.csv"
     code, _, _ = run_cli(

@@ -275,10 +275,10 @@ def test_loader_rejects_a_disagreeing_kernel(monkeypatch):
 def test_self_test_checks_the_single_orbit_loop(kernel):
     short = mock.Mock(wraps=kernel)
 
-    def orbit_one_step_short(flat, x, marks, states, sums=None):
+    def orbit_one_step_short(flat, xs, marks, states, settled, sums=None):
         marks = marks.copy()
         marks[-1] -= 1
-        return kernel.orbit(flat, x, marks, states, sums)
+        kernel.orbit(flat, xs, marks, states, settled, sums)
 
     short.orbit = orbit_one_step_short
     assert not tensor._kernel_agrees(short)
@@ -287,11 +287,10 @@ def test_self_test_checks_the_single_orbit_loop(kernel):
 def test_self_test_checks_the_running_sums(kernel):
     off = mock.Mock(wraps=kernel)
 
-    def orbit_sums_one_ulp_off(flat, x, marks, states, sums=None):
-        settled = kernel.orbit(flat, x, marks, states, sums)
+    def orbit_sums_one_ulp_off(flat, xs, marks, states, settled, sums=None):
+        kernel.orbit(flat, xs, marks, states, settled, sums)
         if sums is not None:
-            sums[-1, 0] = np.nextafter(sums[-1, 0], np.inf)
-        return settled
+            sums[:, -1, 0] = np.nextafter(sums[:, -1, 0], np.inf)
 
     off.orbit = orbit_sums_one_ulp_off
     assert not tensor._kernel_agrees(off)
@@ -301,7 +300,42 @@ def test_self_test_checks_the_running_sums(kernel):
 def test_self_test_checks_the_settled_mark(kernel, shift):
     # a settled mark one off would drop a row from iterate's check and the CSV
     off = mock.Mock(wraps=kernel)
-    off.orbit = lambda *args: kernel.orbit(*args) + shift
+
+    def orbit_settled_off(flat, xs, marks, states, settled, sums=None):
+        kernel.orbit(flat, xs, marks, states, settled, sums)
+        settled += shift
+
+    off.orbit = orbit_settled_off
+    assert not tensor._kernel_agrees(off)
+
+
+def test_self_test_runs_a_stack_whose_rows_settle_apart(kernel):
+    # a loop over rows that mixes them up shows only where they differ
+    stacks = []
+
+    def recording(flat, xs, marks, states, settled, sums=None):
+        kernel.orbit(flat, xs, marks, states, settled, sums)
+        stacks.append((len(xs), len(set(settled.tolist())), sums is not None))
+
+    spy = mock.Mock(wraps=kernel)
+    spy.orbit = recording
+    assert tensor._kernel_agrees(spy)
+    assert any(rows >= 2 and marks == rows and with_sums for rows, marks, with_sums in stacks)
+
+
+@pytest.mark.parametrize("mix", ["start_from_the_row_before", "settle_the_row_before"])
+def test_self_test_checks_each_row_of_a_stack(kernel, mix):
+    off = mock.Mock(wraps=kernel)
+
+    def orbit_rows_mixed(flat, xs, marks, states, settled, sums=None):
+        for r in range(len(xs)):
+            if r and mix == "start_from_the_row_before":
+                xs[r] = xs[r - 1]  # the kernel leaves row r - 1 at its end state
+            out = settled[r - 1:r] if r and mix == "settle_the_row_before" else settled[r:r + 1]
+            kernel.orbit(flat, xs[r:r + 1], marks, states[r:r + 1], out,
+                         None if sums is None else sums[r:r + 1])
+
+    off.orbit = orbit_rows_mixed
     assert not tensor._kernel_agrees(off)
 
 
@@ -334,10 +368,9 @@ def test_self_test_checks_the_sign_of_a_zero(kernel):
     # np.array_equal takes -0.0 for 0.0, though a step tells the two apart
     off = mock.Mock(wraps=kernel)
 
-    def orbit_writes_negative_zeros(flat, x, marks, states, sums=None):
-        settled = kernel.orbit(flat, x, marks, states, sums)
+    def orbit_writes_negative_zeros(flat, xs, marks, states, settled, sums=None):
+        kernel.orbit(flat, xs, marks, states, settled, sums)
         states[states == 0.0] = -0.0
-        return settled
 
     off.orbit = orbit_writes_negative_zeros
     assert not tensor._kernel_agrees(off)
@@ -357,6 +390,12 @@ def test_self_test_checks_the_sign_of_a_zero(kernel):
     pytest.param("settled = c > 0 && marks[c - 1] == n ? c - 1 : c;",
                  "settled = c > 0 ? c - 1 : c;", id="settles_inside_a_gap"),
     # the pairwise sum's tree, which every loop shares, summed one by one
+    # each row of a stack starts from its own start, and has its own mark
+    pytest.param("orbit1(gemv, flat, m, xs + r * m,",
+                 "orbit1(gemv, flat, m, xs + (r ? r - 1 : 0) * m,",
+                 id="starts_a_row_from_the_end_of_the_row_before"),
+    pytest.param("settled[r] = orbit1(", "settled[r ? r - 1 : 0] = orbit1(",
+                 id="writes_the_settled_mark_of_the_row_before"),
     pytest.param("((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))",
                  "((((((r[0] + r[1]) + r[2]) + r[3]) + r[4]) + r[5]) + r[6]) + r[7]",
                  id="sums_the_blocks_in_sequence"),

@@ -75,7 +75,7 @@ def faulty_coefficients(*faults):
 
 
 # Each failure as validate() reported it before it was vectorized, pinned (a
-# value is named by its numpy repr); each array also has every fault that
+# value is named by its float repr); each array also has every fault that
 # validate() checks later.  Construction runs validate(): no call is made.
 @pytest.mark.parametrize("faults,error,message", [
     (("non-finite", "asymmetric", "negative", "row sum"), errors.NegativeCoefficient,
@@ -83,9 +83,9 @@ def faulty_coefficients(*faults):
     (("asymmetric", "negative", "row sum"), errors.AsymmetricInput,
      "p[i,j,k] != p[j,i,k] somewhere"),
     (("negative", "row sum"), errors.NegativeCoefficient,
-     f"p[1,4,1] = {np.float64(-0.5)!r} is negative"),
+     "p[1,4,1] = -0.5 is negative"),
     (("row sum",), errors.RowSumNotOne,
-     f"row (i=2, j=4) sums to {np.float64(1 - 2.0**-30)!r}, expected 1"),
+     f"row (i=2, j=4) sums to {1 - 2.0**-30!r}, expected 1"),
 ])
 def test_validate_reports_the_first_fault(faults, error, message):
     with pytest.raises(error) as info:
