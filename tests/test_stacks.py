@@ -12,6 +12,7 @@ is compared by its bits.
 """
 
 import contextlib
+import math
 from types import SimpleNamespace
 from unittest import mock
 
@@ -106,7 +107,7 @@ def test_a_stack_takes_any_layout():
     t = make("REGULAR", 4)
     xs = _interior_points(1, 4, 6)
     want = run_collect(t, xs, 20)
-    for given in (np.asfortranarray(xs), xs.T.copy().T, xs.tolist()):
+    for given in (np.asfortranarray(xs), np.repeat(xs, 2, axis=0)[::2], xs.tolist()):
         assert run_collect(t, given, 20).tobytes() == want.tobytes()
     assert run_collect(t, xs[:0], 20).shape == (0, 21, 4)
 
@@ -292,14 +293,26 @@ def test_core_trials_match_the_per_trial_loop(seed):
     assert got == repr({"max_defect": old_raw_sum_defect(seed)})
 
 
+def old_random_coefficients(rows):
+    """``random_tensor``'s coefficients from its (m(m+1)/2, m) draw, as it made them."""
+    m = rows.shape[1]
+    rows = rows / rows.sum(axis=1, keepdims=True)
+    rows /= np.array([math.fsum(row) for row in rows.tolist()])[:, None]
+    upper = np.arange(m) >= np.arange(m)[:, None]
+    p = np.zeros((m, m, m))
+    p[upper] = rows
+    p.transpose(1, 0, 2)[upper] = rows
+    return p
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 9), st.integers(1, 4))
 def test_dirichlet_fill_of_a_stack_is_random_tensor_per_row(seed, m, n):
-    rng = np.random.default_rng(seed)
-    rows = rng.exponential(size=(n, m * (m + 1) // 2, m))
-    rng = np.random.default_rng(seed)
-    want = np.array([random_tensor(rng, m).p for _ in range(n)])
+    rows = np.random.default_rng(seed).exponential(size=(n, m * (m + 1) // 2, m))
+    want = np.array([old_random_coefficients(r) for r in rows])
     assert tensor._dirichlet(rows).tobytes() == want.tobytes()
+    rng = np.random.default_rng(seed)
+    assert np.array([random_tensor(rng, m).p for _ in range(n)]).tobytes() == want.tobytes()
 
 
 def test_validity_over_a_stack_names_the_first_fault():
