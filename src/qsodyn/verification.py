@@ -220,11 +220,11 @@ def _orbit_cycle_structure(t, perm, omega) -> tuple[bool, bool]:
     """Does the operator act on the clusters as one cycle, permuting coords?"""
     pts = np.array([p.array for p in omega.cluster_points])
     ys = run(t, pts, 1)
-    # each image's nearest cluster point, the first of equals
     dists = np.abs(ys[:, None] - pts).max(axis=2)
-    succ = dists.argmin(axis=1).tolist()
-    if (dists[np.arange(len(pts)), succ] > 1e-8).any():
+    if (dists.min(axis=1) > 1e-8).any():
         return False, False
+    # each image's nearest cluster point, the first of equals
+    succ = dists.argmin(axis=1).tolist()
     expected = np.append(pts[:, np.array(perm.images) - 1], pts[:, -1:], axis=1)
     perm_ok = not (np.abs(ys - expected).max(axis=1) > 1e-8).any()
     # single cycle through all clusters
