@@ -33,13 +33,22 @@
    in functions built for those targets alone.  batch_lanes names the widest
    loop the CPU runs, which the loader calls.
 
+   The Newton calls make the per-row steps of an iteration of
+   analysis._newton_iterations that numpy's stacked LAPACK solve does not:
+   newton_residual those of tensor._newton_residual, stepping with the
+   loader's batch<L> (passed as a function pointer), and newton_move those
+   of tensor._newton_move, whose clamp np.maximum(v, 0.0) gives 0.0 for
+   -0.0.  A row that leaves writes its state to x[rows[r]]; the others are
+   packed to the front in order.
+
    No result depends on an order chosen here, so every loop reproduces its
    numpy loop bit for bit.  Build with -O2 -ffp-contract=off and without
    -ffast-math or -march, so that nothing is fused or reordered.  The caller
    checks that m <= MAX_M, that the arrays are C-contiguous doubles (the
-   marks and settled int64s, the marks increasing from 0 or later) and
-   that n_steps >= 0. */
+   marks, settled and rows int64s, fixed int8s, the marks increasing from 0
+   or later) and that n_steps >= 0. */
 
+#include <math.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -55,15 +64,13 @@ typedef void (*dgemv_fn)(int order, int trans, int64_t rows, int64_t cols,
 
 enum { CBLAS_ROW_MAJOR = 101, CBLAS_TRANS = 112 };
 
-/* renormalize_<T>: x <- y / y.sum() for m <= MAX_M terms of type T, a
-   double or a vector of one double per lane, built for the target attr.
-   Up to 128 terms numpy's pairwise sum is: below 8 terms one by one from
-   0.0; from 8 on eight accumulators over the whole blocks of 8, their
-   tree, then the rest one by one.  add.reduce's 0.0 in front of it
-   changes no bit: the sum is -0.0 only if every y_k is, and then every
-   y_k / s is 0/0 whatever the sign of s. */
+/* sum_<T>: numpy's add.reduce of m <= MAX_M terms of type T, a double or a
+   vector of one double per lane, built for the target attr: up to 128
+   terms 0.0 plus the pairwise sum, below 8 terms one by one, from 8 on
+   eight accumulators over the whole blocks of 8, their tree, then the rest
+   one by one.  renormalize_<T>: x <- y / y.sum(). */
 #define RENORMALIZE(T, attr)                                                   \
-attr static inline void renormalize_##T(const T *y, int64_t m, T *x)           \
+attr static inline T sum_##T(const T *y, int64_t m)                            \
 {                                                                              \
     T s = {0.0};                                                               \
     int64_t k = 0;                                                             \
@@ -74,11 +81,17 @@ attr static inline void renormalize_##T(const T *y, int64_t m, T *x)           \
         for (k = 8; k + 8 <= m; k += 8)                                        \
             for (int j = 0; j < 8; j++)                                        \
                 r[j] += y[k + j];                                              \
-        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])); \
+        s += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])); \
     }                                                                          \
     for (; k < m; k++)                                                         \
         s += y[k];                                                             \
-    for (k = 0; k < m; k++)                                                    \
+    return s;                                                                  \
+}                                                                              \
+                                                                               \
+attr static inline void renormalize_##T(const T *y, int64_t m, T *x)           \
+{                                                                              \
+    T s = sum_##T(y, m);                                                       \
+    for (int64_t k = 0; k < m; k++)                                            \
         x[k] = y[k] / s;                                                       \
 }
 
@@ -207,4 +220,69 @@ int batch_lanes(void)
 #else
     return 2;
 #endif
+}
+
+/* Row r of the live rows of xs leaves, its state s written to x[rows[r]],
+   or is packed to the front as row kept; returns the rows kept. */
+static int64_t place(int leave, const double *s, int64_t m, double *x, int64_t *rows,
+                     double *xs, int64_t r, int64_t kept)
+{
+    memmove(leave ? x + rows[r] * m : xs + kept * m, s, m * sizeof *s);
+    if (!leave)
+        rows[kept] = rows[r];
+    return kept + !leave;
+}
+
+typedef void (*batch_fn)(const double *p, int64_t m, double *xs, int64_t rows, int64_t n_steps);
+
+int64_t newton_residual(batch_fn batch, const double *p, int64_t m, int64_t n, double *x,
+                        int64_t *rows, double *xs, double *ys, double *b, int64_t live,
+                        double below)
+{
+    int64_t kept = 0;
+    memcpy(ys, xs, live * m * sizeof *xs);
+    batch(p, m, ys, live, n);
+    for (int64_t r = 0; r < live; r++) {
+        const double *xr = xs + r * m, *yr = ys + r * m;
+        int stop = 1;
+        for (int64_t k = 0; k < m; k++)
+            stop &= fabs(yr[k] - xr[k]) < below;
+        for (int64_t k = 0; k < m - 1 && !stop; k++)
+            b[kept * (m - 1) + k] = -(yr[k] - xr[k]);
+        kept = place(stop, xr, m, x, rows, xs, r, kept);
+    }
+    return kept;
+}
+
+int64_t newton_move(int64_t m, double *x, int64_t *rows, double *xs, int8_t *fixed,
+                    const double *dy, int64_t live, double limit, double clip, int compare)
+{
+    int64_t kept = 0;
+    for (int64_t r = 0; r < live; r++, dy += m - 1) {
+        const double *xr = xs + r * m;
+        double v[MAX_M], d[MAX_M], size = 0.0, s;
+        int go = 1;
+        for (int64_t k = 0; k < m - 1; k++) {
+            go &= fabs(dy[k]) <= limit;
+            size = fabs(dy[k]) > size ? fabs(dy[k]) : size;
+        }
+        if (!go) {
+            kept = place(1, xr, m, x, rows, xs, r, kept);
+            continue;
+        }
+        for (int64_t k = 0; k < m - 1; k++) {
+            d[k] = clip > 0.0 ? dy[k] * (clip / (size > clip ? size : clip)) : dy[k];
+            v[k] = xr[k] + d[k];
+        }
+        v[m - 1] = xr[m - 1] - sum_double(d, m - 1);
+        for (int64_t k = 0; k < m; k++)
+            v[k] = v[k] <= 0.0 ? 0.0 : v[k];
+        s = sum_double(v, m);
+        for (int64_t k = 0; k < m; k++)
+            v[k] = s <= 0.0 ? 1.0 / m : v[k] / s;
+        int same = compare && memcmp(v, xr, m * sizeof *v) == 0;
+        fixed[rows[r]] |= same;
+        kept = place(same, v, m, x, rows, xs, r, kept);
+    }
+    return kept;
 }

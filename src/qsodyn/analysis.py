@@ -34,6 +34,9 @@ from .tensor import (
     CoefficientTensor,
     _check_count,
     _check_tolerance,
+    _kernel_for,
+    _newton_calls,
+    _project,
     cesaro,
     jacobian,
     run,
@@ -169,19 +172,6 @@ def _compose_jacobian_rows(t: CoefficientTensor, xs: np.ndarray, n: int) -> np.n
     return j
 
 
-def _project(x: np.ndarray) -> np.ndarray:
-    """Clamp negatives to zero and renormalize each point (along the last
-    axis) back onto the simplex; a point with no positive mass goes to the
-    barycentre."""
-    y = np.clip(x, 0.0, None)
-    s = y.sum(axis=-1, keepdims=True)
-    empty = s <= 0.0
-    if empty.any():
-        y = np.where(empty, 1.0 / x.shape[-1], y)
-        s = np.where(empty, 1.0, s)
-    return y / s
-
-
 def _lstsq_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([np.linalg.lstsq(ak, bk, rcond=None)[0] for ak, bk in zip(a, b)])
 
@@ -205,7 +195,7 @@ def _solve_rows(a: np.ndarray, b: np.ndarray, singular=None) -> np.ndarray:
 def _newton_iterations(t: CoefficientTensor, x: np.ndarray, rows: np.ndarray, n: int,
                        iters: int, below: float, solve, clip: float | None = None,
                        limit: float = sys.float_info.max) -> np.ndarray:
-    """Up to ``iters`` Newton iterations for V^n(x) = x on each of the
+    """Up to ``iters`` Newton iterations for V^n(x) = x on each of the int64
     ``rows`` of x, in place; returns the rows that made all of them.
 
     A row stops at max|r| < ``below``, and at an increment whose largest
@@ -215,43 +205,24 @@ def _newton_iterations(t: CoefficientTensor, x: np.ndarray, rows: np.ndarray, n:
     coordinate, whose increment is minus the sum of the others.  A row that
     an iteration returns bit for bit leaves as one that made them all: this
     is exact, as a row carries only its state, so each later one would repeat it.
+    Around the stacked solve each iteration is one call of the kernel's
+    ``newton_residual`` and one of ``newton_move`` (or of their references).
     """
-    m, xs, eye, fixed = t.m, x[rows], np.eye(t.m - 1), []
+    m, live, eye, kernel = t.m, len(rows), np.eye(t.m - 1), _kernel_for(t.m)
+    rows, xs, fixed = rows.copy(), x[rows], np.zeros(len(x), np.int8)
+    ys, b = np.empty_like(xs), np.empty((live, m - 1))
+    residual, move = (kernel.newton_calls if kernel else _newton_calls)(
+        t, n, x, rows, xs, ys, b, fixed)
     for i in range(iters):
-        r = run_batch(t, xs, n) - xs
-        stop = np.abs(r).max(axis=1) < below
-        if stop.any():
-            x[rows[stop]] = xs[stop]
-            rows, xs, r = rows[~stop], xs[~stop], r[~stop]
-            if not rows.size:
-                break
-        j = _compose_jacobian_rows(t, xs, n)
+        if not (live := residual(live, below)):
+            break
+        j = _compose_jacobian_rows(t, xs[:live], n)
         a = j[:, :m - 1, :m - 1] - eye
         a -= j[:, :m - 1, m - 1:]
-        dy = solve(a, -r[:, :m - 1])
-        size = np.abs(dy).max(axis=1)
-        stop = ~(size <= limit)
-        if stop.any():
-            x[rows[stop]] = xs[stop]
-            rows, xs, dy, size = rows[~stop], xs[~stop], dy[~stop], size[~stop]
-            if not rows.size:
-                break
-        if clip is not None:  # the trust region: quadratic maps can throw Newton far out
-            dy *= (clip / np.maximum(size, clip))[:, None]
-        v = xs.copy()
-        v[:, :m - 1] += dy
-        v[:, m - 1] -= dy.sum(axis=1)
-        xs, before = _project(v), xs
-        if i < iters - 1:  # the bits, not ==: a -0.0 that becomes 0.0 has moved
-            same = (xs.view(np.int64) == before.view(np.int64)).all(axis=1)
-            if same.any():
-                x[rows[same]] = xs[same]
-                fixed.append(rows[same])
-                rows, xs = rows[~same], xs[~same]
-                if not rows.size:
-                    break
-    x[rows] = xs
-    return np.sort(np.concatenate([rows, *fixed]))
+        if not (live := move(solve(a, b[:live]), live, limit, clip, i < iters - 1)):
+            break
+    x[rows[:live]] = xs[:live]
+    return np.union1d(rows[:live], np.flatnonzero(fixed))
 
 
 def _newton(t: CoefficientTensor, x0s, n_compose: int, tol: float, max_iter: int = 80):

@@ -348,6 +348,66 @@ def run_batch(t: CoefficientTensor, xs: np.ndarray, n_steps: int) -> np.ndarray:
     return x
 
 
+def _project(x: np.ndarray) -> np.ndarray:
+    """Clamp negatives to zero and renormalize each point (along the last
+    axis) back onto the simplex; a point with no positive mass goes to the
+    barycentre."""
+    y = np.clip(x, 0.0, None)
+    s = y.sum(axis=-1, keepdims=True)
+    empty = s <= 0.0
+    if empty.any():
+        y = np.where(empty, 1.0 / x.shape[-1], y)
+        s = np.where(empty, 1.0, s)
+    return y / s
+
+
+def _newton_residual(t, n, x, rows, xs, ys, b, live, below) -> int:
+    """The residual r = V^n(xs) - xs (V^n(xs) in ys) of the first ``live``
+    rows, row r being row ``rows[r]`` of x: a row with max|r| < ``below``
+    leaves, its state written to x; the others are packed to the front in
+    order, with b = -r[:, :m-1], and their count is returned."""
+    ys[:live] = xs[:live]
+    _batch(t, ys[:live], n)
+    r = ys[:live] - xs[:live]
+    stop = np.abs(r).max(axis=1) < below
+    x[rows[:live][stop]] = xs[:live][stop]
+    keep = np.flatnonzero(~stop)
+    rows[:len(keep)], xs[:len(keep)], b[:len(keep)] = rows[keep], xs[keep], -r[keep, :t.m - 1]
+    return len(keep)
+
+
+def _newton_move(x, rows, xs, fixed, dy, live, limit, clip, compare) -> int:
+    """The step of each live row by its increment ``dy`` of the first m-1
+    coordinates, packed as ``_newton_residual`` packs.  A row whose ``dy``
+    is above ``limit`` or not finite leaves, a larger one than ``clip`` is
+    scaled down to it; a row ``_project`` returns bit for bit leaves with
+    ``fixed[row]`` = 1 if ``compare``."""
+    m, xs_live, rows_live = xs.shape[1], xs[:live], rows[:live]
+    size = np.abs(dy).max(axis=1)
+    go = size <= limit
+    x[rows_live[~go]] = xs_live[~go]
+    before, rows_live, dy, size = xs_live[go], rows_live[go], dy[go], size[go]
+    if clip is not None:  # the trust region: quadratic maps can throw Newton far out
+        dy = dy * (clip / np.maximum(size, clip))[:, None]
+    v = before.copy()
+    v[:, :m - 1] += dy
+    v[:, m - 1] -= dy.sum(axis=1)
+    after = _project(v)
+    # the bits, not ==: a -0.0 that becomes 0.0 has moved
+    same = (after.view(np.int64) == before.view(np.int64)).all(axis=1) & compare
+    x[rows_live[same]], fixed[rows_live[same]] = after[same], 1
+    kept = len(after) - np.count_nonzero(same)
+    rows[:kept], xs[:kept] = rows_live[~same], after[~same]
+    return kept
+
+
+def _newton_calls(t, n, x, rows, xs, ys, b, fixed):
+    """``_newton_residual`` and ``_newton_move`` on these buffers, the numpy
+    references of ``_Kernel.newton_calls``."""
+    return (functools.partial(_newton_residual, t, n, x, rows, xs, ys, b),
+            functools.partial(_newton_move, x, rows, xs, fixed))
+
+
 def iterate(t: CoefficientTensor, x0: SimplexPoint, n_steps: int, stride: int = 1) -> Trajectory:
     """Iterate from ``x0``, recording step 0, every stride-th step, and the last.
 
@@ -402,21 +462,26 @@ _NUMPY_DGEMV = "scipy_cblas_dgemv64_"
 
 class _Kernel:
     """The loops of ``_kernel.c``: the single-orbit one bound to numpy's own
-    BLAS dgemv, and the batched one of the most ``lanes`` this CPU runs.
+    BLAS dgemv, the batched one of the most ``lanes`` this CPU runs, and
+    Newton's two calls around the solve.
 
-    Each takes the arguments of its numpy reference, ``_orbit`` or ``_batch``:
-    C-contiguous float64 arrays of matching sizes, increasing int64 marks
-    >= 0, m <= 64 and n_steps >= 0; the tensor and the callers of ``_walk``
-    and ``run_batch`` make sure of them.  ``x`` and ``xs`` are advanced in place.
+    Each takes the arguments of its numpy reference, ``_orbit``, ``_batch``
+    or ``_newton_calls``: C-contiguous float64 arrays of matching sizes,
+    increasing int64 marks >= 0, m <= 64 and n_steps >= 0; the tensor and
+    the callers of ``_walk``, ``run_batch`` and ``_newton_iterations`` make
+    sure of them.  ``x`` and ``xs`` are advanced in place.
     """
 
     def __init__(self, lib: ctypes.CDLL, dgemv: int):
-        ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+        ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
         self.lanes = lib.batch_lanes()
         self._batch = getattr(lib, f"batch{self.lanes}")
         lib.orbit.argtypes = [ptr, ptr, i64, ptr, i64, ptr, i64, ptr, ptr, ptr]
         lib.orbit.restype = None
         self._batch.argtypes, self._batch.restype = [ptr, i64, ptr, i64, i64], None
+        lib.newton_residual.argtypes = [ptr, ptr, i64, i64, *[ptr] * 5, i64, f64]
+        lib.newton_move.argtypes = [i64, *[ptr] * 5, i64, f64, f64, ctypes.c_int]
+        lib.newton_residual.restype = lib.newton_move.restype = i64
         self._lib = lib
         self._dgemv = dgemv
 
@@ -429,6 +494,17 @@ class _Kernel:
     def batch(self, t, xs, n_steps):
         rows, m = xs.shape
         self._batch(t.p.ctypes.data, m, xs.ctypes.data, rows, n_steps)
+
+    def newton_calls(self, t, n, x, rows, xs, ys, b, fixed):
+        """``newton_residual`` and ``newton_move`` on buffers the caller keeps
+        alive, each address taken once: a call takes only that of ``dy``."""
+        batch = ctypes.cast(self._batch, ctypes.c_void_p).value
+        residual = functools.partial(self._lib.newton_residual, batch, t.p.ctypes.data, t.m, n,
+                                     *(a.ctypes.data for a in (x, rows, xs, ys, b)))
+        move = functools.partial(self._lib.newton_move, t.m,
+                                 *(a.ctypes.data for a in (x, rows, xs, fixed)))
+        return residual, lambda dy, live, limit, clip, compare: move(
+            dy.ctypes.data, live, limit, 0.0 if clip is None else clip, compare)
 
 
 def _build_kernel() -> Path:
@@ -473,22 +549,50 @@ def _numpy_dgemv() -> int:
 
 def _kernel_agrees(kernel: _Kernel) -> bool:
     """Bitwise comparison of every output of the compiled loops with
-    ``_orbit`` and ``_batch``, at an m below and one above numpy's 8-term
-    pairwise-sum block: five steps of 51 rows (a partial last group at 2, 4
-    and 8 lanes), and a stack of three orbits at marks 0 to 5 and at marks
-    0, 3 and 4.  The tensor's (1, 1) row is e_1, fixed from step 0, and from
-    step 1 with -0.0 zeros: the stack is a moving start, e_1 (batch row 1)
-    and e_1 with -0.0 zeros, which settles between marks 0 and 3, so that
-    its rows settle at three marks."""
+    ``_orbit``, ``_batch`` and ``_newton_calls``, at an m below and one
+    above numpy's 8-term pairwise-sum block: five steps of 51 rows (a partial
+    last group at 2, 4 and 8 lanes), and a stack of three orbits at marks 0
+    to 5 and at marks 0, 3 and 4.  The tensor's (1, 1) row is e_1, fixed
+    from step 0, and from step 1 with -0.0 zeros: the stack is a moving
+    start, e_1 (batch row 1) and e_1 with -0.0 zeros, which settles between
+    marks 0 and 3, so that its rows settle at three marks.
+
+    Newton, at m = 3 and 10 (9 increment terms), runs a residual, a move with
+    the trust region and the bit test and one with a 1e-3 limit, on rows
+    that: stop at r = 0 (e_1); take a NaN step; are clipped, then not; are
+    bit-fixed (e_2); have a -0.0 updated to 0.0, then are bit-fixed untested;
+    have no positive mass and r_k = 0.0 (-e_1, 0.0 zeros), then exceed the
+    limit; or are drawn, one at the limit."""
     rng = np.random.default_rng(0)
     got, want = [], []
-    for m in (3, 9):
-        p = random_tensor(rng, m).p.copy()
+
+    def drawn(m):
+        p = rng.exponential(size=(m, m, m))
+        p += p.transpose(1, 0, 2)
+        p /= p.sum(axis=2, keepdims=True)
         p[0, 0] = np.eye(m)[0]
-        t = CoefficientTensor(m, p)
         xs = rng.exponential(size=(51, m))
-        xs /= xs.sum(axis=1, keepdims=True)
-        xs[1] = p[0, 0]
+        return CoefficientTensor(m, p), xs / xs.sum(axis=1, keepdims=True)
+
+    def newton(t, n, xs):
+        eye, half = np.eye(t.m), np.where(np.arange(t.m) < 2, 0.5, 0.0)
+        half[-1] = -0.0
+        x0 = np.vstack([eye[0], xs[2], xs[3], eye[1], half, np.where(eye[0], -1.0, 0.0), xs[4:12]])
+        dy = 0.1 * rng.normal(size=(2, len(x0), t.m - 1))
+        dy[0, :5], dy[1] = np.array([np.nan, 0.8, 0.0, -0.0, 0.0])[:, None], dy[1] * 1e-3
+        dy[1, 1:4] = np.array([0.0, 1e-2, 1e-3])[:, None]
+        for calls, out in ((kernel.newton_calls, got), (_newton_calls, want)):
+            bufs = (np.zeros_like(x0), np.arange(len(x0)), x0.copy(), np.zeros_like(x0),
+                    np.zeros_like(dy[0]), np.zeros(len(x0), np.int8))
+            residual, move = calls(t, n, *bufs)
+            live = [residual(len(x0), 1e-12)]
+            live.append(move(dy[0, :live[-1]], live[-1], np.finfo(float).max, 0.5, True))
+            live.append(move(dy[1, :live[-1]], live[-1], 1e-3, None, False))
+            out += [live, *(a.tobytes() for a in bufs)]
+
+    for m in (3, 9):
+        t, xs = drawn(m)
+        xs[1] = t.p[0, 0]
         stack = np.array([xs[0], xs[1], np.where(xs[1], 1.0, -0.0)])
         for orbit, batch, out in ((kernel.orbit, kernel.batch, got), (_orbit, _batch, want)):
             rows = xs.copy()
@@ -499,6 +603,10 @@ def _kernel_agrees(kernel: _Kernel) -> bool:
                 settled = np.empty(len(stack), dtype=np.int64)
                 orbit(t._flat, stack.copy(), marks, states, settled, sums)
                 out += [settled.tobytes(), states.tobytes(), sums.tobytes()]
+        if m == 3:
+            newton(t, 2, xs)
+    t, xs = drawn(10)
+    newton(t, 1, xs)
     return got == want
 
 

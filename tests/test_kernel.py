@@ -399,6 +399,19 @@ def test_self_test_checks_the_sign_of_a_zero(kernel):
     pytest.param("((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))",
                  "((((((r[0] + r[1]) + r[2]) + r[3]) + r[4]) + r[5]) + r[6]) + r[7]",
                  id="sums_the_blocks_in_sequence"),
+    # np.maximum(-0.0, 0.0) is 0.0: the self-test's row whose last
+    # coordinate is updated to -0.0 tells the two apart
+    pytest.param("v[k] = v[k] <= 0.0 ? 0.0 : v[k];", "v[k] = v[k] >= 0.0 ? v[k] : 0.0;",
+                 id="keeps_a_negative_zero_in_the_clamp"),
+    # the 9 increment terms at m = 10 take the 8-term block, then the ninth
+    pytest.param("v[m - 1] = xr[m - 1] - sum_double(d, m - 1);",
+                 "v[m - 1] = xr[m - 1] - (sum_double(d + 1, m - 2) + d[0]);",
+                 id="sums_the_increments_from_the_second"),
+    # a row that stays is packed in front of the rows that left
+    pytest.param("b[kept * (m - 1) + k] = -(yr[k] - xr[k]);",
+                 "b[r * (m - 1) + k] = -(yr[k] - xr[k]);", id="leaves_the_residual_unpacked"),
+    pytest.param("leave ? x + rows[r] * m : xs + kept * m", "leave ? x + rows[r] * m : xs + r * m",
+                 id="leaves_a_state_unpacked"),
 ])
 def test_self_test_refuses_a_wrong_kernel_source(tmp_path, monkeypatch, kernel, right, wrong):
     source = tensor._KERNEL_SOURCE.read_text()
@@ -1028,26 +1041,101 @@ def test_newton_rows_that_stop_moving_match_the_oracle(t, x0s, lstsq_calls):
     assert _newton(t, x0s, 1, 1e-12)[0].tobytes() == want.tobytes()
 
 
+@contextlib.contextmanager
+def newton_work():
+    """The work calls of ``_newton`` in call order: ``("residual", rows)``
+    for each residual call of whichever Newton loop is loaded, with its live
+    rows copied at the call (the buffer is packed in place), and
+    ``("run_batch", rows, n_steps)`` for each ``run_batch`` call."""
+    calls, kernel = [], tensor._kernel()
+
+    def run_batch_spy(t, xs, n_steps):
+        calls.append(("run_batch", xs.copy(), n_steps))
+        return run_batch(t, xs, n_steps)
+
+    def bind_spy(bind):
+        def bound(t, n, x, rows, xs, *rest):
+            residual, move = bind(t, n, x, rows, xs, *rest)
+
+            def residual_spy(live, below):
+                calls.append(("residual", xs[:live].copy()))
+                return residual(live, below)
+            return residual_spy, move
+        return bound
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch("qsodyn.analysis.run_batch", run_batch_spy))
+        if kernel is None:
+            stack.enter_context(mock.patch("qsodyn.analysis._newton_calls",
+                                           bind_spy(tensor._newton_calls)))
+        else:
+            spy = mock.Mock(wraps=kernel)
+            spy.newton_calls = bind_spy(kernel.newton_calls)
+            stack.enter_context(mock.patch.object(tensor, "_kernel", lambda: spy))
+        yield calls
+
+
 def test_newton_row_that_cycles_makes_every_iteration():
     # period 3 is no bit-fixed state: e_1 of GSN_BETA(0.5) searches all 80
     # iterations, one residual each, before its damped sweeps
-    with mock.patch("qsodyn.analysis.run_batch", wraps=tensor.run_batch) as spy:
+    with newton_work() as calls:
         _newton(GSN_BETA, [np.eye(3)[0]], 1, 1e-12)
-    steps = [c.args[2] for c in spy.call_args_list]
-    assert steps.index(500) == 80 and set(steps[:80]) == {1}
+    kinds = [c[0] for c in calls]
+    assert kinds.index("run_batch") == 80 and set(kinds[:80]) == {"residual"}
+    assert calls[80][2] == 500
 
 
 def test_vertex_starts_leave_the_search_after_one_iteration():
-    # counts work, not time: without the exit this search made 85 run_batch
-    # calls, as e_4 and e_5 ran all 80 search iterations after the other
-    # rows had stopped
-    with mock.patch("qsodyn.analysis.run_batch", wraps=tensor.run_batch) as spy:
+    # counts work, not time: without the exit this search made 85 work calls
+    # (residuals and run_batch), as e_4 and e_5 ran all 80 search iterations
+    # after the other rows had stopped
+    with newton_work() as calls:
         find_fixed_points(AC6, starts=200, seed=5)
-    assert spy.call_count <= 15
-    first, second = (c.args[1] for c in spy.call_args_list[:2])
+    assert len(calls) <= 15
+    (kind1, first), (kind2, second) = (c[:2] for c in calls[:2])
     fixed = [np.eye(6)[3].tobytes(), np.eye(6)[4].tobytes()]
+    assert kind1 == kind2 == "residual"
     assert [x.tobytes() for x in first[3:5]] == fixed
     assert not {x.tobytes() for x in second} & set(fixed)
+
+
+@st.composite
+def newton_loop_cases(draw):
+    """A random or catalog tensor at m = 2 to 10 (a catalog family of free
+    size at m >= 3), 1 to 6 vertex, midpoint, interior or boundary starts,
+    and n_compose = 1 to 3."""
+    m = draw(st.integers(2, 10))
+    if draw(st.booleans()):
+        t = random_tensor(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), m)
+    else:
+        info = REGISTRY[draw(st.sampled_from(sorted(REGISTRY)))]
+        m = info.m_fixed or max(m, 3)
+        t = make(info.name, m, parse_cycles("(1 2)", m - 1) if info.needs_permutation else None,
+                 0.3 if info.parameter else None)
+    return t, [drawn_start(draw, t.m) for _ in range(draw(st.integers(1, 6)))], draw(
+        st.integers(1, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(newton_loop_cases())
+def test_newton_calls_match_their_numpy_references(kernel, case):
+    # the compiled residual and move against _newton_residual and
+    # _newton_move, through every phase of the search
+    t, x0s, n = case
+    fast = _newton(t, x0s, n, 1e-12)
+    with numpy_loops():
+        ref = _newton(t, x0s, n, 1e-12)
+    assert [a.tobytes() for a in fast] == [a.tobytes() for a in ref]
+
+
+def test_a_search_past_the_kernels_largest_m_takes_the_numpy_references(kernel):
+    t = random_tensor(np.random.default_rng(0), tensor._KERNEL_MAX_M + 1)
+    spy = mock.Mock(wraps=kernel)
+    with mock.patch.object(tensor, "_kernel", lambda: spy), mock.patch(
+            "qsodyn.analysis._newton_calls", wraps=tensor._newton_calls) as numpy_calls:
+        _, _, ok = _newton(t, [np.full(t.m, 1 / t.m), np.eye(t.m)[0]], 1, 1e-12)
+    assert ok.all() and numpy_calls.call_count == 2  # the search and the polish
+    spy.newton_calls.assert_not_called()
 
 
 def test_singular_system_reaches_lstsq_on_the_numpy_path():

@@ -85,9 +85,9 @@ def test_a_stack_has_the_bits_of_one_call_per_row(case, numpy_loop):
             got = fn(t, xs, n)
             want = np.stack([fn(t, x, n) for x in xs])
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        if n:
-            got = cesaro(t, xs, [1, n])
-            want = [np.stack(a) for a in zip(*(cesaro(t, x, [1, n]) for x in xs))]
+        if n:  # checkpoints are strictly increasing: n = 1 is one checkpoint
+            got = cesaro(t, xs, sorted({1, n}))
+            want = [np.stack(a) for a in zip(*(cesaro(t, x, sorted({1, n})) for x in xs))]
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
