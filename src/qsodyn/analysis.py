@@ -222,7 +222,7 @@ def _newton_iterations(t: CoefficientTensor, x: np.ndarray, rows: np.ndarray, n:
         if not (live := move(solve(a, b[:live]), live, limit, clip, i < iters - 1)):
             break
     x[rows[:live]] = xs[:live]
-    return np.union1d(rows[:live], np.flatnonzero(fixed))
+    return np.sort(np.concatenate([rows[:live], np.flatnonzero(fixed)]))
 
 
 def _newton(t: CoefficientTensor, x0s, n_compose: int, tol: float, max_iter: int = 80):
