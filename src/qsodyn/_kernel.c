@@ -254,6 +254,8 @@ int64_t newton_residual(batch_fn batch, const double *p, int64_t m, int64_t n, d
     return kept;
 }
 
+/* A clip of 0 is no trust region; compare is the bit test, off on a phase's
+   last iteration. */
 int64_t newton_move(int64_t m, double *x, int64_t *rows, double *xs, int8_t *fixed,
                     const double *dy, int64_t live, double limit, double clip, int compare)
 {

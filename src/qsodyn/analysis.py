@@ -195,7 +195,7 @@ def _solve_rows(a: np.ndarray, b: np.ndarray, singular=None) -> np.ndarray:
 def _newton_iterations(t: CoefficientTensor, x: np.ndarray, rows: np.ndarray, n: int,
                        iters: int, below: float, solve, clip: float | None = None,
                        limit: float = sys.float_info.max) -> np.ndarray:
-    """Up to ``iters`` Newton iterations for V^n(x) = x on each of the int64
+    """Up to ``iters`` Newton iterations for V^n(x) = x on each of the
     ``rows`` of x, in place; returns the rows that made all of them.
 
     A row stops at max|r| < ``below``, and at an increment whose largest
@@ -209,7 +209,7 @@ def _newton_iterations(t: CoefficientTensor, x: np.ndarray, rows: np.ndarray, n:
     ``newton_residual`` and one of ``newton_move`` (or of their references).
     """
     m, live, eye, kernel = t.m, len(rows), np.eye(t.m - 1), _kernel_for(t.m)
-    rows, xs, fixed = rows.copy(), x[rows], np.zeros(len(x), np.int8)
+    rows, xs, fixed = np.array(rows, dtype=np.int64), x[rows], np.zeros(len(x), np.int8)
     ys, b = np.empty_like(xs), np.empty((live, m - 1))
     residual, move = (kernel.newton_calls if kernel else _newton_calls)(
         t, n, x, rows, xs, ys, b, fixed)
