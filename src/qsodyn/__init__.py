@@ -73,7 +73,6 @@ from .analysis import (
     periodic_absence_search,
     psi_bound_check,
     sample_interior,
-    tangent_eigenvalues,
     vallander_diag,
 )
 

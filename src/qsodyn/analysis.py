@@ -34,7 +34,6 @@ from .tensor import (
     CoefficientTensor,
     _check_count,
     _check_tolerance,
-    _kernel_for,
     _newton_calls,
     _project,
     cesaro,
@@ -71,6 +70,15 @@ LAST_COORD_N0 = 50
 _LYAPUNOV_BLOCK_POINTS = 1 << 16
 # Steps that contraction_report collects per block of its entry search.
 _ENTRY_BLOCK_STEPS = 256
+# contraction_report's round-off floor of a block's differences, and its
+# most steps before the orbit enters the region x_m < 1/2.
+CONTRACTION_DIFF_FLOOR = 1e-6
+CONTRACTION_MAX_ENTRY_STEPS = 200_000
+# periodic_absence_search's seeded interior starts and Newton tolerance.
+PERIODIC_SEARCH_STARTS = 40
+PERIODIC_SEARCH_TOL = 1e-12
+# max_norm_check's radius of excluded samples around each fixed point.
+MAX_NORM_EXCLUSION_RADIUS = 1e-9
 
 
 def sample_interior(rng: np.random.Generator, m: int, n: int = 1) -> np.ndarray:
@@ -92,20 +100,10 @@ def tangent_basis(m: int) -> np.ndarray:
 
 
 def _tangent_spectra(j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``tangent_eigenvalues`` of each Jacobian of an (n, m, m) stack: an
-    (n, m-1) array of eigenvalues and an (n,) array of transversal values."""
+    """The tangent-space eigenvalues of each Jacobian of an (n, m, m) stack, an
+    (n, m-1) array, and its transversal value (common column sum), an (n,) array."""
     b = tangent_basis(j.shape[-1])
     return np.linalg.eigvals(b.T @ j @ b), j.sum(axis=1).mean(axis=1)
-
-
-def tangent_eigenvalues(t: CoefficientTensor, x) -> tuple[np.ndarray, float]:
-    """Eigenvalues of the Jacobian restricted to the tangent space.
-
-    Returns ``(m-1 complex eigenvalues, transversal eigenvalue)`` where the
-    transversal value is the common Jacobian column sum (2 for unit-sum x).
-    """
-    eigs, transversal = _tangent_spectra(jacobian(t, x)[None])
-    return eigs[0], float(transversal[0])
 
 
 @dataclass(frozen=True)
@@ -208,11 +206,10 @@ def _newton_iterations(t: CoefficientTensor, x: np.ndarray, rows: np.ndarray, n:
     Around the stacked solve each iteration is one call of the kernel's
     ``newton_residual`` and one of ``newton_move`` (or of their references).
     """
-    m, live, eye, kernel = t.m, len(rows), np.eye(t.m - 1), _kernel_for(t.m)
+    m, live, eye = t.m, len(rows), np.eye(t.m - 1)
     rows, xs, fixed = np.array(rows, dtype=np.int64), x[rows], np.zeros(len(x), np.int8)
     ys, b = np.empty_like(xs), np.empty((live, m - 1))
-    residual, move = (kernel.newton_calls if kernel else _newton_calls)(
-        t, n, x, rows, xs, ys, b, fixed)
+    residual, move = _newton_calls(t, n, x, rows, xs, ys, b, fixed)
     for i in range(iters):
         if not (live := residual(live, below)):
             break
@@ -353,8 +350,8 @@ class PeriodicSearchReport:
     counterexamples: tuple[SimplexPoint, ...]
 
 
-def periodic_absence_search(m: int, perm: Permutation, n: int, starts: int = 40,
-                            tol: float = 1e-12, seed: int = 0) -> PeriodicSearchReport:
+def periodic_absence_search(m: int, perm: Permutation, n: int,
+                            seed: int = 0) -> PeriodicSearchReport:
     """The solutions of V^n(x) = x that ``_search`` finds for the
     permutation-driven operator, each with its residual and category.
 
@@ -365,7 +362,7 @@ def periodic_absence_search(m: int, perm: Permutation, n: int, starts: int = 40,
     """
     t = make_quasi_strict(m, perm)
     s = perm.order
-    rows, resids = _search(t, starts, seed, n, tol)
+    rows, resids = _search(t, PERIODIC_SEARCH_STARTS, seed, n, PERIODIC_SEARCH_TOL)
     solutions = [(SimplexPoint(tuple(x.tolist())), resid, _categorize_solution(t, x, s))
                  for x, resid in zip(rows, resids)]
     counter = tuple(pt for pt, _, cat in solutions if cat == "other")
@@ -796,8 +793,7 @@ class ContractionReport:
 
 
 def contraction_report(m: int, perm: Permutation, alpha: float, x0: SimplexPoint,
-                       blocks: int = 64, diff_floor: float = 1e-6,
-                       max_entry_steps: int = 200_000) -> ContractionReport:
+                       blocks: int = 64) -> ContractionReport:
     """Measure per-s-block contraction of the pairwise coordinate differences.
 
     After the orbit enters the half-space where the last coordinate is below
@@ -810,21 +806,20 @@ def contraction_report(m: int, perm: Permutation, alpha: float, x0: SimplexPoint
     permutation shuffles a small difference onto a larger one; the worst
     such single-pair ratio is reported as a diagnostic, not checked.
 
-    Blocks whose starting sup difference is below ``diff_floor`` are
-    skipped: at that scale round-off dominates the ratio.  For s = 1 the
+    Blocks whose starting sup difference is at most ``CONTRACTION_DIFF_FLOOR``
+    are skipped: at that scale round-off dominates the ratio.  For s = 1 the
     bound equals 1 and the report is flagged vacuous.  The ``blocks * s``
     steps after entry are collected as one array.
     """
     _check_count("blocks", blocks, 0)
-    _check_count("max_entry_steps", max_entry_steps, 0)
     t = make_alpha_combination(m, perm, alpha)
     s = perm.order
     bound = 1.0 - alpha + alpha ** s
-    # the first step n <= max_entry_steps with x_m < 1/2, searched over
+    # the first step n <= CONTRACTION_MAX_ENTRY_STEPS with x_m < 1/2, searched over
     # collected blocks whose first row is the last row of the block before
     x, entered = x0.array, 0
     while True:
-        n = min(_ENTRY_BLOCK_STEPS, max_entry_steps - entered)
+        n = min(_ENTRY_BLOCK_STEPS, CONTRACTION_MAX_ENTRY_STEPS - entered)
         rows = run_collect(t, x, n)
         below = np.flatnonzero(rows[:, -1] < 0.5)
         if below.size:
@@ -832,10 +827,9 @@ def contraction_report(m: int, perm: Permutation, alpha: float, x0: SimplexPoint
             x = rows[below[0]]
             break
         x, entered = rows[-1], entered + n
-        if entered == max_entry_steps:
+        if entered == CONTRACTION_MAX_ENTRY_STEPS:
             raise NeverEntersRegion(
-                f"last coordinate stayed >= 1/2 for {max_entry_steps} steps"
-            )
+                f"last coordinate stayed >= 1/2 for {CONTRACTION_MAX_ENTRY_STEPS} steps")
     # block b is rows b*s to (b+1)*s of one orbit: the loop carries x from
     # block to block exactly as a call per block would
     orbit = run_collect(t, x, blocks * s)
@@ -846,15 +840,15 @@ def contraction_report(m: int, perm: Permutation, alpha: float, x0: SimplexPoint
     diffs = np.abs(orbit[::s, u] - orbit[::s, v])
     d0, d1 = diffs[:-1][inside], diffs[1:][inside]
     d0_max = d0.max(axis=1)
-    measured = ~(d0_max <= diff_floor)
+    measured = ~(d0_max <= CONTRACTION_DIFF_FLOOR)
     d0, d1, d0_max = d0[measured], d1[measured], d0_max[measured]
-    single = d0 > diff_floor
+    single = d0 > CONTRACTION_DIFF_FLOOR
     worst = _first_then_greater(d1.max(axis=1) / d0_max)
     worst_pair = _first_then_greater(d1[single] / d0[single])
     return ContractionReport(
         alpha=alpha, s=s, bound=bound, vacuous=(s == 1), entered_at=entered,
         blocks_measured=len(d0), worst_factor=worst,
-        worst_single_pair_factor=worst_pair, diff_floor=diff_floor,
+        worst_single_pair_factor=worst_pair, diff_floor=CONTRACTION_DIFF_FLOOR,
     )
 
 
@@ -957,21 +951,21 @@ def _max_norm_distance(xs: np.ndarray, points: np.ndarray) -> np.ndarray:
                                for pt in points])
 
 
-def max_norm_check(samples: int, seed: int, exclusion_radius: float = 1e-9) -> MaxNormReport:
+def max_norm_check(samples: int, seed: int) -> MaxNormReport:
     """Strict decrease of the max coordinate under the m=4 mixing operator.
 
     Holds everywhere except at the five fixed points (vertices and center),
-    which are excluded by a small radius.
+    whose samples within ``MAX_NORM_EXCLUSION_RADIUS`` are excluded.
     """
     _check_count("samples", samples, 1)
-    _check_tolerance("exclusion_radius", exclusion_radius)
     t = make_regular(4)
     rng = np.random.default_rng(seed)
     xs = sample_interior(rng, 4, samples)
     fixed = np.vstack([np.eye(4), np.full((1, 4), 0.25)])
-    keep = _max_norm_distance(xs, fixed) > exclusion_radius
+    keep = _max_norm_distance(xs, fixed) > MAX_NORM_EXCLUSION_RADIUS
     if not keep.any():
-        raise QsoError(f"exclusion_radius {exclusion_radius!r} excludes all {samples} samples")
+        raise QsoError(f"MAX_NORM_EXCLUSION_RADIUS {MAX_NORM_EXCLUSION_RADIUS!r} excludes "
+                       f"all {samples} samples")
     xs = xs[keep]
     ys = run_batch(t, xs, 1)
     # the largest coordinates, one column at a time as in _max_norm_distance

@@ -3,10 +3,10 @@
 The stock ``json`` module prints floats with shortest-round-trip repr; the
 report contract here is 17 significant digits (which also round-trips
 float64 exactly), so this module renders the document itself, in one walk
-from the package objects (dataclasses, simplex points, permutations,
-complex and numpy numbers, arrays, sets) to the text.  Output is
-byte-stable given identical inputs: keys keep insertion order, sets are
-sorted, and no timestamps or identities are ever embedded.
+from what a report holds (None, bools, strs, ints, floats, complex numbers,
+simplex points, dataclasses, dicts, lists and tuples) to the text.  Output
+is byte-stable given identical inputs: keys keep insertion order, and no
+timestamps or identities are ever embedded.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import fields, is_dataclass
 
 import numpy as np
 
-from .simplex import Permutation, SimplexPoint
+from .simplex import SimplexPoint
 
 # each key's JSON text, cached by str(key): 1, 1.0 and True are one dict key
 _key_text = functools.cache(json.dumps)
@@ -40,8 +40,6 @@ def _text(obj, pad: str) -> str:
         return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, Permutation):
-        return json.dumps(obj.cycle_text())
     # the remaining package types are written as the dict or list they stand for
     if isinstance(obj, complex):
         obj = {"re": obj.real, "im": obj.imag, "abs": abs(obj)}
@@ -49,10 +47,6 @@ def _text(obj, pad: str) -> str:
         obj = obj.coords
     elif is_dataclass(obj) and not isinstance(obj, type):
         obj = {f.name: getattr(obj, f.name) for f in _fields(type(obj))}
-    elif isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    elif isinstance(obj, (set, frozenset)):
-        obj = sorted(obj)
     inner = pad + "  "
     if isinstance(obj, dict):
         if not obj:

@@ -62,11 +62,7 @@ class CoefficientTensor:
             raise DimensionMismatch(f"coefficient array shape {p.shape} != {(self.m,) * 3}")
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
-        self.validate()
-
-    def validate(self) -> None:
-        """Check finiteness, symmetry, nonnegativity, and row stochasticity."""
-        _validate(self.p)
+        _validate(p)
 
     def entry(self, i: int, j: int, k: int) -> float:
         """1-based coefficient access."""
@@ -137,13 +133,17 @@ def build_tensor(m: int, entries, name: str = "") -> CoefficientTensor:
     """Build a tensor from sparse 1-based entries given for i <= j.
 
     ``entries`` maps ``(i, j, k)`` to a value, or is an iterable of
-    ``(i, j, k, value)`` rows.  Omitted entries are zero; the (j, i, k)
-    mirror of each entry is filled in automatically.
+    ``(i, j, k, value)`` rows, one per ``(i, j, k)``.  Omitted entries are
+    zero; the (j, i, k) mirror of each entry is filled in automatically.
     """
     if isinstance(entries, dict):
         items = [(i, j, k, v) for (i, j, k), v in entries.items()]
     else:
-        items = [tuple(row) for row in entries]
+        items, given = [tuple(row) for row in entries], set()
+        for i, j, k, _ in items:
+            if (i, j, k) in given:
+                raise MalformedSyntax(f"entry ({i},{j},{k}) is given twice")
+            given.add((i, j, k))
     m = _check_dimension(m)
     p = np.zeros((m, m, m))
     for i, j, k, v in items:
@@ -401,11 +401,18 @@ def _newton_move(x, rows, xs, fixed, dy, live, limit, clip, compare) -> int:
     return kept
 
 
-def _newton_calls(t, n, x, rows, xs, ys, b, fixed):
+def _numpy_newton_calls(t, n, x, rows, xs, ys, b, fixed):
     """``_newton_residual`` and ``_newton_move`` on these buffers, the numpy
     references of ``_Kernel.newton_calls``."""
     return (functools.partial(_newton_residual, t, n, x, rows, xs, ys, b),
             functools.partial(_newton_move, x, rows, xs, fixed))
+
+
+def _newton_calls(t, n, *buffers):
+    """Newton's residual and move calls on ``_numpy_newton_calls``'s buffers:
+    the compiled kernel's where it takes m, else those numpy references."""
+    kernel = _kernel_for(t.m)
+    return (kernel.newton_calls if kernel else _numpy_newton_calls)(t, n, *buffers)
 
 
 def iterate(t: CoefficientTensor, x0: SimplexPoint, n_steps: int, stride: int = 1) -> Trajectory:
@@ -466,7 +473,7 @@ class _Kernel:
     Newton's two calls around the solve.
 
     Each takes the arguments of its numpy reference, ``_orbit``, ``_batch``
-    or ``_newton_calls``: C-contiguous float64 arrays of matching sizes,
+    or ``_numpy_newton_calls``: C-contiguous float64 arrays of matching sizes,
     increasing int64 marks >= 0, m <= 64 and n_steps >= 0; the tensor and
     the callers of ``_walk``, ``run_batch`` and ``_newton_iterations`` make
     sure of them.  ``x`` and ``xs`` are advanced in place.
@@ -549,7 +556,7 @@ def _numpy_dgemv() -> int:
 
 def _kernel_agrees(kernel: _Kernel) -> bool:
     """Bitwise comparison of every output of the compiled loops with
-    ``_orbit``, ``_batch`` and ``_newton_calls``, at an m below and one
+    ``_orbit``, ``_batch`` and ``_numpy_newton_calls``, at an m below and one
     above numpy's 8-term pairwise-sum block: five steps of 51 rows (a partial
     last group at 2, 4 and 8 lanes), and a stack of three orbits at marks 0
     to 5 and at marks 0, 3 and 4.  The tensor's (1, 1) row is e_1, fixed
@@ -581,7 +588,7 @@ def _kernel_agrees(kernel: _Kernel) -> bool:
         dy = 0.1 * rng.normal(size=(2, len(x0), t.m - 1))
         dy[0, :5], dy[1] = np.array([np.nan, 0.8, 0.0, -0.0, 0.0])[:, None], dy[1] * 1e-3
         dy[1, 1:4] = np.array([0.0, 1e-2, 1e-3])[:, None]
-        for calls, out in ((kernel.newton_calls, got), (_newton_calls, want)):
+        for calls, out in ((kernel.newton_calls, got), (_numpy_newton_calls, want)):
             bufs = (np.zeros_like(x0), np.arange(len(x0)), x0.copy(), np.zeros_like(x0),
                     np.zeros_like(dy[0]), np.zeros(len(x0), np.int8))
             residual, move = calls(t, n, *bufs)
@@ -700,7 +707,7 @@ def _dirichlet(rows: np.ndarray) -> np.ndarray:
     m = rows.shape[-1]
     rows = rows / rows.sum(axis=-1, keepdims=True)
     # round-trip through fsum-style normalization to keep the row sum
-    # within ROW_SUM_TOL exactly as validate() measures it
+    # within ROW_SUM_TOL exactly as _validate measures it
     rows /= np.reshape([math.fsum(row) for row in rows.reshape(-1, m).tolist()],
                        (*rows.shape[:-1], 1))
     upper = np.arange(m) >= np.arange(m)[:, None]

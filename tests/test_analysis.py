@@ -11,6 +11,7 @@ from qsodyn.analysis import (
     InvariantSetSpec,
     MaxNormReport,
     _max_norm_distance,
+    _tangent_spectra,
     abs_diff_product,
     check_invariant_set,
     check_lyapunov,
@@ -35,7 +36,6 @@ from qsodyn.analysis import (
     psi_decay_values,
     sample_interior,
     tangent_basis,
-    tangent_eigenvalues,
     vallander_diag,
 )
 from qsodyn.families import (
@@ -128,10 +128,10 @@ def test_tangent_spectrum_plus_two_reproduces_full_spectrum():
         m = 3 + trial % 4
         t = random_tensor(rng, m)
         x = SimplexPoint(tuple(sample_interior(rng, m, 1)[0]))
-        tang, transversal = tangent_eigenvalues(t, x)
+        tang, transversal = _tangent_spectra(jacobian(t, x)[None])
         full = np.linalg.eigvals(jacobian(t, x))
-        assert transversal == pytest.approx(2.0, abs=1e-12)
-        _match_multisets(list(tang) + [2.0 + 0j], list(full), 1e-8)
+        assert transversal[0] == pytest.approx(2.0, abs=1e-12)
+        _match_multisets(list(tang[0]) + [2.0 + 0j], list(full), 1e-8)
 
 
 # --- Lyapunov machinery --------------------------------------------------------
@@ -550,36 +550,34 @@ def test_max_norm_distance_is_the_three_axis_reduction(xs):
 
 
 @pytest.mark.parametrize("seed,radius", [(17, 1e-9), (4, 1e-9), (11, 0.05), (3, 0.0)])
-def test_max_norm_check_matches_the_three_axis_reduction(seed, radius):
-    assert max_norm_check(3000, seed, radius) == reference_max_norm_check(3000, seed, radius)
+def test_max_norm_check_matches_the_three_axis_reduction(seed, radius, monkeypatch):
+    monkeypatch.setattr(analysis, "MAX_NORM_EXCLUSION_RADIUS", radius)
+    assert max_norm_check(3000, seed) == reference_max_norm_check(3000, seed, radius)
 
 
-@pytest.mark.parametrize("radius", [float("nan"), float("inf"), -1e-9, "1e-9", None])
-def test_max_norm_check_rejects_a_bad_exclusion_radius(radius):
-    with pytest.raises(errors.QsoError, match="exclusion_radius must be a finite number >= 0"):
-        max_norm_check(100, 1, radius)
-
-
-def test_max_norm_check_raises_when_every_sample_is_excluded():
+def test_max_norm_check_raises_when_every_sample_is_excluded(monkeypatch):
     # no two points of the simplex are farther apart than 1 in the max norm
+    monkeypatch.setattr(analysis, "MAX_NORM_EXCLUSION_RADIUS", 2.0)
     with pytest.raises(errors.QsoError, match="excludes all 100 samples"):
-        max_norm_check(100, 1, 2.0)
+        max_norm_check(100, 1)
 
 
 # --- periodic absence -----------------------------------------------------------------
 
 
-def test_periodic_absence_m3_beyond_s():
+def test_periodic_absence_m3_beyond_s(monkeypatch):
+    monkeypatch.setattr(analysis, "PERIODIC_SEARCH_STARTS", 30)
     perm = parse_cycles("(1 2)", 2)
-    rep = periodic_absence_search(3, perm, 3, starts=30, seed=18)
+    rep = periodic_absence_search(3, perm, 3, seed=18)
     assert rep.counterexamples == ()
     cats = {cat for _, _, cat in rep.solutions}
     assert cats <= {"fixed_point", "periodic_s"}
 
 
-def test_periodic_absence_m3_at_s_finds_segment():
+def test_periodic_absence_m3_at_s_finds_segment(monkeypatch):
+    monkeypatch.setattr(analysis, "PERIODIC_SEARCH_STARTS", 30)
     perm = parse_cycles("(1 2)", 2)
-    rep = periodic_absence_search(3, perm, 2, starts=30, seed=19)
+    rep = periodic_absence_search(3, perm, 2, seed=19)
     assert rep.counterexamples == ()
     periodic = [pt for pt, _, cat in rep.solutions if cat == "periodic_s"]
     assert len(periodic) > 5
@@ -587,28 +585,30 @@ def test_periodic_absence_m3_at_s_finds_segment():
         assert abs(pt.coords[2] - 0.5) < 1e-8
 
 
-def test_periodic_absence_m4_after_s():
+def test_periodic_absence_m4_after_s(monkeypatch):
+    monkeypatch.setattr(analysis, "PERIODIC_SEARCH_STARTS", 30)
     perm = parse_cycles("(1 2 3)", 3)
-    rep = periodic_absence_search(4, perm, 4, starts=30, seed=20)
+    rep = periodic_absence_search(4, perm, 4, seed=20)
     assert rep.counterexamples == ()
     assert all(cat == "fixed_point" for _, _, cat in rep.solutions)
 
 
 @pytest.mark.parametrize("tol", [0.1, 0.5])
-def test_a_loose_newton_tolerance_finds_no_periods_beyond_s(tol):
+def test_a_loose_newton_tolerance_finds_no_periods_beyond_s(tol, monkeypatch):
     # Newton's acceptance is the categories': a row that stopped at a
     # residual below tol but not below 1e-8 is dropped, not a counterexample
-    rep = periodic_absence_search(4, parse_cycles("(1 2 3)", 3), 4, starts=40, seed=39,
-                                  tol=tol)
+    monkeypatch.setattr(analysis, "PERIODIC_SEARCH_TOL", tol)
+    rep = periodic_absence_search(4, parse_cycles("(1 2 3)", 3), 4, seed=39)
     assert rep.solutions and rep.counterexamples == ()
     assert all(resid < analysis.FIXED_POINT_RESIDUAL for _, resid, _ in rep.solutions)
 
 
 @pytest.mark.parametrize("m,cycles", [(3, "(1 2)"), (4, "(1 2 3)"), (6, "(1 2)(3 4 5)")])
-def test_both_searches_share_one_search(m, cycles):
+def test_both_searches_share_one_search(m, cycles, monkeypatch):
+    monkeypatch.setattr(analysis, "PERIODIC_SEARCH_STARTS", 20)
     perm = parse_cycles(cycles, m - 1)
     fixed = find_fixed_points(make_quasi_strict(m, perm), starts=20, seed=3)
-    rep = periodic_absence_search(m, perm, 1, starts=20, seed=3)
+    rep = periodic_absence_search(m, perm, 1, seed=3)
     assert [pt for pt, _, _ in rep.solutions] == [r.point for r in fixed]
     assert {cat for _, _, cat in rep.solutions} == {"fixed_point"}
 
@@ -628,10 +628,7 @@ def test_a_bool_is_not_a_count_of_starts():
 @pytest.mark.parametrize("kwargs,message", [
     # V^0 is the identity, which every start solves
     ({"n": 0}, "n must be an integer >= 1"),
-    ({"starts": -1}, "starts must be an integer >= 0"),
-    ({"starts": 2.5}, "starts must be an integer >= 0"),
-    ({"tol": -1.0}, "tol must be a finite number > 0"),
-], ids=["n-0", "starts-negative", "starts-float", "tol-negative"])
+], ids=["n-0"])
 def test_periodic_absence_search_rejects_bad_parameters(kwargs, message):
     with pytest.raises(errors.QsoError, match=message):
         periodic_absence_search(4, parse_cycles("(1 2 3)", 3), **{"n": 4, "seed": 0, **kwargs})

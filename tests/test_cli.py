@@ -387,6 +387,14 @@ def test_tensor_file_input(capsys, tmp_path):
     assert np.max(np.abs(np.array(final) - 0.25)) < 1e-8
 
 
+def test_a_tensor_file_that_gives_an_entry_twice_exits_2(capsys, tmp_path):
+    path = tmp_path / "dup.txt"
+    path.write_text("m 2\n1 1 1 0.5\n1 1 1 1.0\n1 2 1 0.5\n1 2 2 0.5\n2 2 2 1.0\n")
+    code, out, err = run_cli(capsys, "trajectory", "--tensor-file", str(path),
+                             "--x0", "0.5,0.5", "--steps", "1")
+    assert (code, out, err) == (2, "", "error: entry (1,1,1) is given twice\n")
+
+
 BAD_TENSOR_FILES = {
     "header_abc.tsv": b"m abc\n",
     "entry_x.tsv": b"m 3\n1 1 x 1\n",

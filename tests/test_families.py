@@ -36,7 +36,6 @@ def test_every_family_builds_a_validated_tensor():
         if info.parameter:
             kwargs["parameter"] = 0.4
         t = make(name, m=3, **kwargs)
-        t.validate()
         # rows are exact rationals: residuals at machine zero
         assert np.max(np.abs(t.p.sum(axis=2) - 1.0)) < 1e-15
 

@@ -1066,8 +1066,8 @@ def newton_work():
     with contextlib.ExitStack() as stack:
         stack.enter_context(mock.patch("qsodyn.analysis.run_batch", run_batch_spy))
         if kernel is None:
-            stack.enter_context(mock.patch("qsodyn.analysis._newton_calls",
-                                           bind_spy(tensor._newton_calls)))
+            stack.enter_context(mock.patch.object(tensor, "_numpy_newton_calls",
+                                                  bind_spy(tensor._numpy_newton_calls)))
         else:
             spy = mock.Mock(wraps=kernel)
             spy.newton_calls = bind_spy(kernel.newton_calls)
@@ -1131,8 +1131,8 @@ def test_newton_calls_match_their_numpy_references(kernel, case):
 def test_a_search_past_the_kernels_largest_m_takes_the_numpy_references(kernel):
     t = random_tensor(np.random.default_rng(0), tensor._KERNEL_MAX_M + 1)
     spy = mock.Mock(wraps=kernel)
-    with mock.patch.object(tensor, "_kernel", lambda: spy), mock.patch(
-            "qsodyn.analysis._newton_calls", wraps=tensor._newton_calls) as numpy_calls:
+    with mock.patch.object(tensor, "_kernel", lambda: spy), mock.patch.object(
+            tensor, "_numpy_newton_calls", wraps=tensor._numpy_newton_calls) as numpy_calls:
         _, _, ok = _newton(t, [np.full(t.m, 1 / t.m), np.eye(t.m)[0]], 1, 1e-12)
     assert ok.all() and numpy_calls.call_count == 2  # the search and the polish
     spy.newton_calls.assert_not_called()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qsodyn import reports
-from qsodyn.simplex import SimplexPoint, parse_cycles
+from qsodyn.simplex import SimplexPoint
 
 
 @dataclass
@@ -32,12 +32,9 @@ DOCUMENT = {
     "negative_zero": -0.0,
     "complex": complex(3.0, -4.0),
     "point": SimplexPoint((0.2, 0.3, 0.5)),
-    "permutation": parse_cycles("(1 3)(2 4 5)", 5),
     "nested": Outer('quoted "name" é', Inner(SimplexPoint((1.0, 0.0)), 1j), ()),
-    "array": np.array([[1.0, 0.5], [0.0, -2.5e-300]]),
     7: "a non-str key",
     "tuple": (1, "two", 3.0),
-    "set": {3, 1, 2},
     "empty_dict": {},
     "empty_list": [],
 }
@@ -62,7 +59,6 @@ DOCUMENT_TEXT = r'''{
     0.29999999999999999,
     0.5
   ],
-  "permutation": "(1 3)(2 4 5)",
   "nested": {
     "name": "quoted \"name\" \u00e9",
     "inner": {
@@ -78,25 +74,10 @@ DOCUMENT_TEXT = r'''{
     },
     "empty": []
   },
-  "array": [
-    [
-      1,
-      0.5
-    ],
-    [
-      0,
-      -2.5e-300
-    ]
-  ],
   "7": "a non-str key",
   "tuple": [
     1,
     "two",
-    3
-  ],
-  "set": [
-    1,
-    2,
     3
   ],
   "empty_dict": {},
@@ -111,15 +92,16 @@ def test_every_kind_of_value_keeps_its_text():
 
 @pytest.mark.parametrize("value", [
     float("nan"), float("inf"), -float("inf"), np.float64("nan"),
-    complex(float("inf"), 0.0), np.array([0.5, float("nan")]),
-], ids=["nan", "inf", "-inf", "np_nan", "complex_inf", "array_nan"])
+    complex(float("inf"), 0.0),
+], ids=["nan", "inf", "-inf", "np_nan", "complex_inf"])
 def test_a_non_finite_number_is_refused(value):
     with pytest.raises(ValueError, match="cannot serialize non-finite number"):
         reports.dumps({"results": [value]})
 
 
-@pytest.mark.parametrize("value", [object(), b"bytes", np.complex64(1j)],
-                         ids=["object", "bytes", "complex64"])
+# no report holds an array or a set, so neither has a text
+@pytest.mark.parametrize("value", [object(), b"bytes", np.complex64(1j), np.array([0.5]), {1}],
+                         ids=["object", "bytes", "complex64", "ndarray", "set"])
 def test_an_unknown_type_is_refused(value):
     with pytest.raises(TypeError, match=f"cannot serialize {type(value).__name__}"):
         reports.dumps({"results": {"value": value}})

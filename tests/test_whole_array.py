@@ -570,10 +570,18 @@ def old_contraction_report(m, perm, alpha, x0, blocks=64, diff_floor=1e-6,
     )
 
 
+def patched_contraction(args, blocks=64, diff_floor=analysis.CONTRACTION_DIFF_FLOOR,
+                        max_entry_steps=analysis.CONTRACTION_MAX_ENTRY_STEPS):
+    """``contraction_report`` with its module constants set to these values."""
+    with mock.patch.multiple(analysis, CONTRACTION_DIFF_FLOOR=diff_floor,
+                             CONTRACTION_MAX_ENTRY_STEPS=max_entry_steps):
+        return analysis.contraction_report(*args, blocks=blocks)
+
+
 def same_contraction(args, **kwargs):
     """The new report equals the old one to the bit (repr tells -0.0 from 0.0
     and round-trips every float)."""
-    new = analysis.contraction_report(*args, **kwargs)
+    new = patched_contraction(args, **kwargs)
     assert repr(new) == repr(old_contraction_report(*args, **kwargs))
     return new
 
@@ -617,7 +625,7 @@ def test_contraction_matches_the_per_block_loop(case):
         old_contraction_report(*args, **kwargs)
     except NeverEntersRegion:
         with pytest.raises(NeverEntersRegion):
-            analysis.contraction_report(*args, **kwargs)
+            patched_contraction(args, **kwargs)
     else:
         same_contraction(args, **kwargs)
 
@@ -657,7 +665,7 @@ def test_contraction_entry_at_the_step_limit(offset):
     assert rep.entered_at == limit
     for steps in (limit, 0):
         with pytest.raises(NeverEntersRegion, match=f"for {steps} steps"):
-            analysis.contraction_report(*entering_at(limit + 1), max_entry_steps=steps)
+            patched_contraction(entering_at(limit + 1), max_entry_steps=steps)
 
 
 def test_contraction_start_that_never_enters():
@@ -670,9 +678,8 @@ def test_contraction_start_that_never_enters():
 @pytest.mark.parametrize("bad", [-1, 2.5, "3"])
 def test_contraction_rejects_a_bad_block_count(bad):
     x0 = validate_point([0.3, 0.3, 0.4])
-    for name in ("blocks", "max_entry_steps"):
-        with pytest.raises(QsoError, match=name):
-            analysis.contraction_report(3, parse_cycles("(1 2)", 2), 0.5, x0, **{name: bad})
+    with pytest.raises(QsoError, match="blocks"):
+        analysis.contraction_report(3, parse_cycles("(1 2)", 2), 0.5, x0, blocks=bad)
 
 
 # --- invariant sets ------------------------------------------------------------------
