@@ -29,7 +29,7 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from qsodyn import make, make_regular, validate_point  # noqa: E402
-from qsodyn.analysis import ergodicity_probe, sample_interior  # noqa: E402
+from qsodyn.analysis import cesaro_distances, ergodicity_probe, sample_interior  # noqa: E402
 from qsodyn.verification import CESARO_CHECKPOINTS, ERGODIC_CONTROL_SEED  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -39,19 +39,14 @@ CALIBRATION_CHECKPOINTS = [*CESARO_CHECKPOINTS, 10_000_000]
 START = [0.3, 0.3, 0.4]
 
 
-def pairwise_distances(means) -> list[float]:
-    pts = [np.asarray(p.coords) for p in means]
-    return [float(np.max(np.abs(pts[a] - pts[b])))
-            for a in range(len(pts)) for b in range(a + 1, len(pts))]
-
-
 def main() -> None:
     t = make("ZAKHAREVICH")
     x0 = validate_point(START)
     report = ergodicity_probe(t, x0, CALIBRATION_CHECKPOINTS)
 
     # distances over the standard checkpoints only (what the suite asserts)
-    pair_dists = pairwise_distances(report.cesaro[:len(STANDARD_CHECKPOINTS)])
+    standard = report.cesaro[:len(STANDARD_CHECKPOINTS)]
+    pair_dists = cesaro_distances(np.array([p.coords for p in standard]))
     delta = min(pair_dists) / 2.0
 
     control = make_regular(5)

@@ -254,10 +254,10 @@ int64_t newton_residual(batch_fn batch, const double *p, int64_t m, int64_t n, d
     return kept;
 }
 
-/* A clip of 0 is no trust region; compare is the bit test, off on a phase's
-   last iteration. */
+/* A clip of 0 is no trust region.  A row whose new state has the bits of its
+   old one leaves with fixed[rows[r]] = 1, on every iteration. */
 int64_t newton_move(int64_t m, double *x, int64_t *rows, double *xs, int8_t *fixed,
-                    const double *dy, int64_t live, double limit, double clip, int compare)
+                    const double *dy, int64_t live, double limit, double clip)
 {
     int64_t kept = 0;
     for (int64_t r = 0; r < live; r++, dy += m - 1) {
@@ -282,7 +282,7 @@ int64_t newton_move(int64_t m, double *x, int64_t *rows, double *xs, int8_t *fix
         s = sum_double(v, m);
         for (int64_t k = 0; k < m; k++)
             v[k] = s <= 0.0 ? 1.0 / m : v[k] / s;
-        int same = compare && memcmp(v, xr, m * sizeof *v) == 0;
+        int same = memcmp(v, xr, m * sizeof *v) == 0;
         fixed[rows[r]] |= same;
         kept = place(same, v, m, x, rows, xs, r, kept);
     }

@@ -34,7 +34,7 @@ from .tensor import (
     CoefficientTensor,
     _check_count,
     _check_tolerance,
-    _newton_calls,
+    _loops,
     _project,
     cesaro,
     jacobian,
@@ -191,32 +191,32 @@ def _solve_rows(a: np.ndarray, b: np.ndarray, singular=None) -> np.ndarray:
 
 
 def _newton_iterations(t: CoefficientTensor, x: np.ndarray, rows: np.ndarray, n: int,
-                       iters: int, below: float, solve, clip: float | None = None,
+                       iters: int, below: float, solve, clip: float = 0.0,
                        limit: float = sys.float_info.max) -> np.ndarray:
     """Up to ``iters`` Newton iterations for V^n(x) = x on each of the
     ``rows`` of x, in place; returns the rows that made all of them.
 
     A row stops at max|r| < ``below``, and at an increment whose largest
-    entry is above ``limit`` or not finite; an increment larger than
-    ``clip`` is scaled down to it.  The increment solves ``solve(a, b)`` in
-    the first m-1 coordinates: the unit-sum constraint eliminates the last
-    coordinate, whose increment is minus the sum of the others.  A row that
-    an iteration returns bit for bit leaves as one that made them all: this
-    is exact, as a row carries only its state, so each later one would repeat it.
-    Around the stacked solve each iteration is one call of the kernel's
-    ``newton_residual`` and one of ``newton_move`` (or of their references).
+    entry is above ``limit`` or not finite; an increment larger than a
+    positive ``clip`` is scaled down to it (0.0: no trust region).  The
+    increment solves ``solve(a, b)`` in the first m-1 coordinates: the
+    unit-sum constraint eliminates the last coordinate, whose increment is
+    minus the sum of the others.  A row that an iteration returns bit for
+    bit leaves as one that made them all: this is exact, as a row carries
+    only its state, so each later one would repeat it.  Around the solve
+    each iteration is one ``newton_residual`` and one ``newton_move``.
     """
     m, live, eye = t.m, len(rows), np.eye(t.m - 1)
     rows, xs, fixed = np.array(rows, dtype=np.int64), x[rows], np.zeros(len(x), np.int8)
     ys, b = np.empty_like(xs), np.empty((live, m - 1))
-    residual, move = _newton_calls(t, n, x, rows, xs, ys, b, fixed)
-    for i in range(iters):
+    residual, move = _loops(m).newton_calls(t, n, x, rows, xs, ys, b, fixed)
+    for _ in range(iters):
         if not (live := residual(live, below)):
             break
         j = _compose_jacobian_rows(t, xs[:live], n)
         a = j[:, :m - 1, :m - 1] - eye
         a -= j[:, :m - 1, m - 1:]
-        if not (live := move(solve(a, b[:live]), live, limit, clip, i < iters - 1)):
+        if not (live := move(solve(a, b[:live]), live, limit, clip)):
             break
     x[rows[:live]] = xs[:live]
     return np.sort(np.concatenate([rows[:live], np.flatnonzero(fixed)]))
@@ -864,6 +864,12 @@ class ErgodicityReport:
     boundary_start: bool
 
 
+def cesaro_distances(means: np.ndarray) -> list[float]:
+    """Sup distances between rows a < b of the (k, m) Cesaro ``means``, pairs in order."""
+    a, b = np.triu_indices(len(means), 1)
+    return np.abs(means[a] - means[b]).max(axis=1).tolist()
+
+
 def ergodicity_probe(t: CoefficientTensor, x0: SimplexPoint, checkpoints) -> ErgodicityReport:
     """Cesaro means at the checkpoints plus their worst pairwise deviation.
 
@@ -875,15 +881,11 @@ def ergodicity_probe(t: CoefficientTensor, x0: SimplexPoint, checkpoints) -> Erg
     if not cps:
         raise DimensionMismatch("checkpoints must be non-empty")
     means, states = cesaro(t, x0.array, cps)
-    fluct = 0.0
-    for a in range(len(means)):
-        for b in range(a + 1, len(means)):
-            fluct = max(fluct, float(np.max(np.abs(means[a] - means[b]))))
     return ErgodicityReport(
         checkpoints=tuple(map(int, cps)),
         cesaro=tuple(SimplexPoint(tuple(mu)) for mu in means.tolist()),
         min_coordinate=tuple(states.min(axis=1).tolist()),
-        fluctuation=fluct,
+        fluctuation=max([0.0, *cesaro_distances(means)]),
         boundary_start=bool(np.min(x0.array) <= TAU_ZERO),
     )
 

@@ -20,6 +20,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -252,15 +253,11 @@ def _check_weight(name: str, value) -> None:
         raise WeightOutOfRange(f"{name} must be a number in [0, 1], got {value!r}")
 
 
-def _kernel_for(m: int):
-    """The compiled kernel if its loops take dimension ``m``, else None."""
-    return _kernel() if m <= _KERNEL_MAX_M else None
-
-
-def _orbit(flat, xs, marks, states, settled, sums=None) -> None:
+def _orbit(t, xs, marks, states, settled, sums=None) -> None:
     """The numpy loop of ``_walk``, the reference of the compiled ``orbit``:
     its arguments and outputs, one row of ``xs`` after the other, though
     ``xs`` is left as given."""
+    flat = t._flat
     for r, x in enumerate(xs):
         acc, done, fixed, settled[r] = np.zeros(len(x)), 0, False, len(marks) - 1
         for c, mark in enumerate(marks.tolist()):
@@ -290,18 +287,16 @@ def _walk(t: CoefficientTensor, x0, marks: np.ndarray, sums: np.ndarray | None =
     x^(n)), else the last, from which on every state has its bits.  Row c of
     ``sums``, if given, gets x^(0) + ... + x^(n - 1) for mark n = marks[c].
 
-    One call of the compiled ``orbit`` where it takes m, else of ``_orbit``,
-    each start with the bits of a call of its own.  Bad input raises before
-    the kernel is loaded.
+    One call of ``_loops(t.m).orbit``, each start with the bits of a call of
+    its own.  Bad input raises before the kernel is loaded.
     """
     x = np.array(x0, dtype=float, order="C")
     if x.ndim not in (1, 2) or x.shape[-1] != t.m:
         raise DimensionMismatch(f"point has shape {x.shape}, tensor has m={t.m}")
     xs = x.reshape(-1, t.m)
     states, settled = np.empty((len(xs), len(marks), t.m)), np.empty(len(xs), dtype=np.int64)
-    kernel = _kernel_for(t.m)
-    (kernel.orbit if kernel else _orbit)(t._flat, xs, marks, states, settled,
-                                         None if sums is None else sums.reshape(states.shape))
+    _loops(t.m).orbit(t, xs, marks, states, settled,
+                      None if sums is None else sums.reshape(states.shape))
     return states.reshape(x.shape[:-1] + states.shape[1:]), settled.reshape(x.shape[:-1])
 
 
@@ -309,7 +304,8 @@ def _collect(t: CoefficientTensor, x0, n_steps: int, stride: int
              ) -> tuple[np.ndarray, np.ndarray, int]:
     """The steps 0, stride, 2 * stride, ..., n_steps (the last one after a
     partial stride), the rows x^(n) at them and ``_walk``'s settled row."""
-    _check_count("n_steps", n_steps, 0)
+    _check_count("n_steps", n_steps, 0, MAX_STEPS)
+    stride = min(stride, max(n_steps, 1))  # same marks; arange's float64 length stays exact
     marks = np.arange(0, n_steps + stride, stride, dtype=np.int64)
     marks[-1] = n_steps
     return marks, *_walk(t, x0, marks)
@@ -318,7 +314,7 @@ def _collect(t: CoefficientTensor, x0, n_steps: int, stride: int
 def run(t: CoefficientTensor, x0: np.ndarray, n_steps: int) -> np.ndarray:
     """Final raw coordinate array after ``n_steps`` renormalized steps, of an
     (m,) start or of each row of a (k, m) stack, with a one-row call's bits."""
-    _check_count("n_steps", n_steps, 0)
+    _check_count("n_steps", n_steps, 0, MAX_STEPS)
     return _walk(t, x0, np.array([n_steps], dtype=np.int64))[0][..., 0, :]
 
 
@@ -336,15 +332,14 @@ def _batch(t, xs, n_steps) -> None:
 
 def run_batch(t: CoefficientTensor, xs: np.ndarray, n_steps: int) -> np.ndarray:
     """Advance every row of an (n, m) array by ``n_steps`` steps of
-    ``apply_batch``, all in one call of the compiled ``batch`` where it
-    loads, bit for bit at any of its lane widths, else of ``_batch``.  Its
-    einsum step has other bits than ``run``'s on the same stack."""
+    ``apply_batch``, all in one call of ``_loops(t.m).batch``, bit for bit
+    at any lane width of the compiled loop.  Its einsum step has other bits
+    than ``run``'s on the same stack."""
     _check_count("n_steps", n_steps, 0)
     x = np.array(xs, dtype=float, order="C")
     if x.ndim != 2 or x.shape[1] != t.m:
         raise DimensionMismatch(f"points have shape {x.shape}, expected (n, {t.m})")
-    kernel = _kernel_for(t.m)
-    (kernel.batch if kernel else _batch)(t, x, n_steps)
+    _loops(t.m).batch(t, x, n_steps)
     return x
 
 
@@ -376,25 +371,25 @@ def _newton_residual(t, n, x, rows, xs, ys, b, live, below) -> int:
     return len(keep)
 
 
-def _newton_move(x, rows, xs, fixed, dy, live, limit, clip, compare) -> int:
+def _newton_move(x, rows, xs, fixed, dy, live, limit, clip) -> int:
     """The step of each live row by its increment ``dy`` of the first m-1
     coordinates, packed as ``_newton_residual`` packs.  A row whose ``dy``
-    is above ``limit`` or not finite leaves, a larger one than ``clip`` is
-    scaled down to it; a row ``_project`` returns bit for bit leaves with
-    ``fixed[row]`` = 1 if ``compare``."""
+    is above ``limit`` or not finite leaves, a larger one than a positive
+    ``clip`` is scaled down to it (0.0: no trust region); a row ``_project``
+    returns bit for bit leaves with ``fixed[row]`` = 1."""
     m, xs_live, rows_live = xs.shape[1], xs[:live], rows[:live]
     size = np.abs(dy).max(axis=1)
     go = size <= limit
     x[rows_live[~go]] = xs_live[~go]
     before, rows_live, dy, size = xs_live[go], rows_live[go], dy[go], size[go]
-    if clip is not None:  # the trust region: quadratic maps can throw Newton far out
+    if clip > 0.0:  # the trust region: quadratic maps can throw Newton far out
         dy = dy * (clip / np.maximum(size, clip))[:, None]
     v = before.copy()
     v[:, :m - 1] += dy
     v[:, m - 1] -= dy.sum(axis=1)
     after = _project(v)
     # the bits, not ==: a -0.0 that becomes 0.0 has moved
-    same = (after.view(np.int64) == before.view(np.int64)).all(axis=1) & compare
+    same = (after.view(np.int64) == before.view(np.int64)).all(axis=1)
     x[rows_live[same]], fixed[rows_live[same]] = after[same], 1
     kept = len(after) - np.count_nonzero(same)
     rows[:kept], xs[:kept] = rows_live[~same], after[~same]
@@ -408,11 +403,13 @@ def _numpy_newton_calls(t, n, x, rows, xs, ys, b, fixed):
             functools.partial(_newton_move, x, rows, xs, fixed))
 
 
-def _newton_calls(t, n, *buffers):
-    """Newton's residual and move calls on ``_numpy_newton_calls``'s buffers:
-    the compiled kernel's where it takes m, else those numpy references."""
-    kernel = _kernel_for(t.m)
-    return (kernel.newton_calls if kernel else _numpy_newton_calls)(t, n, *buffers)
+_NUMPY = SimpleNamespace(orbit=_orbit, batch=_batch, newton_calls=_numpy_newton_calls)
+
+
+def _loops(m: int):
+    """The loops for dimension ``m``: the compiled kernel where it loads and
+    takes m, else ``_NUMPY``, the numpy references called as the kernel's are."""
+    return (_kernel() if m <= _KERNEL_MAX_M else None) or _NUMPY
 
 
 def iterate(t: CoefficientTensor, x0: SimplexPoint, n_steps: int, stride: int = 1) -> Trajectory:
@@ -472,8 +469,8 @@ class _Kernel:
     BLAS dgemv, the batched one of the most ``lanes`` this CPU runs, and
     Newton's two calls around the solve.
 
-    Each takes the arguments of its numpy reference, ``_orbit``, ``_batch``
-    or ``_numpy_newton_calls``: C-contiguous float64 arrays of matching sizes,
+    Each takes the arguments of its numpy reference in ``_NUMPY``, the
+    tensor first: C-contiguous float64 arrays of matching sizes,
     increasing int64 marks >= 0, m <= 64 and n_steps >= 0; the tensor and
     the callers of ``_walk``, ``run_batch`` and ``_newton_iterations`` make
     sure of them.  ``x`` and ``xs`` are advanced in place.
@@ -487,14 +484,14 @@ class _Kernel:
         lib.orbit.restype = None
         self._batch.argtypes, self._batch.restype = [ptr, i64, ptr, i64, i64], None
         lib.newton_residual.argtypes = [ptr, ptr, i64, i64, *[ptr] * 5, i64, f64]
-        lib.newton_move.argtypes = [i64, *[ptr] * 5, i64, f64, f64, ctypes.c_int]
+        lib.newton_move.argtypes = [i64, *[ptr] * 5, i64, f64, f64]
         lib.newton_residual.restype = lib.newton_move.restype = i64
         self._lib = lib
         self._dgemv = dgemv
 
-    def orbit(self, flat, xs, marks, states, settled, sums=None) -> None:
+    def orbit(self, t, xs, marks, states, settled, sums=None) -> None:
         rows, m = xs.shape
-        self._lib.orbit(self._dgemv, flat.ctypes.data, m, xs.ctypes.data, rows,
+        self._lib.orbit(self._dgemv, t.p.ctypes.data, m, xs.ctypes.data, rows,
                         marks.ctypes.data, len(marks), states.ctypes.data,
                         None if sums is None else sums.ctypes.data, settled.ctypes.data)
 
@@ -510,8 +507,7 @@ class _Kernel:
                                      *(a.ctypes.data for a in (x, rows, xs, ys, b)))
         move = functools.partial(self._lib.newton_move, t.m,
                                  *(a.ctypes.data for a in (x, rows, xs, fixed)))
-        return residual, lambda dy, live, limit, clip, compare: move(
-            dy.ctypes.data, live, limit, 0.0 if clip is None else clip, compare)
+        return residual, lambda dy, live, limit, clip: move(dy.ctypes.data, live, limit, clip)
 
 
 def _build_kernel() -> Path:
@@ -554,24 +550,24 @@ def _numpy_dgemv() -> int:
     return ctypes.cast(symbol, ctypes.c_void_p).value
 
 
-def _kernel_agrees(kernel: _Kernel) -> bool:
-    """Bitwise comparison of every output of the compiled loops with
-    ``_orbit``, ``_batch`` and ``_numpy_newton_calls``, at an m below and one
-    above numpy's 8-term pairwise-sum block: five steps of 51 rows (a partial
-    last group at 2, 4 and 8 lanes), and a stack of three orbits at marks 0
-    to 5 and at marks 0, 3 and 4.  The tensor's (1, 1) row is e_1, fixed
-    from step 0, and from step 1 with -0.0 zeros: the stack is a moving
-    start, e_1 (batch row 1) and e_1 with -0.0 zeros, which settles between
-    marks 0 and 3, so that its rows settle at three marks.
+def _outputs(loops) -> list:
+    """Every output of the calls of ``loops``, the kernel or ``_NUMPY``, on
+    the self-test's cases, at an m below and one above numpy's 8-term
+    pairwise-sum block: five steps of 51 rows (a partial last group at 2, 4
+    and 8 lanes), and a stack of three orbits at marks 0 to 5 and at marks
+    0, 3 and 4.  The tensor's (1, 1) row is e_1, fixed from step 0, and from
+    step 1 with -0.0 zeros: the stack is a moving start, e_1 (batch row 1)
+    and e_1 with -0.0 zeros, which settles between marks 0 and 3, so that
+    its rows settle at three marks.
 
     Newton, at m = 3 and 10 (9 increment terms), runs a residual, a move with
-    the trust region and the bit test and one with a 1e-3 limit, on rows
-    that: stop at r = 0 (e_1); take a NaN step; are clipped, then not; are
-    bit-fixed (e_2); have a -0.0 updated to 0.0, then are bit-fixed untested;
+    the trust region and one with a 1e-3 limit, each with the bit test, on
+    rows that: stop at r = 0 (e_1); take a NaN step; are clipped, then not;
+    are bit-fixed (e_2); have a -0.0 updated to 0.0, then are bit-fixed;
     have no positive mass and r_k = 0.0 (-e_1, 0.0 zeros), then exceed the
     limit; or are drawn, one at the limit."""
     rng = np.random.default_rng(0)
-    got, want = [], []
+    out = []
 
     def drawn(m):
         p = rng.exponential(size=(m, m, m))
@@ -588,33 +584,36 @@ def _kernel_agrees(kernel: _Kernel) -> bool:
         dy = 0.1 * rng.normal(size=(2, len(x0), t.m - 1))
         dy[0, :5], dy[1] = np.array([np.nan, 0.8, 0.0, -0.0, 0.0])[:, None], dy[1] * 1e-3
         dy[1, 1:4] = np.array([0.0, 1e-2, 1e-3])[:, None]
-        for calls, out in ((kernel.newton_calls, got), (_numpy_newton_calls, want)):
-            bufs = (np.zeros_like(x0), np.arange(len(x0)), x0.copy(), np.zeros_like(x0),
-                    np.zeros_like(dy[0]), np.zeros(len(x0), np.int8))
-            residual, move = calls(t, n, *bufs)
-            live = [residual(len(x0), 1e-12)]
-            live.append(move(dy[0, :live[-1]], live[-1], np.finfo(float).max, 0.5, True))
-            live.append(move(dy[1, :live[-1]], live[-1], 1e-3, None, False))
-            out += [live, *(a.tobytes() for a in bufs)]
+        bufs = (np.zeros_like(x0), np.arange(len(x0)), x0.copy(), np.zeros_like(x0),
+                np.zeros_like(dy[0]), np.zeros(len(x0), np.int8))
+        residual, move = loops.newton_calls(t, n, *bufs)
+        live = [residual(len(x0), 1e-12)]
+        live.append(move(dy[0, :live[-1]], live[-1], np.finfo(float).max, 0.5))
+        live.append(move(dy[1, :live[-1]], live[-1], 1e-3, 0.0))
+        out.extend([live, *(a.tobytes() for a in bufs)])
 
     for m in (3, 9):
         t, xs = drawn(m)
         xs[1] = t.p[0, 0]
         stack = np.array([xs[0], xs[1], np.where(xs[1], 1.0, -0.0)])
-        for orbit, batch, out in ((kernel.orbit, kernel.batch, got), (_orbit, _batch, want)):
-            rows = xs.copy()
-            batch(t, rows, 5)
-            out.append(rows.tobytes())
-            for marks in (np.arange(6, dtype=np.int64), np.array([0, 3, 4], dtype=np.int64)):
-                states, sums = np.empty((2, len(stack), len(marks), m))
-                settled = np.empty(len(stack), dtype=np.int64)
-                orbit(t._flat, stack.copy(), marks, states, settled, sums)
-                out += [settled.tobytes(), states.tobytes(), sums.tobytes()]
+        rows = xs.copy()
+        loops.batch(t, rows, 5)
+        out.append(rows.tobytes())
+        for marks in (np.arange(6, dtype=np.int64), np.array([0, 3, 4], dtype=np.int64)):
+            states, sums = np.empty((2, len(stack), len(marks), m))
+            settled = np.empty(len(stack), dtype=np.int64)
+            loops.orbit(t, stack.copy(), marks, states, settled, sums)
+            out.extend([settled.tobytes(), states.tobytes(), sums.tobytes()])
         if m == 3:
             newton(t, 2, xs)
     t, xs = drawn(10)
     newton(t, 1, xs)
-    return got == want
+    return out
+
+
+def _kernel_agrees(kernel: _Kernel) -> bool:
+    """The self-test: the kernel's outputs have the bytes of ``_NUMPY``'s."""
+    return _outputs(kernel) == _outputs(_NUMPY)
 
 
 @functools.cache

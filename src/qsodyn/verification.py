@@ -20,6 +20,7 @@ from .analysis import (
     ATTRACTING,
     LAST_COORD_N0,
     NON_HYPERBOLIC,
+    cesaro_distances,
     check_lyapunov,
     classify_fixed_point,
     contraction_report,
@@ -451,9 +452,7 @@ def suite_core(seed: int) -> list[CheckResult]:
     # time averages: divergence for Zakharevich, decay for the mixing operator
     zak = ergodicity_probe(make_s2("ZAKHAREVICH"), validate_point([0.3, 0.3, 0.4]),
                            CESARO_CHECKPOINTS)
-    pts = [np.asarray(p.coords) for p in zak.cesaro]
-    min_pairwise = min(float(np.max(np.abs(pts[a] - pts[b])))
-                       for a in range(len(pts)) for b in range(a + 1, len(pts)))
+    min_pairwise = min(cesaro_distances(np.array([p.coords for p in zak.cesaro])))
     out.append(CheckResult(
         "core.zakharevich_time_average_divergence",
         min_pairwise > ZAKHAREVICH_DELTA,

@@ -575,7 +575,10 @@ def test_a_loose_newton_tolerance_reports_only_fixed_points(capsys, tol):
      "--window", "2"],
     ["scalar", "--map", "F", "--iterate", "0.3", "10000001"],
     ["ergodic", "--family", "KHUKR", "--x0", "0.4,0.36,0.24", "--checkpoints", "10,10000001"],
-], ids=["omega-burn-in", "scalar-iterate", "ergodic-checkpoints"])
+    # an orbit that never settles, so that each of its steps is made
+    ["trajectory", "--family", "GANIKHODJAEV_LAMBDA", "--param", "0.1", "--x0", "0.2,0.3,0.5",
+     "--steps", "10000001", "--stride", "10000001"],
+], ids=["omega-burn-in", "scalar-iterate", "ergodic-checkpoints", "trajectory-steps"])
 def test_a_step_count_over_the_cap_exits_2_at_once(argv):
     # one step over tensor.MAX_STEPS: refused before the loop, not run
     proc = subprocess.run([sys.executable, "-m", "qsodyn", *argv],
@@ -685,16 +688,24 @@ PINNED_OUTPUTS = [
 ]
 
 
-@pytest.mark.parametrize("argv,exit_code,digest", PINNED_OUTPUTS,
-                         ids=["trajectory", "lyapunov", "lyapunov_violations", "fixed_points",
-                              "classify", "omega", "omega_random_starts", "ergodic",
-                              "scalar", "families_json", "omega_window_1",
-                              "trajectory_settles", "trajectory_never_settles",
-                              "fixed_points_ac6", "fixed_points_gsn_beta", "fixed_points_v5",
-                              "help",
-                              *(f"{argv[0]}_help" for argv, _, _ in PINNED_OUTPUTS[-9:])])
-def test_pinned_output_bytes(capsys, monkeypatch, argv, exit_code, digest):
+PINNED_IDS = ["trajectory", "lyapunov", "lyapunov_violations", "fixed_points", "classify",
+              "omega", "omega_random_starts", "ergodic", "scalar", "families_json",
+              "omega_window_1", "trajectory_settles", "trajectory_never_settles",
+              "fixed_points_ac6", "fixed_points_gsn_beta", "fixed_points_v5", "help",
+              *(f"{argv[0]}_help" for argv, _, _ in PINNED_OUTPUTS[-9:])]
+
+
+# each output through the loops that load (the compiled ones, where they do)
+# and through the numpy references alone
+@pytest.mark.parametrize("argv,exit_code,digest,numpy_loops", [
+    *(pytest.param(*case, False, id=name) for case, name in zip(PINNED_OUTPUTS, PINNED_IDS)),
+    *(pytest.param(*case, True, id=f"{name}-numpy_loops")
+      for case, name in zip(PINNED_OUTPUTS, PINNED_IDS)),
+])
+def test_pinned_output_bytes(capsys, monkeypatch, argv, exit_code, digest, numpy_loops):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    if numpy_loops:
+        monkeypatch.setattr(tensor, "_kernel", lambda: None)
     try:
         code, out, _ = run_cli(capsys, *argv)
     except SystemExit as exc:  # --help prints, then exits

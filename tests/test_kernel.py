@@ -236,7 +236,7 @@ def test_cesaro_means_match_numpy_loop(kernel):
     assert fast == ref
 
 
-@pytest.mark.parametrize("bad", [-3, -1, 2.5, 3.0, "4", None, True])
+@pytest.mark.parametrize("bad", [-3, -1, 2.5, 3.0, "4", None, True, tensor.MAX_STEPS + 1])
 @pytest.mark.parametrize("fn", [run, run_collect])
 def test_bad_n_steps_rejected_before_the_kernel(fn, bad):
     t = make("REGULAR", 3)
@@ -254,7 +254,7 @@ def test_point_of_wrong_size_rejected():
 
 def test_large_m_falls_back_to_numpy(kernel):
     t = random_tensor(np.random.default_rng(3), tensor._KERNEL_MAX_M + 1)
-    assert tensor._kernel_for(t.m) is None
+    assert tensor._loops(t.m) is tensor._NUMPY
     assert run(t, np.full(t.m, 1 / t.m), 2).shape == (t.m,)
 
 
@@ -1066,8 +1066,8 @@ def newton_work():
     with contextlib.ExitStack() as stack:
         stack.enter_context(mock.patch("qsodyn.analysis.run_batch", run_batch_spy))
         if kernel is None:
-            stack.enter_context(mock.patch.object(tensor, "_numpy_newton_calls",
-                                                  bind_spy(tensor._numpy_newton_calls)))
+            stack.enter_context(mock.patch.object(tensor._NUMPY, "newton_calls",
+                                                  bind_spy(tensor._NUMPY.newton_calls)))
         else:
             spy = mock.Mock(wraps=kernel)
             spy.newton_calls = bind_spy(kernel.newton_calls)
@@ -1132,7 +1132,7 @@ def test_a_search_past_the_kernels_largest_m_takes_the_numpy_references(kernel):
     t = random_tensor(np.random.default_rng(0), tensor._KERNEL_MAX_M + 1)
     spy = mock.Mock(wraps=kernel)
     with mock.patch.object(tensor, "_kernel", lambda: spy), mock.patch.object(
-            tensor, "_numpy_newton_calls", wraps=tensor._numpy_newton_calls) as numpy_calls:
+            tensor._NUMPY, "newton_calls", wraps=tensor._NUMPY.newton_calls) as numpy_calls:
         _, _, ok = _newton(t, [np.full(t.m, 1 / t.m), np.eye(t.m)[0]], 1, 1e-12)
     assert ok.all() and numpy_calls.call_count == 2  # the search and the polish
     spy.newton_calls.assert_not_called()

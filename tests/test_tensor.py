@@ -351,6 +351,14 @@ def test_iterate_stride_records_final():
     assert traj.steps.tolist() == [0, 3, 6, 7]
 
 
+@pytest.mark.parametrize("n_steps,stride", [(1, 10**15), (1, 10**16), (0, 10**20), (7, 8),
+                                            (7, 2**63)])
+def test_iterate_at_a_stride_past_the_last_step_records_step_0_and_the_last(n_steps, stride):
+    # numpy sizes an arange in floating point: 1 + 10**16 rounds to 10**16
+    traj = iterate(make_regular(3), center(3), n_steps, stride)
+    assert traj.steps.tolist() == sorted({0, n_steps}) and traj.stride == stride
+
+
 def test_cesaro_constant_at_fixed_point():
     t = make_regular(4)
     means, _ = cesaro(t, center(4).array, [1, 10, 100])
