@@ -622,7 +622,7 @@ def omega_estimate(t: CoefficientTensor, x0: SimplexPoint, burn_in: int,
     period of the window tail is attached when the window is long enough.
     """
     _check_count("burn_in", burn_in, 1, MAX_STEPS)
-    _check_count("window", window, 1)
+    _check_count("window", window, 1, MAX_STEPS)
     _check_tolerance("cluster_tol", cluster_tol)
     _check_tolerance("period_tol", period_tol)
     if s_max is not None:

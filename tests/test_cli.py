@@ -573,12 +573,15 @@ def test_a_loose_newton_tolerance_reports_only_fixed_points(capsys, tol):
 @pytest.mark.parametrize("argv", [
     ["omega", "--family", "KHUKR", "--x0", "0.4,0.36,0.24", "--burn-in", "10000001",
      "--window", "2"],
+    ["omega", "--family", "KHUKR", "--x0", "0.4,0.36,0.24", "--burn-in", "10",
+     "--window", "10000001"],
     ["scalar", "--map", "F", "--iterate", "0.3", "10000001"],
     ["ergodic", "--family", "KHUKR", "--x0", "0.4,0.36,0.24", "--checkpoints", "10,10000001"],
     # an orbit that never settles, so that each of its steps is made
     ["trajectory", "--family", "GANIKHODJAEV_LAMBDA", "--param", "0.1", "--x0", "0.2,0.3,0.5",
      "--steps", "10000001", "--stride", "10000001"],
-], ids=["omega-burn-in", "scalar-iterate", "ergodic-checkpoints", "trajectory-steps"])
+], ids=["omega-burn-in", "omega-window", "scalar-iterate", "ergodic-checkpoints",
+         "trajectory-steps"])
 def test_a_step_count_over_the_cap_exits_2_at_once(argv):
     # one step over tensor.MAX_STEPS: refused before the loop, not run
     proc = subprocess.run([sys.executable, "-m", "qsodyn", *argv],
