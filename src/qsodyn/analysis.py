@@ -83,6 +83,7 @@ MAX_NORM_EXCLUSION_RADIUS = 1e-9
 
 def sample_interior(rng: np.random.Generator, m: int, n: int = 1) -> np.ndarray:
     """n interior points drawn by normalizing exponential coordinates."""
+    _check_count("n", n, 0, MAX_STEPS)
     e = rng.exponential(size=(n, m))
     return e / e.sum(axis=1, keepdims=True)
 
@@ -312,8 +313,8 @@ def _search(t: CoefficientTensor, starts: int, seed, n: int, tol: float):
     solutions below ``FIXED_POINT_RESIDUAL`` (the others are dropped, never
     fatal), of those within ``DEDUP_RADIUS`` the one with the smallest
     residual, as sorted rows projected onto the simplex, and their residuals."""
-    _check_count("starts", starts, 0)
-    _check_count("n", n, 1)
+    _check_count("starts", starts, 0, MAX_STEPS)
+    _check_count("n", n, 1, MAX_STEPS)
     _check_tolerance("tol", tol, positive=True)
     xs, rmax, ok = _newton(t, _default_starts(t, starts, seed), n, tol)
     ok &= rmax < FIXED_POINT_RESIDUAL
@@ -517,10 +518,10 @@ def check_lyapunov(t: CoefficientTensor, fn: LyapunovFn, samples: int,
     """
     if fn.families and t.spec is not None and t.spec.family not in fn.families:
         raise InapplicableFunction(f"{fn.id} applies to {fn.families}, tensor is {t.name!r}")
-    _check_count("samples", samples, 1)
+    _check_count("samples", samples, 1, MAX_STEPS)
     _check_count("n0", fn.n0, 0)
     _check_tolerance("slack", slack)
-    _check_count("horizon", horizon, 1)
+    _check_count("horizon", horizon, 1, MAX_STEPS)
     if fn.n0 >= horizon:
         raise InapplicableFunction(f"horizon {horizon} must exceed the burn-in n0={fn.n0}")
     rng = np.random.default_rng(seed)
@@ -742,8 +743,8 @@ class InvariantSetReport:
 def check_invariant_set(t: CoefficientTensor, spec: InvariantSetSpec, samples: int,
                         horizon: int, seed: int) -> InvariantSetReport:
     """Sample members, iterate, and report the worst membership defect seen."""
-    _check_count("samples", samples, 1)
-    _check_count("horizon", horizon, 1)
+    _check_count("samples", samples, 1, MAX_STEPS)
+    _check_count("horizon", horizon, 1, MAX_STEPS)
     if spec.families and t.spec is not None and t.spec.family not in spec.families:
         raise InapplicableSet(f"{spec.id} applies to {spec.families}, tensor is {t.name!r}")
     rng = np.random.default_rng(seed)
@@ -920,7 +921,7 @@ def psi_bound_check(m: int, samples: int, seed: int) -> PsiBoundReport:
     _check_count("m", m, 1)
     if m < 5:
         raise DimensionMismatch("the strict-decay bound applies to m >= 5")
-    _check_count("samples", samples, 1)
+    _check_count("samples", samples, 1, MAX_STEPS)
     rng = np.random.default_rng(seed)
     xs = sample_interior(rng, m, samples)
     vals = psi_decay_values(xs)
@@ -959,7 +960,7 @@ def max_norm_check(samples: int, seed: int) -> MaxNormReport:
     Holds everywhere except at the five fixed points (vertices and center),
     whose samples within ``MAX_NORM_EXCLUSION_RADIUS`` are excluded.
     """
-    _check_count("samples", samples, 1)
+    _check_count("samples", samples, 1, MAX_STEPS)
     t = make_regular(4)
     rng = np.random.default_rng(seed)
     xs = sample_interior(rng, 4, samples)

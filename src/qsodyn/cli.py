@@ -23,7 +23,7 @@ import numpy as np
 from . import analysis, families, reports, scalarmaps, verification
 from .errors import QsoError
 from .simplex import SimplexPoint, parse_cycles, validate_point
-from .tensor import CoefficientTensor, iterate, load_tensor
+from .tensor import MAX_STEPS, CoefficientTensor, _check_count, iterate, load_tensor
 
 USAGE_ERROR = 2
 FAILURE = 1
@@ -79,8 +79,7 @@ def _resolve_starts(args, m: int) -> list[SimplexPoint]:
         return [_parse_x0(args.x0)]
     if args.random_starts is None:
         raise QsoError("a start is required: --x0 or --random-starts K --seed N")
-    if args.random_starts < 1:
-        raise QsoError("--random-starts must be >= 1")
+    _check_count("--random-starts", args.random_starts, 1, MAX_STEPS, QsoError)
     if args.seed is None:
         raise QsoError("--random-starts requires --seed")
     rng = np.random.default_rng(args.seed)

@@ -18,7 +18,6 @@ convex blends named after the people who analyzed them.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +28,9 @@ from .errors import (
     PermutationSizeMismatch,
     UnexpectedParameter,
     UnknownFamily,
-    WeightOutOfRange,
 )
 from .simplex import Permutation
-from .tensor import CoefficientTensor, _check_dimension, build_tensor, convex_combine
+from .tensor import CoefficientTensor, _check_dimension, _check_weight, build_tensor, convex_combine
 
 
 @dataclass(frozen=True)
@@ -68,10 +66,8 @@ class FamilySpec:
             raise MissingParameter(f"{self.family} requires parameter {info.parameter}")
         if not info.parameter and self.parameter is not None:
             raise UnexpectedParameter(f"{self.family} takes no parameter")
-        if self.parameter is not None and (not isinstance(self.parameter, numbers.Real)
-                                           or isinstance(self.parameter, bool)):
-            raise WeightOutOfRange(
-                f"{info.parameter} must be a real number, got {self.parameter!r}")
+        if self.parameter is not None:
+            _check_weight(info.parameter, self.parameter)
         if isinstance(self.parameter, np.generic):
             # named after the equal Python number, not the numpy type
             object.__setattr__(self, "parameter", self.parameter.item())

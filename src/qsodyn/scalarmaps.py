@@ -124,8 +124,8 @@ def low_period_scan(spec: ScalarMapSpec, n: int, grid: int = 100_000,
     covers tangencies and the endpoint root at 1), and bisection refines each
     bracketed root.  Results within 1e-9 of each other are merged.
     """
-    _check_count("period n", n, 1, error=DomainViolation)
-    _check_count("grid", grid, 1000, error=DomainViolation)
+    _check_count("period n", n, 1, MAX_STEPS, DomainViolation)
+    _check_count("grid", grid, 1000, MAX_STEPS, DomainViolation)
     _check_tolerance("tol", tol)
 
     xs = np.linspace(0.0, 1.0, grid + 1)

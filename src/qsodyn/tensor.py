@@ -185,16 +185,23 @@ def _step(flat: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y / y.sum()
 
 
+def _points(t: CoefficientTensor, x) -> np.ndarray:
+    """A ``SimplexPoint``'s array, or ``x`` as a float array of points along
+    its last axis; else ``DimensionMismatch``."""
+    arr = x.array if isinstance(x, SimplexPoint) else np.asarray(x, dtype=float)
+    if arr.shape[-1:] != (t.m,):
+        raise DimensionMismatch(f"point has shape {arr.shape}, tensor has m={t.m}")
+    return arr
+
+
 def apply_raw(t: CoefficientTensor, x) -> np.ndarray:
-    """The quadratic form itself, without renormalization.
+    """The quadratic form itself, without renormalization, for each point
+    along the last axis of ``x``, with a one-point call's bits.
 
     Defined for any real vector (used by derivative checks); does not
     require or return a simplex point.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (t.m,):
-        raise DimensionMismatch(f"point has {x.shape[0]} coordinates, tensor has m={t.m}")
-    return _raw(t._flat, x)
+    return _raw(t._flat, _points(t, x))
 
 
 def apply_batch(t: CoefficientTensor, xs: np.ndarray) -> np.ndarray:
@@ -212,14 +219,11 @@ def jacobian(t: CoefficientTensor, x) -> np.ndarray:
     respect to x_j: 2 * sum_i p[i, j, k] x_i.  Every column sums to
     2 * sum(x).  A stack gives each point's Jacobian bit for bit.
     """
-    arr = x.array if isinstance(x, SimplexPoint) else np.asarray(x, dtype=float)
-    if arr.shape[-1:] != (t.m,):
-        raise DimensionMismatch(f"point has shape {arr.shape}, tensor has m={t.m}")
-    return 2.0 * np.einsum("ijk,...i->...kj", t.p, arr)
+    return 2.0 * np.einsum("ijk,...i->...kj", t.p, _points(t, x))
 
 
-# The most steps a count that sizes a loop but no array may ask for: 10^7
-# steps of one orbit take about a second, a larger count runs until killed.
+# The most a count that sizes an array or a loop may ask for: 10^7 steps of
+# one orbit take about a second, a larger count runs until killed.
 MAX_STEPS = 10_000_000
 
 
@@ -335,7 +339,7 @@ def run_batch(t: CoefficientTensor, xs: np.ndarray, n_steps: int) -> np.ndarray:
     ``apply_batch``, all in one call of ``_loops(t.m).batch``, bit for bit
     at any lane width of the compiled loop.  Its einsum step has other bits
     than ``run``'s on the same stack."""
-    _check_count("n_steps", n_steps, 0)
+    _check_count("n_steps", n_steps, 0, MAX_STEPS)
     x = np.array(xs, dtype=float, order="C")
     if x.ndim != 2 or x.shape[1] != t.m:
         raise DimensionMismatch(f"points have shape {x.shape}, expected (n, {t.m})")
@@ -693,11 +697,11 @@ def load_tensor(f, name: str = "") -> CoefficientTensor:
     return build_tensor(m, rows, name=name)
 
 
-def random_tensor(rng: np.random.Generator, m: int, name: str = "") -> CoefficientTensor:
+def random_tensor(rng: np.random.Generator, m: int) -> CoefficientTensor:
     """A random valid tensor: each pair row is an independent Dirichlet draw."""
     m = _check_dimension(m)
     # one draw: the rows (i, j), i <= j, in the order a draw per row takes them
-    return CoefficientTensor(m, _dirichlet(rng.exponential(size=(m * (m + 1) // 2, m))), name)
+    return CoefficientTensor(m, _dirichlet(rng.exponential(size=(m * (m + 1) // 2, m))))
 
 
 def _dirichlet(rows: np.ndarray) -> np.ndarray:

@@ -570,24 +570,38 @@ def test_a_loose_newton_tolerance_reports_only_fixed_points(capsys, tol):
     assert found and all(rep["residual"] < 1e-8 for rep in found)
 
 
-@pytest.mark.parametrize("argv", [
-    ["omega", "--family", "KHUKR", "--x0", "0.4,0.36,0.24", "--burn-in", "10000001",
-     "--window", "2"],
-    ["omega", "--family", "KHUKR", "--x0", "0.4,0.36,0.24", "--burn-in", "10",
-     "--window", "10000001"],
-    ["scalar", "--map", "F", "--iterate", "0.3", "10000001"],
-    ["ergodic", "--family", "KHUKR", "--x0", "0.4,0.36,0.24", "--checkpoints", "10,10000001"],
+@pytest.mark.parametrize("argv,name", [
+    (["omega", "--family", "KHUKR", "--x0", "0.4,0.36,0.24", "--burn-in", "10000001",
+      "--window", "2"], "burn_in"),
+    (["omega", "--family", "KHUKR", "--x0", "0.4,0.36,0.24", "--burn-in", "10",
+      "--window", "10000001"], "window"),
+    (["scalar", "--map", "F", "--iterate", "0.3", "10000001"], "n"),
+    (["ergodic", "--family", "KHUKR", "--x0", "0.4,0.36,0.24", "--checkpoints", "10,10000001"],
+     "checkpoints"),
     # an orbit that never settles, so that each of its steps is made
-    ["trajectory", "--family", "GANIKHODJAEV_LAMBDA", "--param", "0.1", "--x0", "0.2,0.3,0.5",
-     "--steps", "10000001", "--stride", "10000001"],
+    (["trajectory", "--family", "GANIKHODJAEV_LAMBDA", "--param", "0.1", "--x0", "0.2,0.3,0.5",
+      "--steps", "10000001", "--stride", "10000001"], "n_steps"),
+    # counts that size an array: refused before it is allocated
+    (["fixed-points", "--family", "KHUKR", "--starts", "10000001"], "starts"),
+    (["lyapunov", "--family", "REGULAR", "--m", "3", "--fn", "CYCLIC_PRODUCT", "--seed", "1",
+      "--samples", "10000001"], "samples"),
+    (["lyapunov", "--family", "REGULAR", "--m", "3", "--fn", "CYCLIC_PRODUCT", "--seed", "1",
+      "--horizon", "10000001"], "horizon"),
+    (["omega", "--family", "KHUKR", "--seed", "1", "--random-starts", "10000001"],
+     "--random-starts"),
+    (["trajectory", "--family", "KHUKR", "--seed", "1", "--steps", "1",
+      "--random-starts", "10000001"], "--random-starts"),
+    (["scalar", "--map", "F", "--scan-period", "1", "--grid", "10000001"], "grid"),
 ], ids=["omega-burn-in", "omega-window", "scalar-iterate", "ergodic-checkpoints",
-         "trajectory-steps"])
-def test_a_step_count_over_the_cap_exits_2_at_once(argv):
-    # one step over tensor.MAX_STEPS: refused before the loop, not run
+         "trajectory-steps", "fixed-points-starts", "lyapunov-samples", "lyapunov-horizon",
+         "omega-random-starts", "trajectory-random-starts", "scalar-grid"])
+def test_a_step_count_over_the_cap_exits_2_at_once(argv, name):
+    # one over tensor.MAX_STEPS: refused before the loop or the array, with
+    # one error line that names the count
     proc = subprocess.run([sys.executable, "-m", "qsodyn", *argv],
                           capture_output=True, text=True, timeout=30)
     assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.endswith(f"must be <= {tensor.MAX_STEPS}, got 10000001\n")
+    assert proc.stderr == f"error: {name} must be <= {tensor.MAX_STEPS}, got 10000001\n"
 
 
 @pytest.mark.parametrize("name", list(cli._LYAPUNOV_FNS))
@@ -789,6 +803,17 @@ INT_OPTION_CALLS = [
 ]
 # options that size no array or loop also draw values past the int64 range
 UNSIZED_INT_OPTIONS = {"--seed", "--cycle-index", "--n0", "--s-max"}
+# sized options without the MAX_STEPS cap: --m sizes an m^3 tensor, which a
+# byte budget would have to bound, and a --stride past --steps is clamped
+UNCAPPED_INT_OPTIONS = {"--m", "--stride"}
+
+
+def test_every_integer_option_has_a_call():
+    subcommands = next(a for a in cli.build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices.values()
+    options = {action.option_strings[0] for p in subcommands for action in p._actions
+               if action.type is int}
+    assert options == {option for option, _ in INT_OPTION_CALLS}
 
 
 @st.composite
@@ -797,6 +822,8 @@ def int_option_calls(draw):
     values = st.integers(-3, 12)
     if option in UNSIZED_INT_OPTIONS:
         values = st.one_of(values, st.sampled_from([2**63, -2**63]))
+    elif option not in UNCAPPED_INT_OPTIONS:
+        values = st.one_of(values, st.sampled_from([tensor.MAX_STEPS + 1, 2**70]))
     return option, argv, draw(values)
 
 
@@ -808,6 +835,9 @@ def test_any_integer_option_value_exits_cleanly(call):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([*argv, f"{option}={value}"])
     assert code in (0, 1, 2), err.getvalue()
+    if value > tensor.MAX_STEPS and option not in UNSIZED_INT_OPTIONS:
+        assert code == 2 and err.getvalue().endswith(f"must be <= {tensor.MAX_STEPS}, "
+                                                      f"got {value}\n")
     if code == 0:
         if argv[0] == "trajectory":
             assert out.getvalue().startswith("n,x1,")

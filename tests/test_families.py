@@ -169,6 +169,18 @@ def test_family_spec_validation():
     assert spec.m == 3
 
 
+@pytest.mark.parametrize("family,m,perm,name", [("VALLANDER_THETA", 3, None, "theta"),
+                                                ("ALPHA_COMBINATION", 4, "(1 2 3)", "alpha")])
+@pytest.mark.parametrize("parameter", [1.5, -0.5, float("nan")])
+def test_a_family_spec_refuses_a_weight_outside_the_unit_interval(family, m, perm, name,
+                                                                  parameter):
+    # refused by the spec, before any constituent tensor is built
+    perm = perm and parse_cycles(perm, m - 1)
+    with pytest.raises(errors.WeightOutOfRange,
+                       match=rf"^{name} must be a number in \[0, 1\], got {parameter!r}$"):
+        FamilySpec(family, m, perm, parameter)
+
+
 def test_combined_planar_weights_match_definitions():
     # weight goes on the first-named constituent of each blend
     cases = {

@@ -710,7 +710,7 @@ def test_row_kernel_matches_numpy_on_vallander(kernel, theta, x0, n_steps):
     assert np.array_equal(fast, ref)
 
 
-@pytest.mark.parametrize("bad", [-4, -1, 2.5, 3.0, "4", None])
+@pytest.mark.parametrize("bad", [-4, -1, 2.5, 3.0, "4", None, tensor.MAX_STEPS + 1])
 def test_run_batch_rejects_bad_n_steps_before_the_kernel(bad):
     t = make("REGULAR", 3)
     with mock.patch.object(tensor, "_kernel") as loader:
@@ -1330,8 +1330,7 @@ def per_row_random_tensor(rng, m):
 def test_random_tensor_matches_the_per_row_loop(m, seeds):
     for seed in range(seeds):
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = random_tensor(got_rng, m, "r")
+        got = random_tensor(got_rng, m)
         assert got.p.tobytes() == per_row_random_tensor(want_rng, m).tobytes()
         # the generator is left where the loop left it, for the draws after
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
-        assert got.name == "r"

@@ -4,9 +4,10 @@ they replaced.
 ``run``, ``run_collect`` and ``cesaro`` take a (k, m) stack of starts in one
 call of the single-orbit loop, and each row has the bits of a call of its own;
 ``tensor._raw`` takes a stack of points, and of tensors, with the bits of
-one ``np.outer(x, x).ravel() @ flat`` per point.  ``check_lyapunov``,
-``_classify_points``, the ``quasi_strict`` suite's starts and the ``core``
-suite's 1000 random-operator trials run on them.  Each oracle below is the
+one ``np.outer(x, x).ravel() @ flat`` per point, and ``apply_raw`` a stack
+of points.  ``check_lyapunov``, ``_classify_points``, the ``quasi_strict``
+suite's starts, the ``core`` suite's 1000 random-operator trials and its
+finite differences, and the ``s2`` suite's theta = 0.9 starts run on them.  Each oracle below is the
 per-start or per-trial code as it was, kept here, and every measured value
 is compared by its bits.
 """
@@ -18,7 +19,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsodyn import analysis, errors, tensor, verification
@@ -36,8 +37,16 @@ from qsodyn.analysis import (
 )
 from qsodyn.families import make, make_alpha_combination, make_quasi_strict
 from qsodyn.simplex import SimplexPoint, parse_cycles
-from qsodyn.tensor import CoefficientTensor, apply_raw, cesaro, random_tensor, run, run_collect
-from qsodyn.verification import _interior_points, suite_core, suite_quasi_strict
+from qsodyn.tensor import (
+    CoefficientTensor,
+    apply_raw,
+    cesaro,
+    jacobian,
+    random_tensor,
+    run,
+    run_collect,
+)
+from qsodyn.verification import _interior_points, suite_core, suite_quasi_strict, suite_s2
 
 PERM6 = parse_cycles("(1 2)(3 4 5)", 5)
 
@@ -132,6 +141,17 @@ def test_raw_product_of_a_stack_is_one_dgemv_per_point(m):
     shared = np.array([np.outer(x, x).ravel() @ tensors[0]._flat for x in xs])
     assert tensor._raw(tensors[0]._flat, xs).tobytes() == shared.tobytes()
     assert apply_raw(tensors[0], xs[0]).tobytes() == shared[0].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 9), st.integers(0, 2**32 - 1),
+       st.lists(st.integers(0, 4), min_size=1, max_size=2))
+def test_apply_raw_of_a_stack_has_each_point_bits(m, seed, lead):
+    rng = np.random.default_rng(seed)
+    t = random_tensor(rng, m)
+    xs = rng.standard_normal((*lead, m))
+    want = np.array([apply_raw(t, x) for x in xs.reshape(-1, m)]).reshape(xs.shape)
+    assert apply_raw(t, xs).tobytes() == want.tobytes()
 
 
 # --- check_lyapunov and _classify_points --------------------------------------------
@@ -286,11 +306,61 @@ def old_raw_sum_defect(seed):
     return worst
 
 
+def old_jacobian_defect(seed):
+    rng = np.random.default_rng(seed + 80)
+    worst = 0.0
+    h = 1e-6
+    for trial in range(20):
+        m = 3 + trial % 4
+        t = random_tensor(rng, m)
+        x = sample_interior(rng, m, 1)[0]
+        jac = jacobian(t, x)
+        for j in range(m):
+            e = np.zeros(m)
+            e[j] = h
+            col = (apply_raw(t, x + e) - apply_raw(t, x - e)) / (2 * h)
+            worst = max(worst, float(np.max(np.abs(jac[:, j] - col))))
+    return worst
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 2**31))
 def test_core_trials_match_the_per_trial_loop(seed):
-    got = measured(suite_core(seed))["core.simplex_preserved_raw_sum"]
-    assert got == repr({"max_defect": old_raw_sum_defect(seed)})
+    got = measured(suite_core(seed))
+    assert got["core.simplex_preserved_raw_sum"] == repr({"max_defect": old_raw_sum_defect(seed)})
+    assert got["core.jacobian_matches_finite_differences"] == repr(
+        {"max_dev": old_jacobian_defect(seed), "step": 1e-6})
+
+
+# --- the s2 suite's theta = 0.9 starts -----------------------------------------------------
+
+
+def old_theta09_defect(seed):
+    t = make("VALLANDER_THETA", 3, None, 0.9)
+    e1 = np.array([1.0, 0.0, 0.0])
+    rng = np.random.default_rng(seed + 51)
+    worst = 0.0
+    for _ in range(5):
+        x = sample_interior(rng, 3, 1)[0]
+        if x[0] <= x[2]:
+            x[0], x[2] = x[2], x[0]
+        if abs(x[0] - x[2]) < 1e-3:
+            x[0] += 1e-2
+            x /= x.sum()
+        final = run(t, x, 2000)
+        worst = max(worst, float(np.max(np.abs(final - e1))))
+    return worst
+
+
+# at seeds 51 and 82 one start is nudged off the line x1 = x3
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**31), st.booleans())
+@example(51, False)
+@example(82, True)
+def test_s2_theta09_starts_match_the_per_start_loop(seed, numpy_loop):
+    with numpy_loops() if numpy_loop else contextlib.nullcontext():
+        got = measured(suite_s2(seed))["s2.vallander_theta09_to_e1"]
+        assert got == repr({"max_dev": old_theta09_defect(seed)})
 
 
 def old_random_coefficients(rows):

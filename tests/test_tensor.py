@@ -1,4 +1,5 @@
 import io
+import re
 from unittest import mock
 
 import numpy as np
@@ -321,6 +322,21 @@ def test_stacked_jacobian_is_each_point_jacobian_bit_for_bit(m):
 def test_jacobian_refuses_a_wrong_last_axis(shape):
     with pytest.raises(errors.DimensionMismatch, match="tensor has m=3"):
         jacobian(make_regular(3), np.full(shape, 0.25))
+
+
+@pytest.mark.parametrize("m", [3, 6])
+def test_apply_raw_of_a_simplex_point_is_the_call_on_its_array(m):
+    t, x = random_tensor(np.random.default_rng(m), m), center(m)
+    assert apply_raw(t, x).tobytes() == apply_raw(t, x.array).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(), (4,), (2,), (3, 4), (3, 1), (0,)])
+def test_apply_raw_refuses_a_point_as_jacobian_does(shape):
+    # one rule and one message for both, a 0-d input included
+    for fn in (apply_raw, jacobian):
+        with pytest.raises(errors.DimensionMismatch,
+                           match=re.escape(f"point has shape {shape}, tensor has m=3")):
+            fn(make_regular(3), np.full(shape, 0.25))
 
 
 def test_iterate_zero_steps():
