@@ -161,8 +161,12 @@ void orbit(dgemv_fn gemv, const double *flat, int64_t m, double *xs, int64_t row
    and whichever rows share its vector.
 
    contract<L> sets y[k .. k + w - 1], each summed over (i, j) in einsum's
-   order; w is a constant at every call, so the w sums stay in registers.
-   renormalize_vec<L> is built for the same target, so no vector is split. */
+   order.  A step calls it for each block of 8 k, then once at the remaining
+   width, 1 to 7: w is a constant at every call, so the w sums stay in
+   registers and their w chains of m * m dependent adds overlap.  GCC 12 at
+   -O2 does not fully unroll the 8-trip loops by itself, and the sums then
+   go to the stack: hence the unroll pragmas.  renormalize_vec<L> is built
+   for the same target, so no vector is split. */
 #define BATCH(L, attr)                                                         \
 typedef double vec##L __attribute__((vector_size(8 * L)));                     \
 RENORMALIZE(vec##L, attr)                                                      \
@@ -170,12 +174,14 @@ RENORMALIZE(vec##L, attr)                                                      \
 attr static inline void contract##L(const double *p, int64_t m, const vec##L *x, \
                                     int64_t k, int w, vec##L *y)               \
 {                                                                              \
-    vec##L acc[2] = {{0.0}, {0.0}};                                            \
+    vec##L acc[8] = {{0.0}};                                                   \
     const double *q = p + k;                                                   \
     for (int64_t i = 0; i < m; i++)                                            \
         for (int64_t j = 0; j < m; j++, q += m)                                \
+            _Pragma("GCC unroll 8")                                            \
             for (int b = 0; b < w; b++)                                        \
                 acc[b] += (q[b] * x[j]) * x[i];                                \
+    _Pragma("GCC unroll 8")                                                    \
     for (int b = 0; b < w; b++)                                                \
         y[k + b] = acc[b];                                                     \
 }                                                                              \
@@ -193,10 +199,17 @@ attr void batch##L(const double *p, int64_t m, double *xs, int64_t rows,       \
                 x[k][l] = row[l][k];                                           \
         for (int64_t n = 0; n < n_steps; n++) {                                \
             int64_t k = 0;                                                     \
-            for (; k + 2 <= m; k += 2)                                         \
-                contract##L(p, m, x, k, 2, y);                                 \
-            if (k < m)                                                         \
-                contract##L(p, m, x, k, 1, y);                                 \
+            for (; k + 8 <= m; k += 8)                                         \
+                contract##L(p, m, x, k, 8, y);                                 \
+            switch (m - k) {                                                   \
+            case 7: contract##L(p, m, x, k, 7, y); break;                      \
+            case 6: contract##L(p, m, x, k, 6, y); break;                      \
+            case 5: contract##L(p, m, x, k, 5, y); break;                      \
+            case 4: contract##L(p, m, x, k, 4, y); break;                      \
+            case 3: contract##L(p, m, x, k, 3, y); break;                      \
+            case 2: contract##L(p, m, x, k, 2, y); break;                      \
+            case 1: contract##L(p, m, x, k, 1, y); break;                      \
+            }                                                                  \
             renormalize_vec##L(y, m, x);                                       \
         }                                                                      \
         for (int l = 0; l < L; l++)                                            \

@@ -294,8 +294,8 @@ def _walk(t: CoefficientTensor, x0, marks: np.ndarray, sums: np.ndarray | None =
     One call of ``_loops(t.m).orbit``, each start with the bits of a call of
     its own.  Bad input raises before the kernel is loaded.
     """
-    x = np.array(x0, dtype=float, order="C")
-    if x.ndim not in (1, 2) or x.shape[-1] != t.m:
+    x = np.array(_points(t, x0), order="C")
+    if x.ndim not in (1, 2):
         raise DimensionMismatch(f"point has shape {x.shape}, tensor has m={t.m}")
     xs = x.reshape(-1, t.m)
     states, settled = np.empty((len(xs), len(marks), t.m)), np.empty(len(xs), dtype=np.int64)
@@ -447,9 +447,9 @@ def cesaro(t: CoefficientTensor, x0: np.ndarray, checkpoints) -> tuple[np.ndarra
         _check_count("checkpoints", n, 1, MAX_STEPS)
     if any(b <= a for a, b in zip(cps, cps[1:])):
         raise DimensionMismatch("checkpoints must be strictly increasing positive integers")
-    marks = np.array(cps, dtype=np.int64)
-    sums = np.empty((*np.shape(x0)[:-1], len(cps), t.m))
-    states, _ = _walk(t, x0, marks, sums)
+    marks, x = np.array(cps, dtype=np.int64), _points(t, x0)
+    sums = np.empty((*x.shape[:-1], len(cps), t.m))
+    states, _ = _walk(t, x, marks, sums)
     means = sums / marks[:, None]
     # the running sum accumulates round-off linearly in n; renormalize (each
     # row summed alone, in the order of a one-row sum)

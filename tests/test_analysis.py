@@ -501,6 +501,20 @@ def test_psi_decay_equality_only_at_center():
     assert vals[1] < bound
 
 
+def reference_psi_decay_values(xs):
+    """The former formula: the pair sums by np.roll, then each row's np.prod."""
+    m = xs.shape[1]
+    pair_sums = xs + np.roll(xs, -1, axis=1)
+    return np.prod((2.0 + (m - 4) * pair_sums) / (m - 2), axis=1)
+
+
+@pytest.mark.parametrize("m", [5, 6, 8, 9, 17])
+def test_psi_decay_values_match_the_row_product(m):
+    xs = sample_interior(np.random.default_rng(m), m, 20_000)
+    xs[0], xs[1, :2], xs[1, 2:] = 1.0 / m, 0.5, 0.0
+    assert psi_decay_values(xs).tobytes() == reference_psi_decay_values(xs).tobytes()
+
+
 def test_max_norm_strict_decrease_examples():
     t = make_regular(4)
     x = validate_point([0.7, 0.1, 0.1, 0.1])

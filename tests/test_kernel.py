@@ -674,8 +674,9 @@ def test_each_width_matches_numpy_on_catalog(width_batch, family):
     assert np.array_equal(width_batch(t, xs, 20), plain_batch(t, xs, 20))
 
 
-@pytest.mark.parametrize("m", [3, 8, 9])
+@pytest.mark.parametrize("m", [*range(2, 18), 24, 64])
 def test_each_width_runs_for_every_row_count(width_batch, m):
+    # every remainder of k after none, one and several blocks of 8 k, at
     # whole and partial lane groups, one to two groups and a row
     t = random_tensor(np.random.default_rng(m), m)
     for rows in range(1, 2 * width_batch.lanes + 2):

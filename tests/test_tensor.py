@@ -22,6 +22,7 @@ from qsodyn.tensor import (
     random_tensor,
     run,
     run_batch,
+    run_collect,
     save_tensor,
 )
 
@@ -337,6 +338,30 @@ def test_apply_raw_refuses_a_point_as_jacobian_does(shape):
         with pytest.raises(errors.DimensionMismatch,
                            match=re.escape(f"point has shape {shape}, tensor has m=3")):
             fn(make_regular(3), np.full(shape, 0.25))
+
+
+def orbit_calls(t):
+    """The calls of ``_walk`` on a point or a stack of them."""
+    return (lambda x: run(t, x, 5), lambda x: run_collect(t, x, 5),
+            lambda x: cesaro(t, x, [1, 4]))
+
+
+@pytest.mark.parametrize("m", [3, 6])
+def test_the_orbit_calls_of_a_simplex_point_are_the_calls_on_its_array(m):
+    rng = np.random.default_rng(m)
+    t, x = random_tensor(rng, m), rng.exponential(size=m)
+    x = validate_point(x / x.sum())
+    for call in orbit_calls(t):
+        assert np.asarray(call(x)).tobytes() == np.asarray(call(x.array)).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(), (4,), (2,), (3, 4), (3, 1), (0,), (2, 2, 3)])
+def test_the_orbit_calls_refuse_a_point_as_apply_raw_does(shape):
+    # apply_raw's rule and message, and at most one axis of starts
+    for call in orbit_calls(make_regular(3)):
+        with pytest.raises(errors.DimensionMismatch,
+                           match=re.escape(f"point has shape {shape}, tensor has m=3")):
+            call(np.full(shape, 0.25))
 
 
 def test_iterate_zero_steps():
